@@ -19,7 +19,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .roots import SL2, SU21, RelativeRoot, RelativeRootSystem, RootSystemError
+from .roots import (
+    SU21,
+    RelativeRoot,
+    RelativeRootSystem,
+    RootSystemError,
+    local_scale,
+)
 
 
 class CharacterError(ValueError):
@@ -211,11 +217,6 @@ def pair(
             raise CharacterError("ray base point has wrong rank")
         b = sum(Fraction(c) * v for c, v in zip(base, vec)) or Fraction(0)
     return AffineForm(a, b)
-
-
-def local_scale(alpha: RelativeRoot) -> int:
-    """Denominator turning the pairing into the rank-one local variable."""
-    return alpha.d_alpha if alpha.rank_one_type == SL2 else 4 * alpha.d_alpha
 
 
 def compose_with_coroot(

@@ -47,6 +47,7 @@ from .oracles import (
     LocalPlace,
     NotConverged,
     OracleConfig,
+    OracleError,
     arch_gk,
     gk_integral_sl2,
     gk_integral_sl3,
@@ -66,6 +67,7 @@ from .roots import (
     family_datum,
     proposition_table,
     restrict_roots,
+    split_datum,
 )
 
 EXIT_OK = 0
@@ -82,6 +84,29 @@ class SchemaError(ValueError):
 # input parsing
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    return [_int(x, f"{what} entry") for x in _list(value, what)]
+
+
+def _rational(value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"bad rational {value!r}") from None
+
+
 def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
     if isinstance(spec, str):
         if len(spec) < 2 or not spec[0].isalpha():
@@ -94,15 +119,18 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
         except RootSystemError as exc:
             raise SchemaError(str(exc)) from exc
     if isinstance(spec, dict) and "cartan" in spec:
-        return tuple(tuple(int(x) for x in row) for row in spec["cartan"])
+        return tuple(
+            tuple(_int_list(row, "cartan row"))
+            for row in _list(spec["cartan"], "cartan")
+        )
     raise SchemaError("diagram must be a type string or {'cartan': [[...]]}")
 
 
 def _parse_rational_pair(entry) -> RationalComplex:
     if isinstance(entry, (int, str)):
-        return RationalComplex(Fraction(entry), Fraction(0))
+        return RationalComplex(_rational(entry), Fraction(0))
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return RationalComplex(Fraction(str(entry[0])), Fraction(str(entry[1])))
+        return RationalComplex(_rational(entry[0]), _rational(entry[1]))
     raise SchemaError(f"bad rational pair {entry!r}")
 
 
@@ -117,9 +145,9 @@ def load_spec(path: str) -> dict:
 
     cartan = _parse_diagram(raw["diagram"])
     n = len(cartan)
-    perm = tuple(raw.get("automorphism", list(range(n))))
-    order = int(raw.get("automorphism_order", 1))
-    dprime = int(raw.get("res_degree", 1))
+    perm = tuple(_int_list(raw.get("automorphism", list(range(n))), "automorphism"))
+    order = _int(raw.get("automorphism_order", 1), "automorphism_order")
+    dprime = _int(raw.get("res_degree", 1), "res_degree")
     label = str(raw.get("label", ""))
     try:
         datum = GroupDatum(cartan, perm, order, dprime, label)
@@ -131,37 +159,36 @@ def load_spec(path: str) -> dict:
     if mode_raw == "number":
         mode, q = NUMBER_MODE, None
     elif isinstance(mode_raw, dict) and "function" in mode_raw:
-        mode, q = FUNCTION_MODE, int(mode_raw["function"])
+        mode, q = FUNCTION_MODE, _int(mode_raw["function"], "function-field q")
     else:
         raise SchemaError(f"bad mode {mode_raw!r}")
 
     exps = raw.get("chi_exponent")
     if exps is None:
-        chi = UnramifiedCharacter.trivial(system.rank, mode, q)
+        exponents = (RationalComplex(),) * system.rank
     else:
-        if len(exps) != system.rank:
+        if len(_list(exps, "chi_exponent")) != system.rank:
             raise SchemaError("chi_exponent has wrong rank")
-        try:
-            chi = UnramifiedCharacter(
-                tuple(_parse_rational_pair(e) for e in exps), mode, q
-            )
-        except CharacterError as exc:
-            raise SchemaError(str(exc)) from exc
+        exponents = tuple(_parse_rational_pair(e) for e in exps)
+    try:
+        chi = UnramifiedCharacter(exponents, mode, q)
+    except CharacterError as exc:
+        raise SchemaError(str(exc)) from exc
 
     direction_raw = raw.get("lambda_direction")
     if direction_raw is None:
         direction = system.principal_ray()
     else:
-        if len(direction_raw) != system.rank:
+        if len(_list(direction_raw, "lambda_direction")) != system.rank:
             raise SchemaError("lambda_direction has wrong rank")
-        direction = tuple(Fraction(str(e)) for e in direction_raw)
+        direction = tuple(_rational(e) for e in direction_raw)
 
     word_raw = raw.get("weyl_word")
     if word_raw is None:
         w = system.longest_element()
     else:
         try:
-            w = system.normalize([int(i) for i in word_raw])
+            w = system.normalize(_int_list(word_raw, "weyl_word"))
         except RootSystemError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -334,40 +361,22 @@ def _local_checks(qs, s_grid, cfg: OracleConfig) -> list[dict]:
         place = LocalPlace(q)
         for s in s_grid:
             sc = complex(s)
-            try:
-                checks.append(
-                    _check(
-                        "sl2_shell",
-                        {"q": q, "s": str(s)},
-                        gk_integral_sl2(place, sc, cfg),
-                        sl2_closed_form(q, sc),
-                        1e-10,
-                    )
-                )
-                checks.append(
-                    _check(
-                        "su21_inert_shell",
-                        {"q": q, "s": str(s)},
-                        gk_integral_su21_inert(place, sc, cfg),
-                        su21_inert_closed_form(q, sc),
-                        1e-9,
-                    )
-                )
-                sl3 = sl3_longest_factorization(q, sc)
-                checks.append(
-                    _check(
-                        "sl3_factorization",
-                        {"q": q, "s": str(s)},
-                        gk_integral_sl3(place, sc, cfg),
-                        sl3["value"],
-                        1e-10,
-                    )
-                )
-            except NotConverged as exc:
-                checks.append(
-                    {"name": "shell", "inputs": {"q": q, "s": str(s)},
-                     "pass": False, "error": str(exc)}
-                )
+            # name, oracle, closed form, tolerance
+            cases = (
+                ("sl2_shell", gk_integral_sl2, sl2_closed_form(q, sc), 1e-10),
+                ("su21_inert_shell", gk_integral_su21_inert,
+                 su21_inert_closed_form(q, sc), 1e-9),
+                ("sl3_factorization", gk_integral_sl3,
+                 sl3_longest_factorization(q, sc)["value"], 1e-10),
+            )
+            for name, oracle, expected, tol in cases:
+                inputs = {"q": q, "s": str(s)}
+                try:
+                    checks.append(_check(name, inputs, oracle(place, sc, cfg),
+                                         expected, tol))
+                except NotConverged as exc:
+                    checks.append({"name": name, "inputs": inputs,
+                                   "pass": False, "error": str(exc)})
     return checks
 
 
@@ -453,21 +462,13 @@ def _ratio_checks() -> list[dict]:
                 "pass": bool(ok),
             }
         )
-    for split_family in ("A3", "D4", "E6"):
-        system = restrict_roots(
-            GroupDatum(
-                _parse_diagram(split_family),
-                tuple(range(len(_parse_diagram(split_family)))),
-                1,
-                1,
-                split_family,
-            )
-        )
+    for family, rank in (("A", 3), ("D", 4), ("E", 6)):
+        system = restrict_roots(split_datum(family, rank))
         measured = component_pole_ratio(system, 0)
         checks.append(
             {
                 "name": "pole_ratio",
-                "inputs": {"family": f"split-{split_family}"},
+                "inputs": {"family": f"split-{family}{rank}"},
                 "rule": {"kind": "equal"},
                 "observed": {k: str(v) for k, v in measured["poles"].items()},
                 "pass": len(set(measured["poles"].values())) == 1,
@@ -481,12 +482,7 @@ def _weyl_checks(seed: int) -> list[dict]:
     checks = []
     small = [("A", 2), ("B", 2), ("G", 2)]
     for family, rank in small:
-        system = restrict_roots(
-            GroupDatum(
-                tuple(tuple(r) for r in cartan_matrix(family, rank)),
-                tuple(range(rank)), 1, 1, f"{family}{rank}",
-            )
-        )
+        system = restrict_roots(split_datum(family, rank))
         chi = UnramifiedCharacter.trivial(system.rank)
         ray = system.principal_ray()
         elements = system.weyl_enumerate()
@@ -511,12 +507,7 @@ def _weyl_checks(seed: int) -> list[dict]:
             }
         )
     for family, rank in (("B", 4), ("D", 4), ("F", 4)):
-        system = restrict_roots(
-            GroupDatum(
-                tuple(tuple(r) for r in cartan_matrix(family, rank)),
-                tuple(range(rank)), 1, 1, f"{family}{rank}",
-            )
-        )
+        system = restrict_roots(split_datum(family, rank))
         chi = UnramifiedCharacter.trivial(system.rank)
         ray = system.principal_ray()
         ok = True
@@ -587,11 +578,24 @@ def cmd_verify_all(args) -> int:
 # entry point
 
 
-def _parse_s_grid(text: str) -> list[Fraction]:
+def _check_args(args) -> None:
+    """Parse --s-grid and reject options outside their domain."""
+    if getattr(args, "res_degree", 1) < 1:
+        raise SchemaError("--res-degree must be positive")
+    if not hasattr(args, "s_grid"):
+        return
     try:
-        return [Fraction(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+        args.s_grid = [Fraction(p) for p in args.s_grid.split(",") if p.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad --s-grid: {exc}") from exc
+    if any(s <= 0 for s in args.s_grid):
+        raise SchemaError("--s-grid values must be positive")
+    if any(q < 2 for q in args.q):
+        raise SchemaError("--q values must be at least 2")
+    try:
+        _oracle_config(args)
+    except OracleError as exc:
+        raise SchemaError(f"bad oracle option: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -654,13 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "s_grid") and isinstance(args.s_grid, str):
-        try:
-            args.s_grid = _parse_s_grid(args.s_grid)
-        except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
     try:
+        _check_args(args)
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

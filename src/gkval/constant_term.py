@@ -23,7 +23,6 @@ from .characters import (
     HeckeCharacterDescriptor,
     UnramifiedCharacter,
     compose_with_coroot,
-    local_scale,
     pair,
 )
 from .lfactors import (
@@ -35,11 +34,11 @@ from .lfactors import (
     r_alpha,
 )
 from .roots import (
-    SL2,
     RelativeRoot,
     RelativeRootSystem,
     RootSystemError,
     WeylElement,
+    local_scale,
     restrict_roots,
     split_datum,
 )
@@ -196,7 +195,7 @@ def pole_profile(
 def rank_one_pole(alpha: RelativeRoot) -> Fraction:
     """Pairing value at which the rank-one factor of alpha has its pole
     (trivial character): d_alpha for SL2-type, 4 d_alpha for SU21-type."""
-    return Fraction(alpha.d_alpha if alpha.rank_one_type == SL2 else 4 * alpha.d_alpha)
+    return Fraction(local_scale(alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class RootSystemError(ValueError):
@@ -258,8 +258,6 @@ def quasi_split_e6_datum(res_degree: int = 1) -> GroupDatum:
 # ---------------------------------------------------------------------------
 # relative roots
 
-Vec = tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class RelativeRoot:
@@ -277,6 +275,17 @@ class RelativeRoot:
     @property
     def height(self) -> int:
         return sum(self.coords)
+
+
+def local_scale(alpha: RelativeRoot) -> int:
+    """The pole scale of alpha: d_alpha for SL2-type, 4 d_alpha for SU21-type.
+
+    It is the pairing value at which the rank-one factor of alpha has its
+    pole (trivial character), the denominator turning the pairing into the
+    rank-one local variable, and the pairing of the principal ray with a
+    simple coroot.
+    """
+    return alpha.d_alpha if alpha.rank_one_type == SL2 else 4 * alpha.d_alpha
 
 
 class RelativeRootSystem:
@@ -301,6 +310,17 @@ class RelativeRootSystem:
         self.has_divisible = has_divisible
         self.rank = len(cartan)
         self._by_coords = {r.coords: r for r in positive_roots}
+        # d' <gamma_i, beta^vee> = d' 2 (gamma_i, beta) / (beta, beta)
+        self._pairings: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for r in positive_roots:
+            vec = []
+            for row in self.gram:
+                pair = sum(g * b for g, b in zip(row, r.coords))
+                c = datum.res_degree * 2 * pair / r.norm2
+                if c.denominator != 1:
+                    raise RootSystemError("internal: non-integral coroot pairing")
+                vec.append(int(c))
+            self._pairings[r.coords] = tuple(vec)
 
     # -- basic queries ----------------------------------------------------
 
@@ -315,52 +335,27 @@ class RelativeRootSystem:
         except KeyError:
             raise RootSystemError(f"{key} is not a positive reduced root") from None
 
-    def bilinear(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        g = self.gram
-        return sum(
-            Fraction(u[i]) * g[i][j] * Fraction(v[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if u[i] and g[i][j] and v[j]
-        ) or Fraction(0)
+    def coroot_pairing_vector(self, alpha: RelativeRoot) -> tuple[int, ...]:
+        """Integer coefficients c_i with <lambda, alpha^vee> = sum c_i lambda_i.
 
-    def coroot_pairing_vector(self, alpha: RelativeRoot) -> tuple[Fraction, ...]:
-        """Coefficients c_i with <lambda, alpha^vee> = sum c_i lambda_i.
-
-        The pairing is normalized so that along the principal ray it takes
-        the value d_alpha * s on an SL2-type root and 4 d_alpha * s on an
-        SU21-type root: c_i = d' * 2 (gamma_i, beta) / (beta, beta).
+        c_i = d' <gamma_i, beta^vee> = d' * 2 (gamma_i, beta) / (beta, beta),
+        so on a simple root beta_j it is d' * C[i][j].  The vectors are built
+        once, by the constructor.  Along the principal ray the pairing with a
+        simple coroot is :func:`local_scale` times s.
         """
-        beta = alpha.coords
-        out = []
-        for i in range(self.rank):
-            e = tuple(Fraction(int(i == j)) for j in range(self.rank))
-            val = self.datum.res_degree * 2 * self.bilinear(e, beta) / alpha.norm2
-            out.append(val)
-        return tuple(out)
+        return self._pairings[alpha.coords]
 
     def principal_ray(self) -> tuple[Fraction, ...]:
-        """Direction x with <x, beta_i^vee> = d_beta (SL2) or 4 d_beta (SU21)
-        on every relative simple root."""
+        """Direction x with <x, beta_j^vee> = local_scale(beta_j) on every
+        relative simple root, i.e. sum_i x_i C[i][j] = local_scale(beta_j) / d'."""
         n = self.rank
-        dp = self.datum.res_degree
-        rhs = []
-        for b in self.simple_roots:
-            target = b.d_alpha if b.rank_one_type == SL2 else 4 * b.d_alpha
-            rhs.append(Fraction(target) * b.norm2 / (2 * dp))
         return _solve(
-            [[self.gram[i][j] for j in range(n)] for i in range(n)], rhs
+            [[self.cartan[i][j] for i in range(n)] for j in range(n)],
+            [Fraction(local_scale(b), self.datum.res_degree)
+             for b in self.simple_roots],
         )
 
     # -- Weyl combinatorics ----------------------------------------------
-
-    def _reflection_matrix(self, j: int) -> list[list[int]]:
-        n = self.rank
-        m = [[int(i == k) for k in range(n)] for i in range(n)]
-        # s_j(gamma_k) = gamma_k - C[k][j] gamma_j
-        for k in range(n):
-            m[j][k] -= self.cartan[k][j]
-        return m
 
     def _apply_word(self, word: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         cur = list(v)
@@ -368,9 +363,6 @@ class RelativeRootSystem:
             pairing = sum(cur[i] * self.cartan[i][j] for i in range(self.rank))
             cur[j] -= pairing
         return tuple(cur)
-
-    def apply(self, w: "WeylElement", root: RelativeRoot) -> tuple[int, ...]:
-        return self._apply_word(w.word, root.coords)
 
     def inversion_set(self, w: "WeylElement") -> tuple[RelativeRoot, ...]:
         """Positive reduced roots sent to negative roots by w."""
@@ -390,7 +382,7 @@ class RelativeRootSystem:
             if not 0 <= j < self.rank:
                 raise RootSystemError(f"reflection index {j} out of range")
         n = self.rank
-        # columns of w^{-1}
+        # columns w^{-1}(gamma_j) of w^{-1}
         inv_cols = [
             list(self._apply_word(list(reversed(list(word))),
                                   [int(i == j) for i in range(n)]))
@@ -404,15 +396,14 @@ class RelativeRootSystem:
             if descent is None:
                 break
             result.append(descent)
-            # w <- s_d w, so w^{-1} <- w^{-1} s_d
-            s = self._reflection_matrix(descent)
-            inv_cols = [
-                [
-                    sum(inv_cols[k][i] * s[k][j] for k in range(n))
-                    for i in range(n)
-                ]
-                for j in range(n)
-            ]
+            # w <- s_d w, so w^{-1}(gamma_j) <- w^{-1}(s_d gamma_j)
+            #                               = w^{-1}(gamma_j - C[j][d] gamma_d)
+            col_d = inv_cols[descent][:]
+            for j, col in enumerate(inv_cols):
+                c = self.cartan[j][descent]
+                if c:
+                    for i in range(n):
+                        col[i] -= c * col_d[i]
         return WeylElement(tuple(result))
 
     def multiply(self, w1: "WeylElement", w2: "WeylElement") -> "WeylElement":
@@ -489,77 +480,70 @@ def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ..
     return tuple(m[i][n] for i in range(n))
 
 
+def _form(g: Sequence[Sequence[Fraction]], u: Sequence[int],
+          v: Sequence[int]) -> Fraction:
+    """sum_ij u_i g_ij v_j for integer coordinate vectors u and v."""
+    return sum(
+        (u[i] * g[i][j] * v[j]
+         for i in range(len(u)) if u[i]
+         for j in range(len(v)) if v[j]),
+        Fraction(0),
+    )
+
+
 def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
-    """Fold the absolute system of ``datum`` to its relative reduced system."""
+    """Fold the absolute system of ``datum`` to its relative reduced system.
+
+    The relative simple roots are the images of the simple orbits of the
+    automorphism, and the relative coordinate of an absolute root on an
+    orbit is the sum of its coefficients over that orbit (Steinberg,
+    *Lectures on Chevalley Groups*, section 11), so roots fold in integers.
+    An image is reduced unless all its coordinates are even and half of it
+    is an image too.  The relative simple root gamma_k is the average of its
+    orbit O_k, so (gamma_k, gamma_l) is the sum of (alpha_i, alpha_j) over
+    i in O_k, j in O_l, divided by |O_k| |O_l|.
+    """
     a = datum.cartan
     n = len(a)
     d = _symmetrizer(a)
     gram_abs = [[d[i] * a[j][i] for j in range(n)] for i in range(n)]
-
-    def bil(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum(
-            Fraction(u[i]) * gram_abs[i][j] * Fraction(v[j])
-            for i in range(n)
-            for j in range(n)
-            if u[i] and v[j]
-        ) or Fraction(0)
-
     perm = datum.automorphism
-    order = datum.automorphism_order
 
-    def sigma(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * n
-        for i, c in enumerate(v):
-            out[perm[i]] = Fraction(c)
-        return tuple(out)
-
-    def project(v: Sequence[int]) -> Vec:
-        cur: tuple[Fraction, ...] = tuple(Fraction(c) for c in v)
-        acc = list(cur)
-        for _ in range(order - 1):
-            cur = sigma(cur)
-            acc = [x + y for x, y in zip(acc, cur)]
-        return tuple(x / order for x in acc)
-
-    roots_abs = _generate_roots(a)
-    pos_abs = [r for r in roots_abs if all(c >= 0 for c in r)]
-
-    images: dict[Vec, list[tuple[int, ...]]] = {}
-    for r in pos_abs:
-        images.setdefault(project(r), []).append(r)
-
-    def half(v: Vec) -> Vec:
-        return tuple(c / 2 for c in v)
-
-    def double(v: Vec) -> Vec:
-        return tuple(c * 2 for c in v)
-
-    reduced = [v for v in images if half(v) not in images]
-    has_divisible = len(reduced) != len(images)
-
-    # relative simple roots: images of absolute simple roots, orbit by orbit
+    # relative simple roots: the simple orbits, in order of their least node
     simple_orbits: list[list[int]] = []
-    seen_nodes: set[int] = set()
+    orbit_of = [-1] * n
     for i in range(n):
-        if i in seen_nodes:
+        if orbit_of[i] >= 0:
             continue
         orbit = [i]
         j = perm[i]
         while j != i:
             orbit.append(j)
             j = perm[j]
-        seen_nodes.update(orbit)
+        for j in orbit:
+            orbit_of[j] = len(simple_orbits)
         simple_orbits.append(sorted(orbit))
     rel_rank = len(simple_orbits)
-    simple_images = [
-        project(tuple(int(k == orb[0]) for k in range(n))) for orb in simple_orbits
+
+    images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for r in _generate_roots(a):
+        if all(c >= 0 for c in r):
+            v = [0] * rel_rank
+            for i, c in enumerate(r):
+                v[orbit_of[i]] += c
+            images.setdefault(tuple(v), []).append(r)
+    reduced = [
+        v for v in images
+        if any(c % 2 for c in v) or tuple(c // 2 for c in v) not in images
     ]
-    if any(v not in images or v not in reduced for v in simple_images):
-        raise RootSystemError("internal: simple image is not a reduced relative root")
+    has_divisible = len(reduced) != len(images)
 
     gram_rel = [
-        [bil(simple_images[i], simple_images[j]) for j in range(rel_rank)]
-        for i in range(rel_rank)
+        [
+            sum(gram_abs[i][j] for i in ok for j in ol) / (len(ok) * len(ol))
+            for ol in simple_orbits
+        ]
+        for ok in simple_orbits
     ]
     cartan_rel = [
         [2 * gram_rel[i][j] / gram_rel[j][j] for j in range(rel_rank)]
@@ -568,14 +552,6 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
     if any(x.denominator != 1 for row in cartan_rel for x in row):
         raise RootSystemError("internal: relative Cartan matrix is not integral")
     cartan_rel_int = [[int(x) for x in row] for row in cartan_rel]
-
-    # coordinates of each reduced image in the relative simple basis
-    def rel_coords(v: Vec) -> tuple[int, ...]:
-        rhs = [bil(simple_images[i], v) for i in range(rel_rank)]
-        x = _solve([row[:] for row in gram_rel], rhs)
-        if any(c.denominator != 1 for c in x):
-            raise RootSystemError("internal: non-integral relative coordinates")
-        return tuple(int(c) for c in x)
 
     # component structure of the relative diagram
     comp_of_node = [-1] * rel_rank
@@ -594,11 +570,35 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
                     stack.append(j)
         comps.append(sorted(nodes))
 
+    # order: simples first (orbit order), then by height and coordinates
+    reduced.sort(key=lambda v: (0, v.index(1)) if sum(v) == 1 else (1, sum(v), v))
+    norm2 = {v: _form(gram_rel, v, v) for v in reduced}
+    component = {v: comp_of_node[next(i for i, c in enumerate(v) if c)]
+                 for v in reduced}
+
+    # length classes per component; a triality fold records the orbit-of-three
+    # roots as long, matching the classification tables.
+    has_triality = any(len(o) == 3 for o in simple_orbits)
+    comp_norms = [
+        sorted({norm2[v] for v in reduced if component[v] == ci})
+        for ci in range(len(comps))
+    ]
+
+    def length_class(v: tuple[int, ...]) -> str:
+        norms = comp_norms[component[v]]
+        if len(norms) == 1:
+            return "single"
+        small = norm2[v] == norms[0]
+        if has_triality and norms[-1] / norms[0] == 3:
+            small = not small
+        return "short" if small else "long"
+
     # rank-one data per reduced root
-    dprime = datum.res_degree
-    entries = []
-    for v in reduced:
-        orbit_roots = list(images[v]) + list(images.get(double(v), []))
+    rel_roots = []
+    for index, v in enumerate(reduced):
+        over = images[v]
+        over_double = images.get(tuple(2 * c for c in v), [])
+        orbit_roots = over + over_double
         # connected components of the orbit under non-orthogonality
         k = len(orbit_roots)
         comp_id = list(range(k))
@@ -610,68 +610,24 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
             return x
 
         for x, y in itertools.combinations(range(k), 2):
-            if bil(orbit_roots[x], orbit_roots[y]) != 0:
+            if _form(gram_abs, orbit_roots[x], orbit_roots[y]) != 0:
                 comp_id[find(x)] = find(y)
         ncomp = len({find(x) for x in range(k)})
-        su21 = bool(images.get(double(v)))
-        if su21 and k != 3 * ncomp:
+        if over_double and k != 3 * ncomp:
             raise RootSystemError("internal: unexpected unitary orbit shape")
-        entries.append(
-            dict(
-                image=v,
-                coords=rel_coords(v),
-                orbit=tuple(sorted(images[v]) + sorted(images.get(double(v), []))),
-                d_alpha=dprime * ncomp,
-                rank_one_type=SU21 if su21 else SL2,
-                norm2=bil(v, v),
-                abs_norm2=bil(images[v][0], images[v][0]),
-                component=comp_of_node[
-                    next(i for i, c in enumerate(rel_coords(v)) if c != 0)
-                ],
+        rel_roots.append(
+            RelativeRoot(
+                index=index,
+                coords=v,
+                orbit=tuple(sorted(over) + sorted(over_double)),
+                length_class=length_class(v),
+                d_alpha=datum.res_degree * ncomp,
+                rank_one_type=SU21 if over_double else SL2,
+                norm2=norm2[v],
+                abs_norm2=_form(gram_abs, over[0], over[0]),
+                component=component[v],
             )
         )
-
-    # length classes per component; a triality fold records the orbit-of-three
-    # roots as long, matching the classification tables.
-    has_triality = any(len(o) == 3 for o in simple_orbits)
-    for ci in range(len(comps)):
-        norms = sorted({e["norm2"] for e in entries if e["component"] == ci})
-        for e in entries:
-            if e["component"] != ci:
-                continue
-            if len(norms) == 1:
-                e["length_class"] = "single"
-            else:
-                small = e["norm2"] == norms[0]
-                if has_triality and norms[-1] / norms[0] == 3:
-                    small = not small
-                e["length_class"] = "short" if small else "long"
-
-    # order: simples first (orbit order), then by height and coordinates
-    simple_keys = [rel_coords(v) for v in simple_images]
-    key_index = {k: i for i, k in enumerate(simple_keys)}
-
-    def sort_key(e: dict) -> tuple:
-        c = e["coords"]
-        if c in key_index:
-            return (0, key_index[c])
-        return (1, sum(c), c)
-
-    entries.sort(key=sort_key)
-    rel_roots = [
-        RelativeRoot(
-            index=i,
-            coords=e["coords"],
-            orbit=e["orbit"],
-            length_class=e["length_class"],
-            d_alpha=e["d_alpha"],
-            rank_one_type=e["rank_one_type"],
-            norm2=e["norm2"],
-            abs_norm2=e["abs_norm2"],
-            component=e["component"],
-        )
-        for i, e in enumerate(entries)
-    ]
 
     components = [
         (_component_type(cartan_rel_int, gram_rel, nodes), tuple(nodes))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gkval import MeromorphicProduct
-from gkval.cli import EXIT_OK, EXIT_SCHEMA, load_spec, main
+from gkval import MeromorphicProduct, NotConverged, cli
+from gkval.cli import EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
 
 def write_spec(tmp_path, payload, name="group.json"):
@@ -212,3 +212,47 @@ def test_explicit_cartan_input(tmp_path, capsys):
     code, out = run(capsys, "classify", "--input", path, "--output-format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["components"][0]["type"] == "G2"
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        ({"diagram": {"cartan": "x"}}, None),
+        ({"diagram": "A1", "chi_exponent": ["1/0"]}, None),
+        ({"diagram": "A3", "automorphism": [2, 1, 0],
+          "automorphism_order": "x"}, None),
+        ({"diagram": "A1", "res_degree": "x"}, None),
+        ({"diagram": "A2", "lambda_direction": ["x", "1"]}, None),
+        ({"diagram": "A1", "mode": {"function": 1}}, None),
+        ({"diagram": "A2", "weyl_word": "01"}, None),
+        (None, ["verify-local", "--q", "1"]),
+        (None, ["verify-local", "--s-grid", "0"]),
+        (None, ["verify-local", "--depth", "0"]),
+        (None, ["tables", "--res-degree", "0"]),
+    ],
+    ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
+         "direction", "function-field-q", "weyl-word-string", "q", "s-grid",
+         "depth", "tables-res-degree"],
+)
+def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
+    if spec is not None:
+        argv = ["classify", "--input", write_spec(tmp_path, spec)]
+    assert main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_error_keeps_check_name(capsys, monkeypatch):
+    def not_converged(*args):
+        raise NotConverged("increase depth or tolerance")
+
+    monkeypatch.setattr(cli, "gk_integral_su21_inert", not_converged)
+    code, out = run(capsys, "verify-local", "--q", "3", "--s-grid", "1",
+                    "--output-format", "json")
+    assert code == EXIT_VERIFY
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [
+        ("sl2_shell", True), ("su21_inert_shell", False),
+        ("sl3_factorization", True),
+    ]
+    assert checks[1]["error"] == "increase depth or tolerance"
