@@ -29,7 +29,6 @@ from .constant_term import (
     sl3_longest_factorization,
 )
 from .lfactors import (
-    FieldDescriptor,
     LFactorAtom,
     LFactorError,
     MeromorphicProduct,
@@ -37,10 +36,8 @@ from .lfactors import (
     PoleEntry,
     PoleProfile,
     arch_value,
-    evaluate_arch,
     evaluate_finite,
     local_euler_value,
-    normalize,
     poles_positive,
     r_alpha,
 )

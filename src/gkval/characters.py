@@ -15,7 +15,8 @@ ray shifts the local variable) holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,7 +24,6 @@ from .roots import (
     SU21,
     RelativeRoot,
     RelativeRootSystem,
-    RootSystemError,
     local_scale,
 )
 
@@ -34,6 +34,16 @@ class CharacterError(ValueError):
 
 NUMBER_MODE = "number"
 FUNCTION_MODE = "function"
+
+
+def is_prime_power(q) -> bool:
+    """Whether q is an integer p^k, p prime and k >= 1: a finite field's size."""
+    if not isinstance(q, int) or q < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,6 @@ class RationalComplex:
         return self.re == 0 and self.im == 0
 
     def numeric(self, q: int | None = None) -> complex:
-        import math
-
         im = float(self.im)
         if q is not None:
             im *= 2 * math.pi / math.log(q)
@@ -100,9 +108,6 @@ class AffineForm:
         return f"{coef}{var} {sign} {abs(self.b)}"
 
 
-IDENTITY_FORM = AffineForm(Fraction(1), Fraction(0))
-
-
 @dataclass(frozen=True)
 class UnramifiedCharacter:
     """Exponent vector over the relative character space, one coordinate per
@@ -116,7 +121,7 @@ class UnramifiedCharacter:
         if self.mode not in (NUMBER_MODE, FUNCTION_MODE):
             raise CharacterError(f"unknown mode {self.mode!r}")
         if self.mode == FUNCTION_MODE:
-            if not isinstance(self.q, int) or self.q < 2:
+            if not is_prime_power(self.q):
                 raise CharacterError("function-field mode needs a prime power q >= 2")
             canon = tuple(
                 RationalComplex(z.re, z.im % 1) for z in self.exponents
@@ -177,9 +182,6 @@ class HeckeCharacterDescriptor:
     @property
     def is_unitary(self) -> bool:
         return self.exponent.re == 0
-
-    def shifted(self, delta: RationalComplex) -> "HeckeCharacterDescriptor":
-        return replace(self, exponent=self.exponent + delta)
 
     def sort_key(self) -> tuple:
         return (

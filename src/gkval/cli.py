@@ -40,7 +40,6 @@ from .constant_term import (
     pole_profile,
     sl3_longest_factorization,
 )
-from .lfactors import MeromorphicProduct
 from .oracles import (
     ARCH_CASES,
     DEFAULT_CONFIG,
@@ -48,12 +47,10 @@ from .oracles import (
     NotConverged,
     OracleConfig,
     OracleError,
-    arch_gk,
     gk_integral_sl2,
     gk_integral_sl3,
     gk_integral_su21_inert,
     legendre_check,
-    normalizing_factor_arch,
     s_independence_check,
     sl2_closed_form,
     su21_inert_closed_form,
@@ -201,13 +198,10 @@ def load_spec(path: str) -> dict:
 
 
 def _emit(payload: dict, fmt: str, text_renderer=None) -> None:
-    if fmt == "json":
+    if fmt == "json" or text_renderer is None:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        if text_renderer is None:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            text_renderer(payload)
+        text_renderer(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +584,10 @@ def _check_args(args) -> None:
         raise SchemaError(f"bad --s-grid: {exc}") from exc
     if any(s <= 0 for s in args.s_grid):
         raise SchemaError("--s-grid values must be positive")
-    if any(q < 2 for q in args.q):
-        raise SchemaError("--q values must be at least 2")
     try:
         _oracle_config(args)
+        for q in args.q:
+            LocalPlace(q)
     except OracleError as exc:
         raise SchemaError(f"bad oracle option: {exc}") from exc
 

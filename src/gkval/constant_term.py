@@ -26,7 +26,6 @@ from .characters import (
     pair,
 )
 from .lfactors import (
-    ONE,
     MeromorphicProduct,
     PoleAtEvaluation,
     evaluate_finite,
@@ -36,7 +35,6 @@ from .lfactors import (
 from .roots import (
     RelativeRoot,
     RelativeRootSystem,
-    RootSystemError,
     WeylElement,
     local_scale,
     restrict_roots,
@@ -116,17 +114,12 @@ def constant_term(
     base: Sequence | None = None,
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction."""
-    if not isinstance(w, WeylElement):
-        w = system.normalize(w)
-    else:
-        w = system.normalize(w.word)
+    w = system.normalize(w.word if isinstance(w, WeylElement) else w)
     factors = tuple(
         _factor_for_root(system, chi, direction, base, alpha)
         for alpha in system.inversion_set(w)
     )
-    product = ONE
-    for f in factors:
-        product = product * f.product
+    product = MeromorphicProduct(term for f in factors for term in f.product)
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
 
@@ -171,9 +164,8 @@ def pole_profile(
         raise ConstantTermError(f"unknown pole variable {variable!r}")
     if roots is None:
         if w is not None:
-            if not isinstance(w, WeylElement):
-                w = system.normalize(w)
-            roots = system.inversion_set(system.normalize(w.word))
+            word = w.word if isinstance(w, WeylElement) else w
+            roots = system.inversion_set(system.normalize(word))
         else:
             roots = system.positive_roots
     entries = []
@@ -277,15 +269,15 @@ def multiplicativity_check(
     if system.length(w12) != system.length(w1) + system.length(w2):
         raise ConstantTermError("lengths do not add")
     total = constant_term(system, chi, direction, w12, base).product
-    right = constant_term(system, chi, direction, w2, base).product
-    # r(w1, w2 lambda): pair the translated roots w2^{-1} beta against lambda
+    # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta
+    # paired against lambda
+    pairs = list(constant_term(system, chi, direction, w2, base).product)
     inv_word = tuple(reversed(w2.word))
-    left = ONE
     for beta in system.inversion_set(w1):
         coords = system._apply_word(inv_word, beta.coords)
         alpha = system.root_by_coords(coords)
-        left = left * _factor_for_root(system, chi, direction, base, alpha).product
-    return total == left * right
+        pairs.extend(_factor_for_root(system, chi, direction, base, alpha).product)
+    return total == MeromorphicProduct(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,6 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
     chi = UnramifiedCharacter.trivial(system.rank)
     ray = system.principal_ray()
     report = constant_term(system, chi, ray, system.longest_element())
-    arguments = [f.pairing for f in report.factors]
     value = None
     if complex(s).real > 0:
         try:
@@ -316,8 +307,7 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
             value = None
     return {
         "word": list(report.weyl.word),
-        "arguments": [a.render() for a in arguments],
-        "argument_forms": arguments,
+        "arguments": [f.pairing.render() for f in report.factors],
         "report": report,
         "value": value,
     }

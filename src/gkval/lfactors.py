@@ -23,7 +23,7 @@ unitary character are reported, on request, as conditional candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -52,23 +52,14 @@ KIND_EPS = "eps"
 PLACE_FINITE = "finite"
 PLACE_REAL = "real"
 PLACE_COMPLEX = "complex"
-PLACE_GLOBAL = "global"
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
-    label: str
-    degree: int = 1
-    place_kind: str = PLACE_GLOBAL
-
-    def sort_key(self) -> tuple:
-        return (self.label, self.degree, self.place_kind)
 
 
 @dataclass(frozen=True)
 class LFactorAtom:
+    """One L or eps factor; the character names the field it lives over."""
+
     kind: str  # KIND_L or KIND_EPS
-    field: FieldDescriptor
+    place_kind: str
     arg: AffineForm
     character: HeckeCharacterDescriptor
 
@@ -79,7 +70,9 @@ class LFactorAtom:
     def sort_key(self) -> tuple:
         return (
             self.kind,
-            self.field.sort_key(),
+            self.character.field_label,
+            self.character.degree,
+            self.place_kind,
             self.character.sort_key(),
             self.arg.a,
             self.arg.b,
@@ -95,7 +88,8 @@ class LFactorAtom:
             if self.character.quad_twist:
                 parts.append("eta_[E:F]")
             chi = "*".join(parts)
-        return f"{name}_{self.field.label}({self.arg.render(var)}, {chi})"
+        label = self.character.field_label
+        return f"{name}_{label}({self.arg.render(var)}, {chi})"
 
 
 class MeromorphicProduct:
@@ -149,9 +143,9 @@ class MeromorphicProduct:
                 {
                     "kind": atom.kind,
                     "field": {
-                        "label": atom.field.label,
-                        "degree": atom.field.degree,
-                        "place_kind": atom.field.place_kind,
+                        "label": atom.character.field_label,
+                        "degree": atom.character.degree,
+                        "place_kind": atom.place_kind,
                     },
                     "a": str(atom.arg.a),
                     "b": str(atom.arg.b),
@@ -173,11 +167,7 @@ class MeromorphicProduct:
         for entry in data:
             atom = LFactorAtom(
                 kind=entry["kind"],
-                field=FieldDescriptor(
-                    label=entry["field"]["label"],
-                    degree=int(entry["field"]["degree"]),
-                    place_kind=entry["field"]["place_kind"],
-                ),
+                place_kind=entry["field"]["place_kind"],
                 arg=AffineForm(Fraction(entry["a"]), Fraction(entry["b"])),
                 character=HeckeCharacterDescriptor(
                     field_label=entry["field"]["label"],
@@ -191,15 +181,6 @@ class MeromorphicProduct:
             )
             pairs.append((atom, int(entry["exponent"])))
         return MeromorphicProduct(pairs)
-
-
-ONE = MeromorphicProduct()
-
-
-def normalize(product: MeromorphicProduct | Iterable[tuple[LFactorAtom, int]]):
-    if isinstance(product, MeromorphicProduct):
-        return MeromorphicProduct(tuple(product))
-    return MeromorphicProduct(product)
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +213,29 @@ def r_alpha(
     if rank_one_type == SL2:
         if eta.degree != d_alpha:
             raise LFactorError("character lives over the wrong field")
-        field = FieldDescriptor(eta.field_label, d_alpha, PLACE_FINITE)
         x = pairing.scale(Fraction(1, d_alpha))
         return MeromorphicProduct(
             [
-                (LFactorAtom(KIND_L, field, x, eta), 1),
-                (LFactorAtom(KIND_EPS, field, x, eta), -1),
-                (LFactorAtom(KIND_L, field, x.shift(1), eta), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
+                (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1),
             ]
         )
     if rank_one_type == SU21:
         if eta.degree != 2 * d_alpha:
             raise LFactorError("character lives over the wrong field")
-        field_e = FieldDescriptor(eta.field_label, 2 * d_alpha, PLACE_FINITE)
-        eta_f = restrict_descriptor(eta)
-        eta_f = HeckeCharacterDescriptor(
-            field_label=eta_f.field_label,
-            degree=eta_f.degree,
-            exponent=eta_f.exponent,
-            quad_twist=not eta_f.quad_twist,  # twist by the class character of E/K
-            mode=eta_f.mode,
-            q=eta_f.q,
-        )
-        field_f = FieldDescriptor(eta_f.field_label, d_alpha, PLACE_FINITE)
+        # the restriction to K, twisted by the class character of E/K
+        eta_f = replace(restrict_descriptor(eta), quad_twist=True)
         x = pairing.scale(Fraction(1, 4 * d_alpha))
         y = pairing.scale(Fraction(1, 2 * d_alpha))
         return MeromorphicProduct(
             [
-                (LFactorAtom(KIND_L, field_e, x, eta), 1),
-                (LFactorAtom(KIND_EPS, field_e, x, eta), -1),
-                (LFactorAtom(KIND_L, field_e, x.shift(1), eta), -1),
-                (LFactorAtom(KIND_L, field_f, y, eta_f), 1),
-                (LFactorAtom(KIND_EPS, field_f, y, eta_f), -1),
-                (LFactorAtom(KIND_L, field_f, y.shift(1), eta_f), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
+                (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, y, eta_f), 1),
+                (LFactorAtom(KIND_EPS, PLACE_FINITE, y, eta_f), -1),
+                (LFactorAtom(KIND_L, PLACE_FINITE, y.shift(1), eta_f), -1),
             ]
         )
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
@@ -335,7 +306,7 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     q^degree), and a quadratic twist contributes the sign -1 there."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
-    q_k = q ** atom.field.degree
+    q_k = q ** atom.character.degree
     c = -1.0 if atom.character.quad_twist else 1.0
     x = atom.arg(s) + _character_value_exponent(atom)
     denom = 1.0 - c * q_k ** (-x)
@@ -354,21 +325,19 @@ def arch_value(atom: LFactorAtom, s: complex) -> complex:
     if atom.kind == KIND_EPS:
         return 1.0
     x = atom.arg(s) + _character_value_exponent(atom)
-    if atom.field.place_kind == PLACE_COMPLEX:
-        g = _gamma(x)
+    if atom.place_kind == PLACE_COMPLEX:
+        g = checked_gamma(x)
         return 2.0 * mpmath.power(2 * mpmath.pi, -x) * g
-    if atom.field.place_kind == PLACE_REAL:
+    if atom.place_kind == PLACE_REAL:
         y = (x + 1) / 2 if atom.character.quad_twist else x / 2
-        return mpmath.power(mpmath.pi, -y) * _gamma(y)
+        return mpmath.power(mpmath.pi, -y) * checked_gamma(y)
     raise LFactorError("archimedean evaluation needs a real or complex place")
 
 
-def _gamma(x: complex) -> complex:
-    if (
-        abs(complex(x).imag) < 1e-12
-        and complex(x).real <= 0
-        and abs(complex(x).real - round(complex(x).real)) < 1e-12
-    ):
+def checked_gamma(x: complex) -> complex:
+    """Gamma(x), raising PoleAtEvaluation at a non-positive integer."""
+    x = complex(x)
+    if abs(x.imag) < 1e-12 and x.real <= 0 and abs(x.real - round(x.real)) < 1e-12:
         raise PoleAtEvaluation(f"Gamma pole at {x}")
     return complex(mpmath.gamma(x))
 
@@ -377,11 +346,4 @@ def evaluate_finite(product: MeromorphicProduct, q: int, s: complex) -> complex:
     val = complex(1.0)
     for atom, n in product:
         val *= local_euler_value(atom, q, s) ** n
-    return val
-
-
-def evaluate_arch(product: MeromorphicProduct, s: complex) -> complex:
-    val = complex(1.0)
-    for atom, n in product:
-        val *= complex(arch_value(atom, s)) ** n
     return val

@@ -18,15 +18,19 @@ from fractions import Fraction
 
 import mpmath
 
-from .characters import AffineForm, RationalComplex, HeckeCharacterDescriptor
+from .characters import (
+    AffineForm,
+    HeckeCharacterDescriptor,
+    RationalComplex,
+    is_prime_power,
+)
 from .lfactors import (
-    FieldDescriptor,
     KIND_L,
     LFactorAtom,
     PLACE_COMPLEX,
     PLACE_REAL,
     arch_value,
-    PoleAtEvaluation,
+    checked_gamma,
 )
 
 
@@ -62,8 +66,8 @@ class LocalPlace:
     mode: str = PADIC_MODE
 
     def __post_init__(self) -> None:
-        if self.residue_q < 2:
-            raise OracleError("residue cardinality must be at least 2")
+        if not is_prime_power(self.residue_q):
+            raise OracleError("residue cardinality must be a prime power")
         if self.extension < 1:
             raise OracleError("residue degree must be at least 1")
         if self.mode not in (PADIC_MODE, FF_MODE):
@@ -191,7 +195,7 @@ def arch_gk(case: str, s: complex) -> complex:
     * SU(2,1) over R:        (Gamma(3)/Gamma(3/2))
                                * Gamma(2s) Gamma(s+1/2) / (Gamma(2s+1) Gamma(s+1))
     """
-    g = _safe_gamma
+    g = checked_gamma
     if case == SL2_R:
         return g(1) / g(0.5) * g(s / 2) / g((s + 1) / 2)
     if case == RES_CR:
@@ -201,23 +205,9 @@ def arch_gk(case: str, s: complex) -> complex:
     raise OracleError(f"unknown archimedean case {case!r}")
 
 
-def _safe_gamma(x: complex) -> complex:
-    x = complex(x)
-    if abs(x.imag) < 1e-12 and x.real <= 0 and abs(x.real - round(x.real)) < 1e-12:
-        raise PoleAtEvaluation(f"Gamma pole at {x}")
-    return complex(mpmath.gamma(x))
-
-
-def _real_field(sign: bool) -> tuple[FieldDescriptor, HeckeCharacterDescriptor]:
-    fd = FieldDescriptor("R", 1, PLACE_REAL)
-    ch = HeckeCharacterDescriptor("R", 1, RationalComplex(), quad_twist=sign)
-    return fd, ch
-
-
-def _complex_field() -> tuple[FieldDescriptor, HeckeCharacterDescriptor]:
-    fd = FieldDescriptor("C", 2, PLACE_COMPLEX)
-    ch = HeckeCharacterDescriptor("C", 2, RationalComplex())
-    return fd, ch
+_TRIVIAL_R = HeckeCharacterDescriptor("R", 1, RationalComplex())
+_SIGN_R = HeckeCharacterDescriptor("R", 1, RationalComplex(), quad_twist=True)
+_TRIVIAL_C = HeckeCharacterDescriptor("C", 2, RationalComplex())
 
 
 def normalizing_factor_arch(case: str, s: complex) -> complex:
@@ -229,32 +219,30 @@ def normalizing_factor_arch(case: str, s: complex) -> complex:
     * SU(2,1) over R: [L_C(1+s)/L_C(s)] * [L_R(1+2s, sgn)/L_R(2s, sgn)]
     """
 
-    def lval(field, ch, form: AffineForm) -> complex:
-        return complex(arch_value(LFactorAtom(KIND_L, field, form, ch), s))
+    def lval(place_kind: str, eta, form: AffineForm) -> complex:
+        return complex(arch_value(LFactorAtom(KIND_L, place_kind, form, eta), s))
 
     one_s = AffineForm.of(1, 1)
     just_s = AffineForm.of(1, 0)
     if case == SL2_R:
-        fd, ch = _real_field(sign=False)
-        return lval(fd, ch, one_s) / lval(fd, ch, just_s)
+        return (lval(PLACE_REAL, _TRIVIAL_R, one_s)
+                / lval(PLACE_REAL, _TRIVIAL_R, just_s))
     if case == RES_CR:
-        fd, ch = _complex_field()
-        return lval(fd, ch, one_s) / lval(fd, ch, just_s)
+        return (lval(PLACE_COMPLEX, _TRIVIAL_C, one_s)
+                / lval(PLACE_COMPLEX, _TRIVIAL_C, just_s))
     if case == SU21_R:
-        fc, cc = _complex_field()
-        fr, cr = _real_field(sign=True)
         return (
-            lval(fc, cc, one_s)
-            / lval(fc, cc, just_s)
-            * lval(fr, cr, AffineForm.of(2, 1))
-            / lval(fr, cr, AffineForm.of(2, 0))
+            lval(PLACE_COMPLEX, _TRIVIAL_C, one_s)
+            / lval(PLACE_COMPLEX, _TRIVIAL_C, just_s)
+            * lval(PLACE_REAL, _SIGN_R, AffineForm.of(2, 1))
+            / lval(PLACE_REAL, _SIGN_R, AffineForm.of(2, 0))
         )
     raise OracleError(f"unknown archimedean case {case!r}")
 
 
 def legendre_check(samples, tol: float = 1e-10) -> bool:
     """Duplication identities for Gamma(2s) and Gamma(2s+1)."""
-    g = _safe_gamma
+    g = checked_gamma
     rt_pi = complex(mpmath.sqrt(mpmath.pi))
     for s in samples:
         s = complex(s)

@@ -197,10 +197,6 @@ class GroupDatum:
         if self.res_degree < 1:
             raise RootSystemError("res_degree must be a positive integer")
 
-    @property
-    def rank_absolute(self) -> int:
-        return len(self.cartan)
-
 
 def datum_from_type(
     family: str,
@@ -271,10 +267,6 @@ class RelativeRoot:
     abs_norm2: Fraction  # squared length of the absolute roots over beta
     component: int
     positive: bool = True
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
 
 
 def local_scale(alpha: RelativeRoot) -> int:
@@ -452,13 +444,6 @@ class WeylElement:
     """A Weyl-group element as a (not necessarily reduced) word."""
 
     word: tuple[int, ...]
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.word + other.word)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.word
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from gkval import (
     CharacterError,
     HeckeCharacterDescriptor,
+    LocalPlace,
+    OracleError,
     RationalComplex,
     SL2,
     SU21,
@@ -43,6 +45,17 @@ def test_function_field_canonicalization():
 def test_function_field_mode_needs_q():
     with pytest.raises(CharacterError):
         UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=None)
+
+
+def test_field_sizes_must_be_prime_powers():
+    for q in (4, 8, 9, 11):
+        assert UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=q).q == q
+        assert LocalPlace(q).residue_q == q
+    for q in (6, 12):
+        with pytest.raises(CharacterError):
+            UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=q)
+        with pytest.raises(OracleError):
+            LocalPlace(q)
 
 
 def test_pair_zero_direction():

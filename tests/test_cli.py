@@ -224,15 +224,18 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A1", "res_degree": "x"}, None),
         ({"diagram": "A2", "lambda_direction": ["x", "1"]}, None),
         ({"diagram": "A1", "mode": {"function": 1}}, None),
+        ({"diagram": "A1", "mode": {"function": 6}}, None),
         ({"diagram": "A2", "weyl_word": "01"}, None),
         (None, ["verify-local", "--q", "1"]),
+        (None, ["verify-local", "--q", "6", "--s-grid", "1"]),
         (None, ["verify-local", "--s-grid", "0"]),
         (None, ["verify-local", "--depth", "0"]),
         (None, ["tables", "--res-degree", "0"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
-         "direction", "function-field-q", "weyl-word-string", "q", "s-grid",
-         "depth", "tables-res-degree"],
+         "direction", "function-field-q", "function-field-q-not-prime-power",
+         "weyl-word-string", "q", "q-not-prime-power", "s-grid", "depth",
+         "tables-res-degree"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     if spec is not None:

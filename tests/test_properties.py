@@ -1,16 +1,37 @@
-"""Property-based invariants of folding, Weyl words and coroot pairings.
+"""Property-based invariants of folding, Weyl words, coroot pairings and
+the L-factor product algebra.
 
 The systems are the table families of ``verify-all`` and split A-G up to
-rank 6, each at res_degree 1, 2 and 3.  Hypothesis runs derandomized, so
-the drawn words are the same on every run.
+rank 6, each at res_degree 1, 2 and 3.  Products are built from the
+rank-one factors ``r_alpha`` of SL2- and SU21-type roots at d_alpha = 1,
+2, 3, in number and function-field mode.  Hypothesis runs derandomized,
+so the drawn words and products are the same on every run.
 """
 
 import functools
+import json
+import operator
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkval import family_datum, restrict_roots, split_datum
+from gkval import (
+    FUNCTION_MODE,
+    NUMBER_MODE,
+    SL2,
+    SU21,
+    AffineForm,
+    HeckeCharacterDescriptor,
+    MeromorphicProduct,
+    RationalComplex,
+    UnramifiedCharacter,
+    constant_term,
+    family_datum,
+    r_alpha,
+    restrict_roots,
+    split_datum,
+)
 
 
 def positive_count(family, n):
@@ -92,3 +113,72 @@ def test_orbit_sizes_sum_to_absolute_positive_count():
         system = fold(datum)
         total = sum(len(r.orbit) for r in system.positive_roots)
         assert total == positive_count(family, rank), datum.label
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4)))
+PRODUCT_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def rank_one_factors(draw):
+    """r_alpha for one SL2- or SU21-type root, with its character drawn."""
+    d = draw(st.integers(1, 3))
+    rank_one_type = draw(st.sampled_from((SL2, SU21)))
+    if rank_one_type == SU21:
+        label, degree = "E_alpha", 2 * d
+    else:
+        label, degree = ("F" if d == 1 else "F_alpha"), d
+    mode, q = draw(st.sampled_from(
+        [(NUMBER_MODE, None)] + [(FUNCTION_MODE, q) for q in (2, 3, 4, 5, 8, 9)]
+    ))
+    exponent = RationalComplex(draw(small_rationals), draw(small_rationals))
+    eta = HeckeCharacterDescriptor(label, degree, exponent,
+                                   draw(st.booleans()), mode, q)
+    pairing = AffineForm(draw(small_rationals), draw(small_rationals))
+    return r_alpha(pairing, d, rank_one_type, eta)
+
+
+@st.composite
+def products(draw):
+    """A product of rank-one factors raised to small integer powers."""
+    parts = draw(st.lists(st.tuples(rank_one_factors(), st.integers(-2, 2)),
+                          max_size=4))
+    return MeromorphicProduct(
+        (atom, k * n) for factor, k in parts for atom, n in factor
+    )
+
+
+@PRODUCT_PROPERTY
+@given(products())
+def test_product_json_round_trip_is_byte_stable(p):
+    blob = json.dumps(p.to_json(), sort_keys=True)
+    back = MeromorphicProduct.from_json(json.loads(blob))
+    assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+@PRODUCT_PROPERTY
+@given(products(), products(), products())
+def test_product_is_commutative_and_associative(p, q, r):
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+
+
+@PRODUCT_PROPERTY
+@given(products())
+def test_product_times_inverse_is_empty(p):
+    assert p * p.inverse() == MeromorphicProduct()
+
+
+@PRODUCT_PROPERTY
+@given(systems_and_words(),
+       st.lists(st.tuples(small_rationals, small_rationals), min_size=8, max_size=8))
+def test_constant_term_product_is_fold_of_factors(case, exponents):
+    system, word = case
+    chi = UnramifiedCharacter(
+        tuple(RationalComplex(re, im) for re, im in exponents[:system.rank])
+    )
+    report = constant_term(system, chi, system.principal_ray(), word)
+    folded = functools.reduce(
+        operator.mul, (f.product for f in report.factors), MeromorphicProduct()
+    )
+    assert report.product == folded
