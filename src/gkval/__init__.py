@@ -25,7 +25,6 @@ from .constant_term import (
     corollary_ratio_table,
     multiplicativity_check,
     pole_profile,
-    rank_one_pole,
     sl3_longest_factorization,
 )
 from .lfactors import (

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 input or schema error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -59,6 +60,7 @@ from .roots import (
     FAMILIES,
     GroupDatum,
     RootSystemError,
+    WeylElement,
     cartan_matrix,
     derived_table,
     family_datum,
@@ -111,10 +113,7 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
         family, rank = spec[0].upper(), spec[1:]
         if not rank.isdigit():
             raise SchemaError(f"bad diagram string {spec!r}")
-        try:
-            return tuple(tuple(r) for r in cartan_matrix(family, int(rank)))
-        except RootSystemError as exc:
-            raise SchemaError(str(exc)) from exc
+        return tuple(tuple(r) for r in cartan_matrix(family, int(rank)))
     if isinstance(spec, dict) and "cartan" in spec:
         return tuple(
             tuple(_int_list(row, "cartan row"))
@@ -139,18 +138,21 @@ def load_spec(path: str) -> dict:
         raise SchemaError(f"cannot read spec file: {exc}") from exc
     if not isinstance(raw, dict) or "diagram" not in raw:
         raise SchemaError("spec file must be an object with a 'diagram' key")
+    try:
+        return _build_spec(raw)
+    except (RootSystemError, CharacterError) as exc:
+        raise SchemaError(str(exc)) from exc
 
+
+def _build_spec(raw: dict) -> dict:
     cartan = _parse_diagram(raw["diagram"])
     n = len(cartan)
     perm = tuple(_int_list(raw.get("automorphism", list(range(n))), "automorphism"))
     order = _int(raw.get("automorphism_order", 1), "automorphism_order")
     dprime = _int(raw.get("res_degree", 1), "res_degree")
     label = str(raw.get("label", ""))
-    try:
-        datum = GroupDatum(cartan, perm, order, dprime, label)
-        system = restrict_roots(datum)
-    except RootSystemError as exc:
-        raise SchemaError(str(exc)) from exc
+    datum = GroupDatum(cartan, perm, order, dprime, label)
+    system = restrict_roots(datum)
 
     mode_raw = raw.get("mode", "number")
     if mode_raw == "number":
@@ -167,10 +169,7 @@ def load_spec(path: str) -> dict:
         if len(_list(exps, "chi_exponent")) != system.rank:
             raise SchemaError("chi_exponent has wrong rank")
         exponents = tuple(_parse_rational_pair(e) for e in exps)
-    try:
-        chi = UnramifiedCharacter(exponents, mode, q)
-    except CharacterError as exc:
-        raise SchemaError(str(exc)) from exc
+    chi = UnramifiedCharacter(exponents, mode, q)
 
     direction_raw = raw.get("lambda_direction")
     if direction_raw is None:
@@ -184,10 +183,7 @@ def load_spec(path: str) -> dict:
     if word_raw is None:
         w = system.longest_element()
     else:
-        try:
-            w = system.normalize(_int_list(word_raw, "weyl_word"))
-        except RootSystemError as exc:
-            raise SchemaError(str(exc)) from exc
+        w = system.normalize(_int_list(word_raw, "weyl_word"))
 
     return {"datum": datum, "system": system, "chi": chi,
             "direction": direction, "weyl": w}
@@ -318,17 +314,9 @@ def cmd_poles(args) -> int:
 
 def cmd_tables(args) -> int:
     dprime = args.res_degree
-    payload = {}
-    for family in FAMILIES:
-        if family == "split":
-            payload[family] = proposition_table(family, 0, dprime)
-        elif family == "3D4":
-            payload[family] = proposition_table(family, 4, dprime)
-        elif family == "2E6":
-            payload[family] = proposition_table(family, 6, dprime)
-        else:
-            payload[family] = proposition_table(family, max(args.rank, 4), dprime)
-    _emit({"d_prime": dprime, "tables": payload}, args.output_format)
+    tables = {family: proposition_table(family, n, dprime)
+              for family, n in FAMILIES.items()}
+    _emit({"d_prime": dprime, "tables": tables}, args.output_format)
     return EXIT_OK
 
 
@@ -374,7 +362,7 @@ def _local_checks(qs, s_grid, cfg: OracleConfig) -> list[dict]:
     return checks
 
 
-def _arch_checks(cfg: OracleConfig) -> list[dict]:
+def _arch_checks() -> list[dict]:
     checks = []
     samples = (0.7, 1.0, 1.3, 2.1, 3.0)
     for case in ARCH_CASES:
@@ -426,103 +414,69 @@ def _table_checks() -> list[dict]:
 
 
 def _ratio_checks() -> list[dict]:
+    cases = [(family, family_datum(family, n, 1)) for family, n in (
+        ("SU(n,n+1)", 3), ("SU(n,n)", 3), ("Spin2n-", 5), ("3D4", 4), ("2E6", 6))]
+    cases += [(f"split-{family}{rank}", split_datum(family, rank))
+              for family, rank in (("A", 3), ("D", 4), ("E", 6))]
     checks = []
-    cases = [
-        ("SU(n,n+1)", 3),
-        ("SU(n,n)", 3),
-        ("Spin2n-", 5),
-        ("3D4", 4),
-        ("2E6", 6),
-    ]
-    for family, n in cases:
-        system = restrict_roots(family_datum(family, n, 1))
+    for family, datum in cases:
+        system = restrict_roots(datum)
         ctype = system.components[0][0]
         rule = corollary_ratio_table(ctype)
-        measured = component_pole_ratio(system, 0)
+        poles = component_pole_ratio(system, 0)["poles"]
         if rule["kind"] == "equal":
-            ok = len(set(measured["poles"].values())) == 1
+            ok = len(set(poles.values())) == 1
         else:
-            num, den = rule["numerator"], rule["denominator"]
-            ok = (
-                measured["poles"][num] / measured["poles"][den]
-                == rule["ratio"]
-            )
+            ok = poles[rule["numerator"]] / poles[rule["denominator"]] == rule["ratio"]
+        inputs = {"family": family}
+        if datum.automorphism_order > 1:  # the split rows name no relative type
+            inputs["relative_type"] = ctype
         checks.append(
             {
                 "name": "pole_ratio",
-                "inputs": {"family": family, "relative_type": ctype},
+                "inputs": inputs,
                 "rule": {k: str(v) for k, v in rule.items()},
-                "observed": {k: str(v) for k, v in measured["poles"].items()},
+                "observed": {k: str(v) for k, v in poles.items()},
                 "pass": bool(ok),
-            }
-        )
-    for family, rank in (("A", 3), ("D", 4), ("E", 6)):
-        system = restrict_roots(split_datum(family, rank))
-        measured = component_pole_ratio(system, 0)
-        checks.append(
-            {
-                "name": "pole_ratio",
-                "inputs": {"family": f"split-{family}{rank}"},
-                "rule": {"kind": "equal"},
-                "observed": {k: str(v) for k, v in measured["poles"].items()},
-                "pass": len(set(measured["poles"].values())) == 1,
             }
         )
     return checks
 
 
+def _weyl_check(name: str, inputs: dict, system, words, pairs) -> dict:
+    """Inversion counts equal word lengths, and the cocycle holds on every
+    length-additive pair (``multiplicativity_check`` raises on the others)."""
+    chi = UnramifiedCharacter.trivial(system.rank)
+    ray = system.principal_ray()
+    ok = all(len(system.inversion_set(w)) == len(w.word) for w in words)
+    for w1, w2 in pairs:
+        try:
+            ok &= multiplicativity_check(system, chi, ray, w1, w2)
+        except ConstantTermError:
+            pass  # lengths do not add
+    return {"name": name, "inputs": inputs, "pass": bool(ok)}
+
+
 def _weyl_checks(seed: int) -> list[dict]:
+    """Every pair of elements on rank two; random splits of random reduced
+    words on rank four."""
     rng = random.Random(seed)
     checks = []
-    small = [("A", 2), ("B", 2), ("G", 2)]
-    for family, rank in small:
+    for family, rank in (("A", 2), ("B", 2), ("G", 2)):
         system = restrict_roots(split_datum(family, rank))
-        chi = UnramifiedCharacter.trivial(system.rank)
-        ray = system.principal_ray()
         elements = system.weyl_enumerate()
-        ok = all(
-            len(system.inversion_set(w)) == system.length(w) for w in elements
-        )
-        mult_ok = True
-        for w1 in elements:
-            for w2 in elements:
-                w12 = system.multiply(w1, w2)
-                if system.length(w12) == system.length(w1) + system.length(w2):
-                    try:
-                        if not multiplicativity_check(system, chi, ray, w1, w2):
-                            mult_ok = False
-                    except ConstantTermError:
-                        mult_ok = False
-        checks.append(
-            {
-                "name": "weyl_exhaustive",
-                "inputs": {"system": f"{family}{rank}"},
-                "pass": bool(ok and mult_ok),
-            }
-        )
+        checks.append(_weyl_check("weyl_exhaustive", {"system": f"{family}{rank}"},
+                                  system, elements, itertools.product(elements, repeat=2)))
     for family, rank in (("B", 4), ("D", 4), ("F", 4)):
         system = restrict_roots(split_datum(family, rank))
-        chi = UnramifiedCharacter.trivial(system.rank)
-        ray = system.principal_ray()
-        ok = True
+        words, splits = [], []
         for _ in range(100):
-            word = [rng.randrange(rank) for _ in range(rng.randrange(1, 12))]
-            w = system.normalize(word)
-            if len(system.inversion_set(w)) != len(w.word):
-                ok = False
+            w = system.normalize([rng.randrange(rank) for _ in range(rng.randrange(1, 12))])
             cut = rng.randrange(len(w.word) + 1)
-            w1 = system.normalize(w.word[:cut])
-            w2 = system.normalize(w.word[cut:])
-            if system.length(system.multiply(w1, w2)) == len(w1.word) + len(w2.word):
-                if not multiplicativity_check(system, chi, ray, w1, w2):
-                    ok = False
-        checks.append(
-            {
-                "name": "weyl_random",
-                "inputs": {"system": f"{family}{rank}", "seed": seed},
-                "pass": bool(ok),
-            }
-        )
+            words.append(w)
+            splits.append((WeylElement(w.word[:cut]), WeylElement(w.word[cut:])))
+        checks.append(_weyl_check("weyl_random", {"system": f"{family}{rank}", "seed": seed},
+                                  system, words, splits))
     return checks
 
 
@@ -551,8 +505,7 @@ def cmd_verify_local(args) -> int:
 
 
 def cmd_verify_arch(args) -> int:
-    cfg = _oracle_config(args)
-    return _finish_verify(_arch_checks(cfg), args.output_format)
+    return _finish_verify(_arch_checks(), args.output_format)
 
 
 def cmd_verify_all(args) -> int:
@@ -560,7 +513,7 @@ def cmd_verify_all(args) -> int:
     seed = int(os.environ.get("GK_SEED", "0"))
     checks = (
         _local_checks(args.q, args.s_grid, cfg)
-        + _arch_checks(cfg)
+        + _arch_checks()
         + _table_checks()
         + _ratio_checks()
         + _weyl_checks(seed)
@@ -627,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="classification degree tables")
     common(p, False)
-    p.add_argument("--rank", type=int, default=4)
     p.add_argument("--res-degree", type=int, default=1)
     p.set_defaults(func=cmd_tables)
 

@@ -143,7 +143,6 @@ class RootPoleEntry:
 def pole_profile(
     system: RelativeRootSystem,
     chi: UnramifiedCharacter,
-    roots: Sequence[RelativeRoot] | None = None,
     direction: Sequence | None = None,
     base: Sequence | None = None,
     w: WeylElement | Sequence[int] | None = None,
@@ -152,9 +151,9 @@ def pole_profile(
 ) -> tuple[RootPoleEntry, ...]:
     """Positive real poles of the per-root rank-one factors.
 
-    The root subset defaults to the inversion set of w when w is given,
-    otherwise to all positive reduced roots.  With ``variable ==
-    "pairing"`` each factor is read in its own pairing variable
+    The roots are the inversion set of w when w is given, otherwise all
+    positive reduced roots.  With ``variable == "pairing"`` each factor is
+    read in its own pairing variable
     t = <lambda, alpha^vee> (pole at t = d_alpha for SL2-type, 4 d_alpha
     for SU21-type when the composed character is trivial); with
     ``variable == "ray"`` the factor is a function of the ray parameter s
@@ -162,12 +161,11 @@ def pole_profile(
     """
     if variable not in (RAY_VARIABLE, PAIRING_VARIABLE):
         raise ConstantTermError(f"unknown pole variable {variable!r}")
-    if roots is None:
-        if w is not None:
-            word = w.word if isinstance(w, WeylElement) else w
-            roots = system.inversion_set(system.normalize(word))
-        else:
-            roots = system.positive_roots
+    if w is not None:
+        word = w.word if isinstance(w, WeylElement) else w
+        roots = system.inversion_set(system.normalize(word))
+    else:
+        roots = system.positive_roots
     entries = []
     unit = AffineForm(Fraction(1), Fraction(0))
     for alpha in roots:
@@ -184,12 +182,6 @@ def pole_profile(
     return tuple(entries)
 
 
-def rank_one_pole(alpha: RelativeRoot) -> Fraction:
-    """Pairing value at which the rank-one factor of alpha has its pole
-    (trivial character): d_alpha for SL2-type, 4 d_alpha for SU21-type."""
-    return Fraction(local_scale(alpha))
-
-
 # ---------------------------------------------------------------------------
 # length-class pole ratios
 
@@ -204,7 +196,7 @@ def component_pole_ratio(system: RelativeRootSystem, component: int = 0) -> dict
     poles: dict[str, Fraction] = {}
     for r in roots:
         key = "all" if r.length_class == "single" else r.length_class
-        loc = rank_one_pole(r)
+        loc = Fraction(local_scale(r))
         if key in poles and poles[key] != loc:
             raise ConstantTermError("inhomogeneous pole location in a length class")
         poles[key] = loc
@@ -225,7 +217,7 @@ def corollary_ratio_table(component_type: str) -> dict:
     * simply laced (A, D, E): all poles agree.
 
     Each row is the ratio of the degrees that :func:`proposition_table`
-    gives the two length classes, read through :func:`rank_one_pole`
+    gives the two length classes, read through :func:`local_scale`
     (pole at d_alpha, or 4 d_alpha for SU21-type).  For C this is the
     SU(n,n) row short: 2d', long: d'.
     """
@@ -266,7 +258,7 @@ def multiplicativity_check(
     w1 = system.normalize(w1.word)
     w2 = system.normalize(w2.word)
     w12 = system.multiply(w1, w2)
-    if system.length(w12) != system.length(w1) + system.length(w2):
+    if len(w12.word) != len(w1.word) + len(w2.word):
         raise ConstantTermError("lengths do not add")
     total = constant_term(system, chi, direction, w12, base).product
     # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta

@@ -30,6 +30,8 @@ from typing import Iterable, Iterator
 import mpmath
 
 from .characters import (
+    FUNCTION_MODE,
+    NUMBER_MODE,
     AffineForm,
     HeckeCharacterDescriptor,
     RationalComplex,
@@ -137,25 +139,28 @@ class MeromorphicProduct:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> list[dict]:
+        """One object per atom; a function-field character also records the
+        constant-field size ``q``, which ``from_json`` reads as its mode."""
         out = []
         for atom, n in self:
+            eta = atom.character
+            character = {
+                "exponent": [str(eta.exponent.re), str(eta.exponent.im)],
+                "twist": eta.quad_twist,
+            }
+            if eta.mode == FUNCTION_MODE:
+                character["q"] = eta.q
             out.append(
                 {
                     "kind": atom.kind,
                     "field": {
-                        "label": atom.character.field_label,
-                        "degree": atom.character.degree,
+                        "label": eta.field_label,
+                        "degree": eta.degree,
                         "place_kind": atom.place_kind,
                     },
                     "a": str(atom.arg.a),
                     "b": str(atom.arg.b),
-                    "character": {
-                        "exponent": [
-                            str(atom.character.exponent.re),
-                            str(atom.character.exponent.im),
-                        ],
-                        "twist": atom.character.quad_twist,
-                    },
+                    "character": character,
                     "exponent": n,
                 }
             )
@@ -165,6 +170,7 @@ class MeromorphicProduct:
     def from_json(data: list[dict]) -> "MeromorphicProduct":
         pairs = []
         for entry in data:
+            q = entry["character"].get("q")
             atom = LFactorAtom(
                 kind=entry["kind"],
                 place_kind=entry["field"]["place_kind"],
@@ -177,6 +183,8 @@ class MeromorphicProduct:
                         Fraction(entry["character"]["exponent"][1]),
                     ),
                     quad_twist=bool(entry["character"]["twist"]),
+                    mode=NUMBER_MODE if q is None else FUNCTION_MODE,
+                    q=q,
                 ),
             )
             pairs.append((atom, int(entry["exponent"])))
@@ -296,7 +304,7 @@ def poles_positive(
 
 def _character_value_exponent(atom: LFactorAtom) -> complex:
     z = atom.character.exponent
-    q = atom.character.q if atom.character.mode == "function" else None
+    q = atom.character.q if atom.character.mode == FUNCTION_MODE else None
     return z.numeric(q)
 
 

@@ -14,7 +14,6 @@ lambda-constants are 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -46,9 +45,6 @@ class NotConverged(ArithmeticError):
     """The truncation depth does not meet the requested tolerance."""
 
 
-PADIC_MODE = "p-adic"
-FF_MODE = "function-field"
-
 SL2_R = "SL2_R"
 RES_CR = "ResC/R_SL2"
 SU21_R = "SU21_R"
@@ -63,15 +59,12 @@ class LocalPlace:
 
     residue_q: int
     extension: int = 1
-    mode: str = PADIC_MODE
 
     def __post_init__(self) -> None:
         if not is_prime_power(self.residue_q):
             raise OracleError("residue cardinality must be a prime power")
         if self.extension < 1:
             raise OracleError("residue degree must be at least 1")
-        if self.mode not in (PADIC_MODE, FF_MODE):
-            raise OracleError(f"unknown place mode {self.mode!r}")
 
     @property
     def q_ext(self) -> int:
@@ -82,7 +75,6 @@ class LocalPlace:
 class OracleConfig:
     depth: int = 60
     tolerance: float = 1e-10
-    samples: tuple = (1, Fraction(3, 2), 2, 3)
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -263,10 +255,10 @@ def legendre_check(samples, tol: float = 1e-10) -> bool:
 
 def s_independence_check(
     case: str,
-    place: LocalPlace | None = None,
-    samples=None,
+    place: LocalPlace | None,
+    samples,
     cfg: OracleConfig = DEFAULT_CONFIG,
-    tol: float | None = None,
+    tol: float = 1e-9,
 ) -> tuple[bool, complex]:
     """The normalized spherical value is s-constant.
 
@@ -277,21 +269,15 @@ def s_independence_check(
 
     Returns (passed, observed constant at the first sample).
     """
-    if samples is None:
-        samples = cfg.samples
-    if tol is None:
-        tol = 1e-9
+    if case in ("SL2", "SU21") and place is None:
+        raise OracleError("finite case needs a place")
     values = []
     for s in samples:
         if case == "SL2":
-            if place is None:
-                raise OracleError("finite case needs a place")
             values.append(
                 gk_integral_sl2(place, s, cfg) / sl2_closed_form(place.q_ext, complex(s))
             )
         elif case == "SU21":
-            if place is None:
-                raise OracleError("finite case needs a place")
             values.append(
                 gk_integral_su21_inert(place, s, cfg)
                 / su21_inert_closed_form(place.residue_q, complex(s))

@@ -686,47 +686,41 @@ def _arm_lengths(bonds: list, branch: int, nodes: Sequence[int]) -> list[int]:
 # classification tables
 
 
-FAMILIES = ("split", "SU(n,n+1)", "SU(n,n)", "Spin2n-", "3D4", "2E6")
+# family -> (least n, degrees per length class in units of d', folded datum
+# builder taking (n, d')); the split family has no single folded datum.
+_FAMILY_TABLE = {
+    "split": (0, {"all": 1}, None),
+    "SU(n,n+1)": (2, {"long": 2, "short": 1}, lambda n, d: su_datum(n, n + 1, d)),
+    "SU(n,n)": (2, {"short": 2, "long": 1}, lambda n, d: su_datum(n, n, d)),
+    "Spin2n-": (4, {"short": 2, "long": 1}, spin_minus_datum),
+    "3D4": (0, {"long": 3, "short": 1}, lambda n, d: triality_datum(d)),
+    "2E6": (0, {"short": 2, "long": 1}, lambda n, d: quasi_split_e6_datum(d)),
+}
+
+# family -> least n
+FAMILIES = {family: least for family, (least, _, _) in _FAMILY_TABLE.items()}
 
 
 def proposition_table(family: str, n: int = 0, d_prime: int = 1) -> dict[str, int]:
-    """Degrees d_alpha per length class for the standard quasi-split families."""
+    """Degrees d_alpha per length class for the standard quasi-split families.
+
+    n is only checked against the family's least n; no row depends on it."""
     if d_prime < 1:
         raise RootSystemError("d_prime must be positive")
-    if family == "split":
-        return {"all": d_prime}
-    if family == "SU(n,n+1)":
-        if n < 2:
-            raise RootSystemError("SU(n,n+1) table needs n >= 2")
-        return {"long": 2 * d_prime, "short": d_prime}
-    if family == "SU(n,n)":
-        if n < 2:
-            raise RootSystemError("SU(n,n) table needs n >= 2")
-        return {"short": 2 * d_prime, "long": d_prime}
-    if family == "Spin2n-":
-        if n < 4:
-            raise RootSystemError("Spin2n- table needs n >= 4")
-        return {"short": 2 * d_prime, "long": d_prime}
-    if family == "3D4":
-        return {"long": 3 * d_prime, "short": d_prime}
-    if family == "2E6":
-        return {"short": 2 * d_prime, "long": d_prime}
-    raise RootSystemError(f"unknown family {family!r}")
+    if family not in _FAMILY_TABLE:
+        raise RootSystemError(f"unknown family {family!r}")
+    least, row, _ = _FAMILY_TABLE[family]
+    if n < least:
+        raise RootSystemError(f"{family} table needs n >= {least}")
+    return {length: units * d_prime for length, units in row.items()}
 
 
 def family_datum(family: str, n: int = 0, d_prime: int = 1) -> GroupDatum:
     """The group datum whose folding realizes a table family."""
-    if family == "SU(n,n+1)":
-        return su_datum(n, n + 1, d_prime)
-    if family == "SU(n,n)":
-        return su_datum(n, n, d_prime)
-    if family == "Spin2n-":
-        return spin_minus_datum(n, d_prime)
-    if family == "3D4":
-        return triality_datum(d_prime)
-    if family == "2E6":
-        return quasi_split_e6_datum(d_prime)
-    raise RootSystemError(f"no folded datum for family {family!r}")
+    build = _FAMILY_TABLE.get(family, (0, {}, None))[2]
+    if build is None:
+        raise RootSystemError(f"no folded datum for family {family!r}")
+    return build(n, d_prime)
 
 
 def derived_table(system: RelativeRootSystem) -> dict[str, int]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gkval import MeromorphicProduct, NotConverged, cli
+from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement, cli
 from gkval.cli import EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
 
@@ -115,6 +115,23 @@ def test_tables_command(capsys):
     payload = json.loads(out)
     assert payload["tables"]["3D4"] == {"long": 6, "short": 2}
     assert payload["tables"]["split"] == {"all": 2}
+
+
+def test_tables_has_no_rank_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--rank", "4"])
+    assert exc.value.code == EXIT_SCHEMA
+
+
+def test_weyl_exhaustive_fails_on_non_reduced_words(monkeypatch):
+    enumerate_reduced = RelativeRootSystem.weyl_enumerate
+
+    def padded(self, limit=4000):
+        return [WeylElement(w.word + (0, 0)) for w in enumerate_reduced(self, limit)]
+
+    monkeypatch.setattr(RelativeRootSystem, "weyl_enumerate", padded)
+    checks = [c for c in cli._weyl_checks(0) if c["name"] == "weyl_exhaustive"]
+    assert [c["pass"] for c in checks] == [False, False, False]
 
 
 def test_verify_local_passes(capsys):

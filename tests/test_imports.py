@@ -1,4 +1,5 @@
-"""Every name a gkval module imports is used by that module.
+"""Every name a gkval module imports is used by that module, and every
+public top-level name a gkval module defines is used somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gkval"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gkval"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a public name may be used: the package, its tests and the benchmark
+USERS = sorted(
+    p for d in (ROOT / "src", ROOT / "tests", ROOT / "perfbench") for p in d.rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,12 +34,54 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def public_definitions(source: str) -> list[str]:
+    """Top-level public functions, classes and constants of a module."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def uses(source: str) -> set[str]:
+    """Names a module reads: bare names, attributes, and the dotted parts of
+    string constants (the benchmark wraps functions named by string).
+    Definitions and imports are not uses."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport os.path as osp\nfrom x import a, b as c\nprint(a, osp)\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
     assert unused_imports("from __future__ import annotations\n") == []
 
 
+def test_dead_name_checker_sees_definitions_and_uses():
+    source = ("from x import y\nA = 1\n_B = 2\nC: int = 3\n"
+              "def f():\n    return m.g(A)\nclass K:\n    pass\nL = ['h.k']\n")
+    assert public_definitions(source) == ["A", "C", "f", "K", "L"]
+    assert uses(source) == {"int", "A", "g", "m", "h", "k"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_dead_public_names():
+    used = set().union(*(uses(p.read_text(encoding="utf-8")) for p in USERS))
+    dead = [f"{path.name}: {name}" for path in MODULES
+            for name in public_definitions(path.read_text(encoding="utf-8"))
+            if name not in used]
+    assert dead == []

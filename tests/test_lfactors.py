@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gkval import (
+    FUNCTION_MODE,
     AffineForm,
     HeckeCharacterDescriptor,
     LFactorAtom,
@@ -199,3 +200,16 @@ def test_json_round_trip():
     back = MeromorphicProduct.from_json(json.loads(blob))
     assert back == p
     assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+def test_json_round_trip_keeps_function_field_size():
+    eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)),
+                                   mode=FUNCTION_MODE, q=4)
+    p = r_alpha(AffineForm.of(1), 1, SL2, eta)
+    data = json.loads(json.dumps(p.to_json()))
+    assert [atom["character"]["q"] for atom in data] == [4, 4, 4]
+    back = MeromorphicProduct.from_json(data)
+    assert back == p
+    assert evaluate_finite(back, 4, 2.0) == pytest.approx(evaluate_finite(p, 4, 2.0))
+    number = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
+    assert all("q" not in atom["character"] for atom in number.to_json())

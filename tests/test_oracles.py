@@ -122,12 +122,6 @@ def test_sl3_specific_value():
     assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_function_field_mode_reuses_padic_code():
-    a = gk_integral_sl2(LocalPlace(4, mode="function-field"), 2)
-    b = gk_integral_sl2(LocalPlace(4), 2)
-    assert a == b
-
-
 def test_arch_gk_unit_values():
     assert arch_gk("SL2_R", 1) == pytest.approx(1.0, abs=1e-12)
     assert arch_gk("ResC/R_SL2", 1) == pytest.approx(1.0, abs=1e-12)

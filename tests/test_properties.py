@@ -153,6 +153,7 @@ def products(draw):
 def test_product_json_round_trip_is_byte_stable(p):
     blob = json.dumps(p.to_json(), sort_keys=True)
     back = MeromorphicProduct.from_json(json.loads(blob))
+    assert back == p
     assert json.dumps(back.to_json(), sort_keys=True) == blob
 
 
