@@ -120,6 +120,8 @@ class UnramifiedCharacter:
     def __post_init__(self) -> None:
         if self.mode not in (NUMBER_MODE, FUNCTION_MODE):
             raise CharacterError(f"unknown mode {self.mode!r}")
+        if self.mode == NUMBER_MODE and self.q is not None:
+            raise CharacterError("number mode takes no constant-field size q")
         if self.mode == FUNCTION_MODE:
             if not is_prime_power(self.q):
                 raise CharacterError("function-field mode needs a prime power q >= 2")

@@ -14,6 +14,7 @@ whenever lengths add.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +36,9 @@ from .lfactors import (
 from .roots import (
     RelativeRoot,
     RelativeRootSystem,
+    RootSystemError,
     WeylElement,
+    by_length_class,
     local_scale,
     restrict_roots,
     split_datum,
@@ -88,14 +91,8 @@ class ConstantTermReport:
         return evaluate_finite(self.product, q, s)
 
 
-def _factor_for_root(
-    system: RelativeRootSystem,
-    chi: UnramifiedCharacter,
-    direction: Sequence,
-    base: Sequence | None,
-    alpha: RelativeRoot,
-) -> RankOneFactor:
-    pairing = pair(system, direction, alpha, base)
+def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
+                     alpha: RelativeRoot, pairing: AffineForm) -> RankOneFactor:
     eta = compose_with_coroot(system, chi, alpha)
     return RankOneFactor(
         root=alpha,
@@ -104,6 +101,30 @@ def _factor_for_root(
         character=eta,
         product=r_alpha(pairing, alpha.d_alpha, alpha.rank_one_type, eta),
     )
+
+
+def _factor_table(system: RelativeRootSystem, chi: UnramifiedCharacter,
+                  direction: Sequence, base: Sequence | None):
+    """Root -> its rank-one factor for lambda = base + s * direction.
+
+    A factor does not depend on w, so it is built when first asked for and
+    kept in a table on the system.  The system keeps only the table of its
+    most recent (chi, direction, base), which bounds memory on sweeps that
+    draw a fresh character per operation.
+    """
+    key = (chi, tuple(direction), None if base is None else tuple(base))
+    if system.factor_cache is None or system.factor_cache[0] != key:
+        system.factor_cache = (key, {})
+    table = system.factor_cache[1]
+
+    def factor(alpha: RelativeRoot) -> RankOneFactor:
+        found = table.get(alpha.index)
+        if found is None:
+            pairing = pair(system, direction, alpha, base)
+            found = table[alpha.index] = _rank_one_factor(system, chi, alpha, pairing)
+        return found
+
+    return factor
 
 
 def constant_term(
@@ -115,10 +136,8 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction."""
     w = system.normalize(w.word if isinstance(w, WeylElement) else w)
-    factors = tuple(
-        _factor_for_root(system, chi, direction, base, alpha)
-        for alpha in system.inversion_set(w)
-    )
+    factor = _factor_table(system, chi, direction, base)
+    factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
     product = MeromorphicProduct(term for f in factors for term in f.product)
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
@@ -166,18 +185,16 @@ def pole_profile(
         roots = system.inversion_set(system.normalize(word))
     else:
         roots = system.positive_roots
+    if variable == RAY_VARIABLE:
+        if direction is None:
+            raise ConstantTermError("ray variable needs a direction")
+        factor = _factor_table(system, chi, direction, base)
+    else:  # the pairing variable t itself: the unit form
+        factor = functools.partial(_rank_one_factor, system, chi,
+                                   pairing=AffineForm(Fraction(1), Fraction(0)))
     entries = []
-    unit = AffineForm(Fraction(1), Fraction(0))
     for alpha in roots:
-        if variable == RAY_VARIABLE:
-            if direction is None:
-                raise ConstantTermError("ray variable needs a direction")
-            arg = pair(system, direction, alpha, base)
-        else:
-            arg = unit
-        eta = compose_with_coroot(system, chi, alpha)
-        product = r_alpha(arg, alpha.d_alpha, alpha.rank_one_type, eta)
-        for e in poles_positive(product, include_conditional).entries:
+        for e in poles_positive(factor(alpha).product, include_conditional).entries:
             entries.append(RootPoleEntry(alpha, e.location, e.order, e.conditional))
     return tuple(entries)
 
@@ -193,13 +210,11 @@ def component_pole_ratio(system: RelativeRootSystem, component: int = 0) -> dict
     roots = [r for r in system.positive_roots if r.component == component]
     if not roots:
         raise ConstantTermError(f"no component {component}")
-    poles: dict[str, Fraction] = {}
-    for r in roots:
-        key = "all" if r.length_class == "single" else r.length_class
-        loc = Fraction(local_scale(r))
-        if key in poles and poles[key] != loc:
-            raise ConstantTermError("inhomogeneous pole location in a length class")
-        poles[key] = loc
+    try:
+        poles = by_length_class(roots, lambda r: Fraction(local_scale(r)),
+                                "pole locations")
+    except RootSystemError as exc:
+        raise ConstantTermError(str(exc)) from None
     out: dict = {"poles": poles}
     if "long" in poles and "short" in poles:
         out["long_over_short"] = poles["long"] / poles["short"]
@@ -264,11 +279,11 @@ def multiplicativity_check(
     # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta
     # paired against lambda
     pairs = list(constant_term(system, chi, direction, w2, base).product)
+    factor = _factor_table(system, chi, direction, base)
     inv_word = tuple(reversed(w2.word))
     for beta in system.inversion_set(w1):
         coords = system._apply_word(inv_word, beta.coords)
-        alpha = system.root_by_coords(coords)
-        pairs.extend(_factor_for_root(system, chi, direction, base, alpha).product)
+        pairs.extend(factor(system.root_by_coords(coords)).product)
     return total == MeromorphicProduct(pairs)
 
 

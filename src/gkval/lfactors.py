@@ -27,8 +27,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-import mpmath
-
 from .characters import (
     FUNCTION_MODE,
     NUMBER_MODE,
@@ -332,6 +330,8 @@ def arch_value(atom: LFactorAtom, s: complex) -> complex:
     """
     if atom.kind == KIND_EPS:
         return 1.0
+    import mpmath  # loaded on first use: only archimedean checks need it
+
     x = atom.arg(s) + _character_value_exponent(atom)
     if atom.place_kind == PLACE_COMPLEX:
         g = checked_gamma(x)
@@ -347,6 +347,8 @@ def checked_gamma(x: complex) -> complex:
     x = complex(x)
     if abs(x.imag) < 1e-12 and x.real <= 0 and abs(x.real - round(x.real)) < 1e-12:
         raise PoleAtEvaluation(f"Gamma pole at {x}")
+    import mpmath
+
     return complex(mpmath.gamma(x))
 
 

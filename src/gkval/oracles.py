@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
-
 from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
@@ -234,6 +232,8 @@ def normalizing_factor_arch(case: str, s: complex) -> complex:
 
 def legendre_check(samples, tol: float = 1e-10) -> bool:
     """Duplication identities for Gamma(2s) and Gamma(2s+1)."""
+    import mpmath  # loaded on first use, like lfactors.checked_gamma
+
     g = checked_gamma
     rt_pi = complex(mpmath.sqrt(mpmath.pi))
     for s in samples:

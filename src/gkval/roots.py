@@ -25,8 +25,9 @@ simple reflections (0-based node indices in the order reported by
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -281,38 +282,27 @@ def local_scale(alpha: RelativeRoot) -> int:
 
 
 class RelativeRootSystem:
-    """Reduced relative root system produced by :func:`restrict_roots`."""
+    """Reduced relative root system produced by :func:`restrict_roots`.
 
-    def __init__(
-        self,
-        datum: GroupDatum,
-        simple_orbits: list[list[int]],
-        positive_roots: list[RelativeRoot],
-        cartan: list[list[int]],
-        gram: list[list[Fraction]],
-        components: list[tuple[str, tuple[int, ...]]],
-        has_divisible: bool,
-    ) -> None:
+    d' enters only through d_alpha and the coroot pairings, which it
+    multiplies, so the d'-free fold is computed once per diagram.
+    """
+
+    def __init__(self, datum: GroupDatum) -> None:
+        (orbits, roots, pairings, self.cartan, self.gram, self.components,
+         self.has_divisible) = _fold(tuple(map(tuple, datum.cartan)),
+                                     tuple(datum.automorphism))
+        d = datum.res_degree
         self.datum = datum
-        self.simple_orbits = simple_orbits
-        self.positive_roots = tuple(positive_roots)
-        self.cartan = tuple(tuple(row) for row in cartan)
-        self.gram = tuple(tuple(row) for row in gram)
-        self.components = tuple(components)
-        self.has_divisible = has_divisible
-        self.rank = len(cartan)
-        self._by_coords = {r.coords: r for r in positive_roots}
-        # d' <gamma_i, beta^vee> = d' 2 (gamma_i, beta) / (beta, beta)
-        self._pairings: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for r in positive_roots:
-            vec = []
-            for row in self.gram:
-                pair = sum(g * b for g, b in zip(row, r.coords))
-                c = datum.res_degree * 2 * pair / r.norm2
-                if c.denominator != 1:
-                    raise RootSystemError("internal: non-integral coroot pairing")
-                vec.append(int(c))
-            self._pairings[r.coords] = tuple(vec)
+        self.simple_orbits = [list(o) for o in orbits]
+        self.positive_roots = tuple(replace(r, d_alpha=d * r.d_alpha) for r in roots)
+        self.rank = len(self.cartan)
+        self._by_coords = {r.coords: r for r in self.positive_roots}
+        self._pairings = {r.coords: tuple(d * c for c in vec)
+                          for r, vec in zip(roots, pairings)}
+        # (key, table) of the rank-one factors last assembled on this system;
+        # kept by constant_term, which replaces it when the key changes
+        self.factor_cache: tuple | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -331,8 +321,8 @@ class RelativeRootSystem:
         """Integer coefficients c_i with <lambda, alpha^vee> = sum c_i lambda_i.
 
         c_i = d' <gamma_i, beta^vee> = d' * 2 (gamma_i, beta) / (beta, beta),
-        so on a simple root beta_j it is d' * C[i][j].  The vectors are built
-        once, by the constructor.  Along the principal ray the pairing with a
+        so on a simple root beta_j it is d' * C[i][j].  The fold builds them at
+        d' = 1, once per diagram.  Along the principal ray the pairing with a
         simple coroot is :func:`local_scale` times s.
         """
         return self._pairings[alpha.coords]
@@ -488,14 +478,20 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
     orbit O_k, so (gamma_k, gamma_l) is the sum of (alpha_i, alpha_j) over
     i in O_k, j in O_l, divided by |O_k| |O_l|.
     """
-    a = datum.cartan
+    return RelativeRootSystem(datum)
+
+
+@functools.lru_cache(maxsize=64)
+def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
+    """The fold of :func:`restrict_roots` at d' = 1, as immutable values:
+    simple orbits, positive roots, coroot pairing vectors, relative Cartan
+    and Gram matrices, components and the divisibility flag."""
     n = len(a)
     d = _symmetrizer(a)
     gram_abs = [[d[i] * a[j][i] for j in range(n)] for i in range(n)]
-    perm = datum.automorphism
 
     # relative simple roots: the simple orbits, in order of their least node
-    simple_orbits: list[list[int]] = []
+    simple_orbits: list[tuple[int, ...]] = []
     orbit_of = [-1] * n
     for i in range(n):
         if orbit_of[i] >= 0:
@@ -507,7 +503,7 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
             j = perm[j]
         for j in orbit:
             orbit_of[j] = len(simple_orbits)
-        simple_orbits.append(sorted(orbit))
+        simple_orbits.append(tuple(sorted(orbit)))
     rel_rank = len(simple_orbits)
 
     images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -523,20 +519,20 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
     ]
     has_divisible = len(reduced) != len(images)
 
-    gram_rel = [
-        [
+    gram_rel = tuple(
+        tuple(
             sum(gram_abs[i][j] for i in ok for j in ol) / (len(ok) * len(ol))
             for ol in simple_orbits
-        ]
+        )
         for ok in simple_orbits
-    ]
+    )
     cartan_rel = [
         [2 * gram_rel[i][j] / gram_rel[j][j] for j in range(rel_rank)]
         for i in range(rel_rank)
     ]
     if any(x.denominator != 1 for row in cartan_rel for x in row):
         raise RootSystemError("internal: relative Cartan matrix is not integral")
-    cartan_rel_int = [[int(x) for x in row] for row in cartan_rel]
+    cartan_rel_int = tuple(tuple(int(x) for x in row) for row in cartan_rel)
 
     # component structure of the relative diagram
     comp_of_node = [-1] * rel_rank
@@ -606,7 +602,7 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
                 coords=v,
                 orbit=tuple(sorted(over) + sorted(over_double)),
                 length_class=length_class(v),
-                d_alpha=datum.res_degree * ncomp,
+                d_alpha=ncomp,
                 rank_one_type=SU21 if over_double else SL2,
                 norm2=norm2[v],
                 abs_norm2=_form(gram_abs, over[0], over[0]),
@@ -614,23 +610,24 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
             )
         )
 
-    components = [
+    # <gamma_i, beta^vee> = 2 (gamma_i, beta) / (beta, beta)
+    pairings = []
+    for v in reduced:
+        vec = [2 * sum(g * b for g, b in zip(row, v)) / norm2[v] for row in gram_rel]
+        if any(c.denominator != 1 for c in vec):
+            raise RootSystemError("internal: non-integral coroot pairing")
+        pairings.append(tuple(int(c) for c in vec))
+
+    components = tuple(
         (_component_type(cartan_rel_int, gram_rel, nodes), tuple(nodes))
         for nodes in comps
-    ]
-    return RelativeRootSystem(
-        datum=datum,
-        simple_orbits=simple_orbits,
-        positive_roots=rel_roots,
-        cartan=cartan_rel_int,
-        gram=gram_rel,
-        components=components,
-        has_divisible=has_divisible,
     )
+    return (tuple(simple_orbits), tuple(rel_roots), tuple(pairings),
+            cartan_rel_int, gram_rel, components, has_divisible)
 
 
 def _component_type(
-    cartan: list[list[int]], gram: list[list[Fraction]], nodes: Sequence[int]
+    cartan: Sequence[Sequence[int]], gram: Sequence[Sequence], nodes: Sequence[int]
 ) -> str:
     """Classify an irreducible relative diagram ('B2' stands for B2 = C2)."""
     k = len(nodes)
@@ -723,13 +720,19 @@ def family_datum(family: str, n: int = 0, d_prime: int = 1) -> GroupDatum:
     return build(n, d_prime)
 
 
-def derived_table(system: RelativeRootSystem) -> dict[str, int]:
-    """Length class -> d_alpha, read off the computed relative roots."""
-    out: dict[str, set[int]] = {}
-    for r in system.positive_roots:
+def by_length_class(roots: Sequence[RelativeRoot], value, what: str) -> dict:
+    """Length class ("all" for single) -> value(r), which must be the same
+    for every root r of the class; ``what`` names the values in the error."""
+    out: dict[str, set] = {}
+    for r in roots:
         key = "all" if r.length_class == "single" else r.length_class
-        out.setdefault(key, set()).add(r.d_alpha)
+        out.setdefault(key, set()).add(value(r))
     bad = {k: v for k, v in out.items() if len(v) != 1}
     if bad:
-        raise RootSystemError(f"inhomogeneous degrees within a length class: {bad}")
+        raise RootSystemError(f"inhomogeneous {what} within a length class: {bad}")
     return {k: v.pop() for k, v in out.items()}
+
+
+def derived_table(system: RelativeRootSystem) -> dict[str, int]:
+    """Length class -> d_alpha, read off the computed relative roots."""
+    return by_length_class(system.positive_roots, lambda r: r.d_alpha, "degrees")

@@ -19,7 +19,7 @@ from gkval import (
     split_datum,
     su_datum,
 )
-from gkval.characters import FUNCTION_MODE
+from gkval.characters import FUNCTION_MODE, NUMBER_MODE
 
 
 def rc(re, im=0):
@@ -45,6 +45,12 @@ def test_function_field_canonicalization():
 def test_function_field_mode_needs_q():
     with pytest.raises(CharacterError):
         UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=None)
+
+
+def test_number_mode_takes_no_q():
+    # a q here would be copied into every descriptor and lost by to_json
+    with pytest.raises(CharacterError):
+        UnramifiedCharacter.trivial(1, NUMBER_MODE, 5)
 
 
 def test_field_sizes_must_be_prime_powers():

@@ -3,9 +3,15 @@ public top-level name a gkval module defines is used somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
+
+Last, the CLI must run its non-archimedean commands without importing
+mpmath, which only the Gamma evaluations need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +91,17 @@ def test_no_dead_public_names():
             for name in public_definitions(path.read_text(encoding="utf-8"))
             if name not in used]
     assert dead == []
+
+
+def test_mpmath_loads_only_for_archimedean_checks():
+    code = (
+        "import contextlib, io, sys\n"
+        "import gkval.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert gkval.cli.main(['verify-local', '--q', '2', '--s-grid', '1']) == 0\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})

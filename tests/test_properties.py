@@ -8,6 +8,7 @@ rank-one factors ``r_alpha`` of SL2- and SU21-type roots at d_alpha = 1,
 so the drawn words and products are the same on every run.
 """
 
+import dataclasses
 import functools
 import json
 import operator
@@ -25,6 +26,7 @@ from gkval import (
     HeckeCharacterDescriptor,
     MeromorphicProduct,
     RationalComplex,
+    GroupDatum,
     UnramifiedCharacter,
     constant_term,
     family_datum,
@@ -113,6 +115,65 @@ def test_orbit_sizes_sum_to_absolute_positive_count():
         system = fold(datum)
         total = sum(len(r.orbit) for r in system.positive_roots)
         assert total == positive_count(family, rank), datum.label
+
+
+def _pairings(system):
+    return [system.coroot_pairing_vector(r) for r in system.positive_roots]
+
+
+def test_res_degree_scales_only_d_alpha_and_pairings():
+    """The system at d' = k is the system at d' = 1 with d_alpha and every
+    coroot pairing multiplied by k, and nothing else changed."""
+    for datum, _, _ in CASES:
+        if datum.res_degree != 1:
+            continue
+        one = restrict_roots(datum)
+        for k in (2, 3):
+            scaled = restrict_roots(dataclasses.replace(datum, res_degree=k))
+            assert scaled.positive_roots == tuple(
+                dataclasses.replace(r, d_alpha=k * r.d_alpha) for r in one.positive_roots
+            ), (datum.label, k)
+            assert _pairings(scaled) == [
+                tuple(k * c for c in vec) for vec in _pairings(one)
+            ], (datum.label, k)
+            assert (scaled.simple_orbits, scaled.gram, scaled.cartan, scaled.components,
+                    scaled.has_divisible, scaled.principal_ray()) == (
+                one.simple_orbits, one.gram, one.cartan, one.components,
+                one.has_divisible, one.principal_ray()), (datum.label, k)
+
+
+# Cartan matrices written out here, not taken from the program
+RANK_TWO = {
+    "A2": ((2, -1), (-1, 2)),
+    "B2": ((2, -2), (-1, 2)),
+    "G2": ((2, -1), (-3, 2)),
+}
+
+
+def _copies(cartan, k):
+    """k disjoint copies of a diagram, cycled by the automorphism."""
+    n = len(cartan)
+    block = tuple(
+        tuple(cartan[i % n][j % n] if i // n == j // n else 0 for j in range(k * n))
+        for i in range(k * n)
+    )
+    return GroupDatum(block, tuple((i + n) % (k * n) for i in range(k * n)), k, 1)
+
+
+def test_restriction_of_scalars_matches_res_degree():
+    """Folding k cycled copies of X at d' = 1 gives X with d_alpha = k on every
+    root: the same roots, length classes, rank-one types and d_alpha as X at
+    d' = k.  The copies are diagrams of their own, folded under their own keys."""
+    for name, k in [("A2", 2), ("B2", 2), ("G2", 2), ("A2", 3)]:
+        folded = restrict_roots(_copies(RANK_TWO[name], k))
+        split = restrict_roots(split_datum(name[0], 2, k))
+        assert folded.components == split.components == ((name, (0, 1)),), name
+        assert folded.cartan == split.cartan, name
+        assert all(r.d_alpha == k for r in folded.positive_roots), (name, k)
+        assert [(r.coords, r.length_class, r.rank_one_type, r.d_alpha)
+                for r in folded.positive_roots] == [
+            (r.coords, r.length_class, r.rank_one_type, r.d_alpha)
+            for r in split.positive_roots], (name, k)
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4)))
