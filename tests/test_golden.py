@@ -2,7 +2,7 @@
 
 Each key of ``tests/golden/digests.json`` is ``case:command``.  The cases
 are the 45 folded table cases of ``verify-all``, the split diagrams A-D up
-to rank 6 with E6-E8, F4, G2 and B12, and the README's group spec.  The
+to rank 12 with E6-E8, F4 and G2, and the README's group spec.  The
 commands are ``classify``, ``constant-term``, ``poles`` and ``poles
 --variable global`` (``poles-global``), all with ``--output-format json``,
 plus ``system``: the repr of the folded system's roots, Gram matrix,
@@ -77,6 +77,8 @@ def cases() -> list[tuple[str, dict]]:
     split = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
     split += [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
     split += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("B", 12)]
+    split += [(family, rank) for family in "ABCD" for rank in range(7, 13)
+              if (family, rank) != ("B", 12)]
     for family, rank in split:
         out.append((f"split-{family}{rank}",
                     _datum_spec(split_datum(family, rank))))
