@@ -136,6 +136,13 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction."""
     w = system.normalize(w.word if isinstance(w, WeylElement) else w)
+    return _normal_report(system, chi, direction, w, base)
+
+
+def _normal_report(system: RelativeRootSystem, chi: UnramifiedCharacter,
+                   direction: Sequence, w: WeylElement,
+                   base: Sequence | None) -> ConstantTermReport:
+    """:func:`constant_term` for a w already in normal form."""
     factor = _factor_table(system, chi, direction, base)
     factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
     product = MeromorphicProduct(term for f in factors for term in f.product)
@@ -275,15 +282,15 @@ def multiplicativity_check(
     w12 = system.multiply(w1, w2)
     if len(w12.word) != len(w1.word) + len(w2.word):
         raise ConstantTermError("lengths do not add")
-    total = constant_term(system, chi, direction, w12, base).product
+    total = _normal_report(system, chi, direction, w12, base).product
     # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta
     # paired against lambda
-    pairs = list(constant_term(system, chi, direction, w2, base).product)
+    pairs = list(_normal_report(system, chi, direction, w2, base).product)
     factor = _factor_table(system, chi, direction, base)
-    inv_word = tuple(reversed(w2.word))
-    for beta in system.inversion_set(w1):
-        coords = system._apply_word(inv_word, beta.coords)
-        pairs.extend(factor(system.root_by_coords(coords)).product)
+    translated = system._images(tuple(reversed(w2.word)),
+                                [beta.index for beta in system.inversion_set(w1)])
+    for x in translated:
+        pairs.extend(factor(system.positive_roots[x]).product)
     return total == MeromorphicProduct(pairs)
 
 
@@ -302,10 +309,7 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
 
     returned as None when the evaluation hits a pole or Re(s) <= 0.
     """
-    system = restrict_roots(split_datum("A", 2))
-    chi = UnramifiedCharacter.trivial(system.rank)
-    ray = system.principal_ray()
-    report = constant_term(system, chi, ray, system.longest_element())
+    report = _sl3_longest_report()
     value = None
     if complex(s).real > 0:
         try:
@@ -318,3 +322,12 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
         "report": report,
         "value": value,
     }
+
+
+@functools.cache
+def _sl3_longest_report() -> ConstantTermReport:
+    """The symbolic report of :func:`sl3_longest_factorization`, which does
+    not depend on (q, s), built once per process."""
+    system = restrict_roots(split_datum("A", 2))
+    chi = UnramifiedCharacter.trivial(system.rank)
+    return constant_term(system, chi, system.principal_ray(), system.longest_element())

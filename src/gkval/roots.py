@@ -20,13 +20,19 @@ the tables.
 
 Weyl-group elements of the relative system are reduced words in the
 simple reflections (0-based node indices in the order reported by
-``RelativeRootSystem.simple_roots``).
+``RelativeRootSystem.simple_roots``).  W acts on the reduced roots by
+permutation tables: root index i stands for ``positive_roots[i]`` and ~i
+for its negative, and the fold tabulates each simple reflection once on
+these indices (Casselman, "Computation in Coxeter groups I", 2002).  The
+fold computes in integers, with Gram matrices scaled by the lcm of their
+denominators.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -286,11 +292,15 @@ class RelativeRootSystem:
 
     d' enters only through d_alpha and the coroot pairings, which it
     multiplies, so the d'-free fold is computed once per diagram.
+    ``reflection_tables[j]`` is the permutation s_j induces on root indices
+    (i for ``positive_roots[i]``, ~i for its negative), a tuple of length 2N
+    that a negative index reads from the end; the Weyl methods compose
+    these tables and never reflect coordinate vectors.
     """
 
     def __init__(self, datum: GroupDatum) -> None:
-        (orbits, roots, pairings, self.cartan, self.gram, self.components,
-         self.has_divisible) = _fold(tuple(map(tuple, datum.cartan)),
+        (orbits, roots, pairings, self.reflection_tables, self.cartan, self.gram,
+         self.components, self.has_divisible) = _fold(tuple(map(tuple, datum.cartan)),
                                      tuple(datum.automorphism))
         d = datum.res_degree
         self.datum = datum
@@ -298,6 +308,8 @@ class RelativeRootSystem:
         self.positive_roots = tuple(replace(r, d_alpha=d * r.d_alpha) for r in roots)
         self.rank = len(self.cartan)
         self._by_coords = {r.coords: r for r in self.positive_roots}
+        # the identity map on root indices, laid out like a reflection table
+        self._identity = tuple(range(len(roots))) + tuple(range(-len(roots), 0))
         self._pairings = {r.coords: tuple(d * c for c in vec)
                           for r, vec in zip(roots, pairings)}
         # (key, table) of the rank-one factors last assembled on this system;
@@ -339,21 +351,26 @@ class RelativeRootSystem:
 
     # -- Weyl combinatorics ----------------------------------------------
 
+    def _images(self, word: Sequence[int], indices) -> list[int]:
+        """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
+        out = list(indices)
+        for j in reversed(word):
+            t = self.reflection_tables[j]
+            out = [t[x] for x in out]
+        return out
+
     def _apply_word(self, word: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        cur = list(v)
-        for j in reversed(list(word)):
-            pairing = sum(cur[i] * self.cartan[i][j] for i in range(self.rank))
-            cur[j] -= pairing
-        return tuple(cur)
+        """Coordinates of w(v) for a reduced root v."""
+        sign = -1 if all(c <= 0 for c in v) else 1
+        x = self.root_by_coords([sign * c for c in v]).index
+        (x,) = self._images(word, [x if sign > 0 else ~x])
+        sign, x = (1, x) if x >= 0 else (-1, ~x)
+        return tuple(sign * c for c in self.positive_roots[x].coords)
 
     def inversion_set(self, w: "WeylElement") -> tuple[RelativeRoot, ...]:
         """Positive reduced roots sent to negative roots by w."""
-        out = []
-        for r in self.positive_roots:
-            img = self._apply_word(w.word, r.coords)
-            if all(c <= 0 for c in img):
-                out.append(r)
-        return tuple(out)
+        images = self._images(w.word, range(len(self.positive_roots)))
+        return tuple(r for r, x in zip(self.positive_roots, images) if x < 0)
 
     def length(self, w: "WeylElement") -> int:
         return len(self.inversion_set(w))
@@ -363,54 +380,33 @@ class RelativeRootSystem:
         for j in word:
             if not 0 <= j < self.rank:
                 raise RootSystemError(f"reflection index {j} out of range")
-        n = self.rank
-        # columns w^{-1}(gamma_j) of w^{-1}
-        inv_cols = [
-            list(self._apply_word(list(reversed(list(word))),
-                                  [int(i == j) for i in range(n)]))
-            for j in range(n)
-        ]
+        # w^{-1} = s_word[-1] ... s_word[0] as an index map; j is a (left)
+        # descent of w when w^{-1}(gamma_j) < 0
+        winv = self._images(tuple(reversed(word)), self._identity)
         result: list[int] = []
-        while True:
-            descent = next(
-                (j for j in range(n) if all(c <= 0 for c in inv_cols[j])), None
-            )
+        for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
+            descent = next((j for j in range(self.rank) if winv[j] < 0), None)
             if descent is None:
-                break
+                return WeylElement(tuple(result))
             result.append(descent)
-            # w <- s_d w, so w^{-1}(gamma_j) <- w^{-1}(s_d gamma_j)
-            #                               = w^{-1}(gamma_j - C[j][d] gamma_d)
-            col_d = inv_cols[descent][:]
-            for j, col in enumerate(inv_cols):
-                c = self.cartan[j][descent]
-                if c:
-                    for i in range(n):
-                        col[i] -= c * col_d[i]
-        return WeylElement(tuple(result))
+            # w <- s_d w, so w^{-1} <- w^{-1} s_d
+            winv = [winv[x] for x in self.reflection_tables[descent]]
+        raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def multiply(self, w1: "WeylElement", w2: "WeylElement") -> "WeylElement":
         return self.normalize(tuple(w1.word) + tuple(w2.word))
 
     def longest_element(self) -> "WeylElement":
+        """Walk up by (right) ascents, j with w(gamma_j) > 0, until none is left."""
+        w = self._identity
         word: list[int] = []
-        while True:
-            asc = next(
-                (
-                    j
-                    for j in range(self.rank)
-                    if not all(
-                        c <= 0
-                        for c in self._apply_word(
-                            word, [int(i == j) for i in range(self.rank)]
-                        )
-                    )
-                ),
-                None,
-            )
+        for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
+            asc = next((j for j in range(self.rank) if w[j] >= 0), None)
             if asc is None:
-                break
+                return self.normalize(word)
             word.append(asc)
-        return self.normalize(word)
+            w = [w[x] for x in self.reflection_tables[asc]]  # w <- w s_asc
+        raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def weyl_enumerate(self, limit: int = 4000) -> list["WeylElement"]:
         seen = {(): WeylElement(())}
@@ -455,17 +451,6 @@ def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ..
     return tuple(m[i][n] for i in range(n))
 
 
-def _form(g: Sequence[Sequence[Fraction]], u: Sequence[int],
-          v: Sequence[int]) -> Fraction:
-    """sum_ij u_i g_ij v_j for integer coordinate vectors u and v."""
-    return sum(
-        (u[i] * g[i][j] * v[j]
-         for i in range(len(u)) if u[i]
-         for j in range(len(v)) if v[j]),
-        Fraction(0),
-    )
-
-
 def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
     """Fold the absolute system of ``datum`` to its relative reduced system.
 
@@ -484,11 +469,17 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
 @functools.lru_cache(maxsize=64)
 def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     """The fold of :func:`restrict_roots` at d' = 1, as immutable values:
-    simple orbits, positive roots, coroot pairing vectors, relative Cartan
-    and Gram matrices, components and the divisibility flag."""
+    simple orbits, positive roots, coroot pairing vectors, reflection
+    tables, relative Cartan and Gram matrices, components and the
+    divisibility flag."""
     n = len(a)
     d = _symmetrizer(a)
-    gram_abs = [[d[i] * a[j][i] for j in range(n)] for i in range(n)]
+    # Gram matrices are kept scaled to integers: (u, v) = u g v / scale
+    scale_abs = math.lcm(*(x.denominator for x in d))
+    g_abs = [[int(d[i] * scale_abs) * a[j][i] for j in range(n)] for i in range(n)]
+
+    def form(g, u: Sequence[int], v: Sequence[int]) -> int:
+        return sum(x * sum(gi * y for gi, y in zip(row, v)) for x, row in zip(u, g) if x)
 
     # relative simple roots: the simple orbits, in order of their least node
     simple_orbits: list[tuple[int, ...]] = []
@@ -519,20 +510,23 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     ]
     has_divisible = len(reduced) != len(images)
 
-    gram_rel = tuple(
-        tuple(
-            sum(gram_abs[i][j] for i in ok for j in ol) / (len(ok) * len(ol))
-            for ol in simple_orbits
-        )
+    # m gamma_k = (m / |O_k|) * (sum of O_k) is integral for m the lcm of
+    # the orbit sizes, so the relative Gram matrix scales by m^2 more
+    m = math.lcm(*map(len, simple_orbits))
+    g_rel = [
+        [sum(g_abs[i][j] for i in ok for j in ol) * (m // len(ok)) * (m // len(ol))
+         for ol in simple_orbits]
         for ok in simple_orbits
-    )
-    cartan_rel = [
-        [2 * gram_rel[i][j] / gram_rel[j][j] for j in range(rel_rank)]
-        for i in range(rel_rank)
     ]
-    if any(x.denominator != 1 for row in cartan_rel for x in row):
+    scale_rel = scale_abs * m * m
+    gram_rel = tuple(tuple(Fraction(x, scale_rel) for x in row) for row in g_rel)
+    # C[i][j] = 2 (gamma_i, gamma_j) / (gamma_j, gamma_j)
+    if any(2 * g_rel[i][j] % g_rel[j][j] for i in range(rel_rank) for j in range(rel_rank)):
         raise RootSystemError("internal: relative Cartan matrix is not integral")
-    cartan_rel_int = tuple(tuple(int(x) for x in row) for row in cartan_rel)
+    cartan_rel_int = tuple(
+        tuple(2 * g_rel[i][j] // g_rel[j][j] for j in range(rel_rank))
+        for i in range(rel_rank)
+    )
 
     # component structure of the relative diagram
     comp_of_node = [-1] * rel_rank
@@ -553,7 +547,9 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
 
     # order: simples first (orbit order), then by height and coordinates
     reduced.sort(key=lambda v: (0, v.index(1)) if sum(v) == 1 else (1, sum(v), v))
-    norm2 = {v: _form(gram_rel, v, v) for v in reduced}
+    # g v and the scaled (v, v), per root
+    g_v = {v: [sum(g * c for g, c in zip(row, v)) for row in g_rel] for v in reduced}
+    norm = {v: sum(c * x for c, x in zip(v, g_v[v])) for v in reduced}
     component = {v: comp_of_node[next(i for i, c in enumerate(v) if c)]
                  for v in reduced}
 
@@ -561,7 +557,7 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     # roots as long, matching the classification tables.
     has_triality = any(len(o) == 3 for o in simple_orbits)
     comp_norms = [
-        sorted({norm2[v] for v in reduced if component[v] == ci})
+        sorted({norm[v] for v in reduced if component[v] == ci})
         for ci in range(len(comps))
     ]
 
@@ -569,8 +565,8 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
         norms = comp_norms[component[v]]
         if len(norms) == 1:
             return "single"
-        small = norm2[v] == norms[0]
-        if has_triality and norms[-1] / norms[0] == 3:
+        small = norm[v] == norms[0]
+        if has_triality and norms[-1] == 3 * norms[0]:
             small = not small
         return "short" if small else "long"
 
@@ -591,7 +587,7 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
             return x
 
         for x, y in itertools.combinations(range(k), 2):
-            if _form(gram_abs, orbit_roots[x], orbit_roots[y]) != 0:
+            if form(g_abs, orbit_roots[x], orbit_roots[y]) != 0:
                 comp_id[find(x)] = find(y)
         ncomp = len({find(x) for x in range(k)})
         if over_double and k != 3 * ncomp:
@@ -604,41 +600,49 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
                 length_class=length_class(v),
                 d_alpha=ncomp,
                 rank_one_type=SU21 if over_double else SL2,
-                norm2=norm2[v],
-                abs_norm2=_form(gram_abs, over[0], over[0]),
+                norm2=Fraction(norm[v], scale_rel),
+                abs_norm2=Fraction(form(g_abs, over[0], over[0]), scale_abs),
                 component=component[v],
             )
         )
 
     # <gamma_i, beta^vee> = 2 (gamma_i, beta) / (beta, beta)
-    pairings = []
-    for v in reduced:
-        vec = [2 * sum(g * b for g, b in zip(row, v)) / norm2[v] for row in gram_rel]
-        if any(c.denominator != 1 for c in vec):
-            raise RootSystemError("internal: non-integral coroot pairing")
-        pairings.append(tuple(int(c) for c in vec))
+    if any(2 * x % norm[v] for v in reduced for x in g_v[v]):
+        raise RootSystemError("internal: non-integral coroot pairing")
+    pairings = tuple(tuple(2 * x // norm[v] for x in g_v[v]) for v in reduced)
+
+    # s_j(v) = v - <v, gamma_j^vee> gamma_j on root indices: i for reduced[i],
+    # ~i for its negative.  The second half lists the images of ~(N-1), ..., ~0,
+    # so that table[x] reads a negative x from the end.
+    index_of = {v: i for i, v in enumerate(reduced)}
+    index_of.update({tuple(-c for c in v): ~i for i, v in enumerate(reduced)})
+    tables = []
+    for j in range(rel_rank):
+        image = []
+        for v in reduced:
+            w = list(v)
+            w[j] -= sum(c * row[j] for c, row in zip(v, cartan_rel_int))
+            image.append(index_of[tuple(w)])
+        tables.append(tuple(image) + tuple(~x for x in reversed(image)))
 
     components = tuple(
-        (_component_type(cartan_rel_int, gram_rel, nodes), tuple(nodes))
-        for nodes in comps
+        (_component_type(cartan_rel_int, g_rel, nodes,
+                         sum(component[v] == ci for v in reduced)), tuple(nodes))
+        for ci, nodes in enumerate(comps)
     )
-    return (tuple(simple_orbits), tuple(rel_roots), tuple(pairings),
+    return (tuple(simple_orbits), tuple(rel_roots), pairings, tuple(tables),
             cartan_rel_int, gram_rel, components, has_divisible)
 
 
-def _component_type(
-    cartan: Sequence[Sequence[int]], gram: Sequence[Sequence], nodes: Sequence[int]
-) -> str:
-    """Classify an irreducible relative diagram ('B2' stands for B2 = C2)."""
+def _component_type(cartan: Sequence[Sequence[int]], gram: Sequence[Sequence],
+                    nodes: Sequence[int], npos: int) -> str:
+    """Classify an irreducible relative diagram with npos positive roots
+    ('B2' stands for B2 = C2)."""
     k = len(nodes)
-    bonds = [
-        (i, j, cartan[i][j] * cartan[j][i])
-        for i, j in itertools.combinations(nodes, 2)
-        if cartan[i][j] != 0
-    ]
-    if any(b == 3 for *_, b in bonds):
+    bonds = {cartan[i][j] * cartan[j][i] for i, j in itertools.combinations(nodes, 2)}
+    if 3 in bonds:
         return f"G{k}"
-    if any(b == 2 for *_, b in bonds):
+    if 2 in bonds:
         if k == 2:
             return "B2"
         norms = [gram[i][i] for i in nodes]
@@ -647,36 +651,8 @@ def _component_type(
         if nlong == 2 and k == 4 and sum(1 for x in norms if x != top) == 2:
             return "F4"
         return f"C{k}" if nlong == 1 else f"B{k}"
-    # simply laced: look at the branch node, if any
-    degree = {i: 0 for i in nodes}
-    for i, j, _ in bonds:
-        degree[i] += 1
-        degree[j] += 1
-    branch = [i for i in nodes if degree[i] == 3]
-    if not branch:
-        return f"A{k}"
-    arms = sorted(_arm_lengths(bonds, branch[0], nodes))
-    if arms[:2] == [1, 1]:
-        return f"D{k}"
-    return f"E{k}"
-
-
-def _arm_lengths(bonds: list, branch: int, nodes: Sequence[int]) -> list[int]:
-    adj: dict[int, list[int]] = {i: [] for i in nodes}
-    for i, j, _ in bonds:
-        adj[i].append(j)
-        adj[j].append(i)
-    arms = []
-    for start in adj[branch]:
-        length, prev, cur = 1, branch, start
-        while True:
-            ahead = [x for x in adj[cur] if x != prev]
-            if not ahead:
-                break
-            prev, cur = cur, ahead[0]
-            length += 1
-        arms.append(length)
-    return arms
+    # simply laced: A_k has k(k+1)/2 positive roots and D_k has k(k-1); A3 = D3
+    return {k * (k - 1): f"D{k}", k * (k + 1) // 2: f"A{k}"}.get(npos, f"E{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +709,13 @@ def by_length_class(roots: Sequence[RelativeRoot], value, what: str) -> dict:
     return {k: v.pop() for k, v in out.items()}
 
 
-def derived_table(system: RelativeRootSystem) -> dict[str, int]:
-    """Length class -> d_alpha, read off the computed relative roots."""
-    return by_length_class(system.positive_roots, lambda r: r.d_alpha, "degrees")
+def derived_table(system: RelativeRootSystem) -> dict[str, int] | list[dict[str, int]]:
+    """Length class -> d_alpha, read off the computed relative roots of each
+    component: one table when every component gives the same, otherwise a
+    list of the tables in ``system.components`` order."""
+    tables = [
+        by_length_class([r for r in system.positive_roots if r.component == c],
+                        lambda r: r.d_alpha, "degrees")
+        for c in range(len(system.components))
+    ]
+    return tables[0] if all(t == tables[0] for t in tables) else tables

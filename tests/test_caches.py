@@ -79,20 +79,31 @@ def test_returned_systems_share_nothing_mutable():
 
 def test_verify_all_work_counts(monkeypatch):
     """verify-all at GK_SEED=0 folds each of its 23 distinct (Cartan,
-    automorphism) pairs once, in 71 restrict_roots calls, and builds 95
-    rank-one factors (2,334 without the factor table)."""
-    builds = []
+    automorphism) pairs once, in 60 restrict_roots calls (71 before the
+    worked SL(3) example was built once per process), builds 62 rank-one
+    factors (2,334 without the factor table, 95 before the SL(3) example
+    was built once) and makes 1,986 normalize calls (2,802 when
+    multiplicativity_check re-normalized its products)."""
+    builds, normalized = [], []
     r_alpha = ct.r_alpha
+    normalize = roots.RelativeRootSystem.normalize
 
     def counted(*args):
         builds.append(args)
         return r_alpha(*args)
 
+    def counted_normalize(self, word):
+        normalized.append(word)
+        return normalize(self, word)
+
     monkeypatch.setattr(ct, "r_alpha", counted)
+    monkeypatch.setattr(roots.RelativeRootSystem, "normalize", counted_normalize)
     monkeypatch.setenv("GK_SEED", "0")
     roots._fold.cache_clear()
+    ct._sl3_longest_report.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--output-format", "json"]) == 0
     info = roots._fold.cache_info()
-    assert (info.misses, info.misses + info.hits) == (23, 71)
-    assert len(builds) == 95
+    assert (info.misses, info.misses + info.hits) == (23, 60)
+    assert len(builds) == 62
+    assert len(normalized) == 1986

@@ -276,3 +276,19 @@ def test_oracle_error_keeps_check_name(capsys, monkeypatch):
         ("sl3_factorization", True),
     ]
     assert checks[1]["error"] == "increase depth or tolerance"
+
+
+def test_classify_degree_table_per_component(tmp_path, capsys):
+    """Swapping two of three orthogonal A1 nodes folds to A1 x A1 with
+    d_alpha 2 on one component and 1 on the other: one table each."""
+    path = write_spec(
+        tmp_path,
+        {
+            "diagram": {"cartan": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+            "automorphism": [1, 0, 2],
+            "automorphism_order": 2,
+        },
+    )
+    code, out = run(capsys, "classify", "--input", path, "--output-format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["degree_table"] == [{"all": 2}, {"all": 1}]
