@@ -10,12 +10,15 @@ Exponents are exact: a complex scalar is a pair of rationals.  Two modes:
 
 ``pair`` and ``compose_with_coroot`` share one pairing vector, so the
 unramified-twist compatibility (twisting the character by a point on a
-ray shifts the local variable) holds by construction.
+ray shifts the local variable) holds by construction; each is one integer
+dot product per root (see :class:`ScaledVector`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -109,6 +112,28 @@ class AffineForm:
 
 
 @dataclass(frozen=True)
+class ScaledVector:
+    """A rational vector as integer numerators over one common denominator."""
+
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @staticmethod
+    def of(values) -> "ScaledVector":
+        """``values`` scaled; a ScaledVector is returned as is."""
+        if isinstance(values, ScaledVector):
+            return values
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return ScaledVector(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+    def dot(self, vec: Sequence[int], divisor: int = 1) -> Fraction:
+        """The pairing with an integer vector, divided by ``divisor``."""
+        return Fraction(sum(map(operator.mul, self.numerators, vec)),
+                        self.denominator * divisor)
+
+
+@dataclass(frozen=True)
 class UnramifiedCharacter:
     """Exponent vector over the relative character space, one coordinate per
     relative simple root."""
@@ -145,6 +170,12 @@ class UnramifiedCharacter:
     @property
     def is_trivial(self) -> bool:
         return all(z.is_zero for z in self.exponents)
+
+    @functools.cached_property
+    def scaled_exponents(self) -> tuple[ScaledVector, ScaledVector]:
+        """Real and imaginary parts of the exponents, each scaled once."""
+        return (ScaledVector.of(z.re for z in self.exponents),
+                ScaledVector.of(z.im for z in self.exponents))
 
     def twist(self, direction: Sequence[Fraction], s0: RationalComplex):
         """Multiply by the unramified character attached to s0 * direction."""
@@ -185,15 +216,6 @@ class HeckeCharacterDescriptor:
     def is_unitary(self) -> bool:
         return self.exponent.re == 0
 
-    def sort_key(self) -> tuple:
-        return (
-            self.field_label,
-            self.degree,
-            self.quad_twist,
-            self.exponent.re,
-            self.exponent.im,
-        )
-
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -201,9 +223,9 @@ class HeckeCharacterDescriptor:
 
 def pair(
     system: RelativeRootSystem,
-    direction: Sequence,
+    direction: Sequence | ScaledVector,
     alpha: RelativeRoot,
-    base: Sequence | None = None,
+    base: Sequence | ScaledVector | None = None,
 ) -> AffineForm:
     """<lambda, alpha^vee> as an affine form in the ray parameter s, for the
     ray lambda = base + s * direction.
@@ -212,15 +234,16 @@ def pair(
     d_alpha * s (SL2-type) and 4 d_alpha * s (SU21-type).
     """
     vec = system.coroot_pairing_vector(alpha)
-    if len(direction) != len(vec):
+    direction = ScaledVector.of(direction)
+    if len(direction.numerators) != len(vec):
         raise CharacterError("ray direction has wrong rank")
-    a = sum(Fraction(c) * v for c, v in zip(direction, vec)) or Fraction(0)
     b = Fraction(0)
     if base is not None:
-        if len(base) != len(vec):
+        base = ScaledVector.of(base)
+        if len(base.numerators) != len(vec):
             raise CharacterError("ray base point has wrong rank")
-        b = sum(Fraction(c) * v for c, v in zip(base, vec)) or Fraction(0)
-    return AffineForm(a, b)
+        b = base.dot(vec)
+    return AffineForm(direction.dot(vec), b)
 
 
 def compose_with_coroot(
@@ -240,10 +263,8 @@ def compose_with_coroot(
         raise CharacterError("character has wrong rank")
     vec = system.coroot_pairing_vector(alpha)
     scale = local_scale(alpha)
-    acc = RationalComplex()
-    for z, c in zip(chi.exponents, vec):
-        acc = acc + z.scale(Fraction(c))
-    exponent = acc.scale(Fraction(1, scale))
+    re, im = chi.scaled_exponents
+    exponent = RationalComplex(re.dot(vec, scale), im.dot(vec, scale))
     if alpha.rank_one_type == SU21:
         label, degree = "E_alpha", 2 * alpha.d_alpha
     else:

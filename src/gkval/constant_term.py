@@ -22,6 +22,7 @@ from typing import Sequence
 from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
+    ScaledVector,
     UnramifiedCharacter,
     compose_with_coroot,
     pair,
@@ -114,13 +115,14 @@ def _factor_table(system: RelativeRootSystem, chi: UnramifiedCharacter,
     """
     key = (chi, tuple(direction), None if base is None else tuple(base))
     if system.factor_cache is None or system.factor_cache[0] != key:
-        system.factor_cache = (key, {})
-    table = system.factor_cache[1]
+        system.factor_cache = (key, {}, ScaledVector.of(direction),
+                               None if base is None else ScaledVector.of(base))
+    _, table, scaled_direction, scaled_base = system.factor_cache
 
     def factor(alpha: RelativeRoot) -> RankOneFactor:
         found = table.get(alpha.index)
         if found is None:
-            pairing = pair(system, direction, alpha, base)
+            pairing = pair(system, scaled_direction, alpha, scaled_base)
             found = table[alpha.index] = _rank_one_factor(system, chi, alpha, pairing)
         return found
 
@@ -136,16 +138,9 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction."""
     w = system.normalize(w.word if isinstance(w, WeylElement) else w)
-    return _normal_report(system, chi, direction, w, base)
-
-
-def _normal_report(system: RelativeRootSystem, chi: UnramifiedCharacter,
-                   direction: Sequence, w: WeylElement,
-                   base: Sequence | None) -> ConstantTermReport:
-    """:func:`constant_term` for a w already in normal form."""
     factor = _factor_table(system, chi, direction, base)
     factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
-    product = MeromorphicProduct(term for f in factors for term in f.product)
+    product = MeromorphicProduct.prod(f.product for f in factors)
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
 
@@ -188,8 +183,8 @@ def pole_profile(
     if variable not in (RAY_VARIABLE, PAIRING_VARIABLE):
         raise ConstantTermError(f"unknown pole variable {variable!r}")
     if w is not None:
-        word = w.word if isinstance(w, WeylElement) else w
-        roots = system.inversion_set(system.normalize(word))
+        roots = system.inversion_set(w if isinstance(w, WeylElement)
+                                     else WeylElement(tuple(w)))
     else:
         roots = system.positive_roots
     if variable == RAY_VARIABLE:
@@ -275,23 +270,20 @@ def multiplicativity_check(
 
     Raises ConstantTermError when l(w1 w2) != l(w1) + l(w2); the cocycle
     holds in general but the factorization over inversion sets is only
-    a disjoint union in the length-additive case.
+    a disjoint union in the length-additive case.  Lengths are the sizes
+    of inversion sets, so the words need not be reduced.
     """
-    w1 = system.normalize(w1.word)
-    w2 = system.normalize(w2.word)
-    w12 = system.multiply(w1, w2)
-    if len(w12.word) != len(w1.word) + len(w2.word):
+    inv1, inv2 = system.inversion_set(w1), system.inversion_set(w2)
+    inv12 = system.inversion_set(WeylElement(tuple(w1.word) + tuple(w2.word)))
+    if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    total = _normal_report(system, chi, direction, w12, base).product
+    factor = _factor_table(system, chi, direction, base)
     # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta
     # paired against lambda
-    pairs = list(_normal_report(system, chi, direction, w2, base).product)
-    factor = _factor_table(system, chi, direction, base)
-    translated = system._images(tuple(reversed(w2.word)),
-                                [beta.index for beta in system.inversion_set(w1)])
-    for x in translated:
-        pairs.extend(factor(system.positive_roots[x]).product)
-    return total == MeromorphicProduct(pairs)
+    translated = system._images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
+    split = inv2 + tuple(system.positive_roots[x] for x in translated)
+    return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
+            == MeromorphicProduct.prod(factor(alpha).product for alpha in split))
 
 
 # ---------------------------------------------------------------------------

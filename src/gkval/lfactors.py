@@ -1,10 +1,10 @@
 """Formal products of completed Hecke L-factors and epsilon factors.
 
 A product is a multiset of atoms ``L_K(a*s + b, eta)^n`` and
-``eps_K(a*s + b, eta)^n`` in normal form (sorted, merged, zero exponents
-dropped).  Products stay symbolic; evaluation specializes an atom either
-at a finite place (an Euler factor) or at an archimedean place (Gamma
-factors).
+``eps_K(a*s + b, eta)^n`` (merged, zero exponents dropped), whose order is
+fixed by ``LFactorAtom.sort_key`` when the product is first read.  Products
+stay symbolic; evaluation specializes an atom either at a finite place (an
+Euler factor) or at an archimedean place (Gamma factors).
 
 Positive-pole bookkeeping rests on the standard analytic facts about
 completed Hecke L-functions over a number field or a function field:
@@ -23,6 +23,7 @@ unitary character are reported, on request, as conditional candidates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -66,17 +67,21 @@ class LFactorAtom:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_L, KIND_EPS):
             raise LFactorError(f"unknown atom kind {self.kind!r}")
+        # products merge atoms by hash: computed once, from integer ratios
+        eta, z = self.character, self.character.exponent
+        object.__setattr__(self, "_hash", hash((
+            self.kind, self.place_kind, eta.field_label, eta.degree, eta.quad_twist,
+            eta.mode, eta.q, self.arg.a.as_integer_ratio(), self.arg.b.as_integer_ratio(),
+            z.re.as_integer_ratio(), z.im.as_integer_ratio())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple:
-        return (
-            self.kind,
-            self.character.field_label,
-            self.character.degree,
-            self.place_kind,
-            self.character.sort_key(),
-            self.arg.a,
-            self.arg.b,
-        )
+        """A total order: atoms with equal keys are equal."""
+        eta = self.character
+        return (self.kind, eta.field_label, eta.degree, self.place_kind, eta.quad_twist,
+                eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b, eta.mode, eta.q or 0)
 
     def render(self, var: str = "s") -> str:
         name = "L" if self.kind == KIND_L else "eps"
@@ -93,7 +98,7 @@ class LFactorAtom:
 
 
 class MeromorphicProduct:
-    """Normal-form product of L/eps atoms with integer exponents."""
+    """Product of L/eps atoms: a map from atom to nonzero integer exponent."""
 
     def __init__(self, pairs: Iterable[tuple[LFactorAtom, int]] = ()) -> None:
         merged: dict[LFactorAtom, int] = {}
@@ -101,33 +106,37 @@ class MeromorphicProduct:
             if not isinstance(n, int):
                 raise LFactorError("exponents must be integers")
             merged[atom] = merged.get(atom, 0) + n
-        self._pairs: tuple[tuple[LFactorAtom, int], ...] = tuple(
-            sorted(
-                ((a, n) for a, n in merged.items() if n != 0),
-                key=lambda p: p[0].sort_key(),
-            )
-        )
+        self._terms = {a: n for a, n in merged.items() if n != 0}
+        self._sorted = None  # the terms in sort_key order, once read
+
+    @staticmethod
+    def prod(factors: Iterable["MeromorphicProduct"]) -> "MeromorphicProduct":
+        """The product of ``factors``, merged from their terms unsorted."""
+        return MeromorphicProduct(
+            itertools.chain.from_iterable(f._terms.items() for f in factors))
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
-        return iter(self._pairs)
+        if self._sorted is None:
+            self._sorted = sorted(self._terms.items(), key=lambda p: p[0].sort_key())
+        return iter(self._sorted)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MeromorphicProduct) and self._pairs == other._pairs
+        return isinstance(other, MeromorphicProduct) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(frozenset(self._terms.items()))
 
     def __mul__(self, other: "MeromorphicProduct") -> "MeromorphicProduct":
-        return MeromorphicProduct(tuple(self) + tuple(other))
+        return MeromorphicProduct.prod((self, other))
 
     def inverse(self) -> "MeromorphicProduct":
-        return MeromorphicProduct((a, -n) for a, n in self)
+        return MeromorphicProduct((a, -n) for a, n in self._terms.items())
 
     def __repr__(self) -> str:
-        if not self._pairs:
+        if not self._terms:
             return "MeromorphicProduct(1)"
         body = " * ".join(
             f"{a.render()}^{n}" if n != 1 else a.render() for a, n in self
@@ -219,32 +228,23 @@ def r_alpha(
     if rank_one_type == SL2:
         if eta.degree != d_alpha:
             raise LFactorError("character lives over the wrong field")
-        x = pairing.scale(Fraction(1, d_alpha))
-        return MeromorphicProduct(
-            [
-                (LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
-                (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
-                (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1),
-            ]
-        )
+        return MeromorphicProduct(_quotient(pairing.scale(Fraction(1, d_alpha)), eta))
     if rank_one_type == SU21:
         if eta.degree != 2 * d_alpha:
             raise LFactorError("character lives over the wrong field")
         # the restriction to K, twisted by the class character of E/K
         eta_f = replace(restrict_descriptor(eta), quad_twist=True)
-        x = pairing.scale(Fraction(1, 4 * d_alpha))
-        y = pairing.scale(Fraction(1, 2 * d_alpha))
         return MeromorphicProduct(
-            [
-                (LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
-                (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
-                (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1),
-                (LFactorAtom(KIND_L, PLACE_FINITE, y, eta_f), 1),
-                (LFactorAtom(KIND_EPS, PLACE_FINITE, y, eta_f), -1),
-                (LFactorAtom(KIND_L, PLACE_FINITE, y.shift(1), eta_f), -1),
-            ]
-        )
+            _quotient(pairing.scale(Fraction(1, 4 * d_alpha)), eta)
+            + _quotient(pairing.scale(Fraction(1, 2 * d_alpha)), eta_f))
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
+
+
+def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> list:
+    """The terms of L(x, eta) / (eps(x, eta) L(1 + x, eta))."""
+    return [(LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
+            (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
+            (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1)]
 
 
 # ---------------------------------------------------------------------------

@@ -113,21 +113,22 @@ def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
             if i != j:
                 if a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0):
                     raise RootSystemError("malformed Cartan matrix")
-    # positive definiteness of the symmetrized matrix
-    d = _symmetrizer(a)
-    g = [[d[i] * a[j][i] for j in range(n)] for i in range(n)]
-    m = [row[:] for row in g]
+    # positive definiteness of the integer Gram matrix: fraction-free (Bareiss)
+    # elimination leaves the k-th leading principal minor as the k-th pivot
+    m, _ = _integer_gram(a)
+    prev = 1
     for k in range(n):
         piv = m[k][k]
         if piv <= 0:
             raise RootSystemError("Cartan matrix is not of finite type")
         for i in range(k + 1, n):
-            f = Fraction(m[i][k], 1) / piv
-            m[i] = [mi - f * mk for mi, mk in zip(m[i], m[k])]
+            m[i] = [(x * piv - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = piv
 
 
-def _symmetrizer(a: Sequence[Sequence[int]]) -> list[Fraction]:
-    """d with d_i * a[j][i] symmetric; (alpha_i, alpha_i) = 2 d_i."""
+def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(g, scale): g[i][j] = scale * d_i a[j][i] = scale * (alpha_i, alpha_j), for
+    d_i a[j][i] symmetric with (alpha_i, alpha_i) = 2 d_i, is integral."""
     n = len(a)
     d: list[Fraction | None] = [None] * n
     for start in range(n):
@@ -142,7 +143,8 @@ def _symmetrizer(a: Sequence[Sequence[int]]) -> list[Fraction]:
                     # d_j a_ij = d_i a_ji
                     d[j] = d[i] * a[j][i] / a[i][j]
                     queue.append(j)
-    return [x if x is not None else Fraction(1) for x in d]
+    scale = math.lcm(*(x.denominator for x in d))
+    return [[int(d[i] * scale) * a[j][i] for j in range(n)] for i in range(n)], scale
 
 
 def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -353,6 +355,9 @@ class RelativeRootSystem:
 
     def _images(self, word: Sequence[int], indices) -> list[int]:
         """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
+        for j in word:
+            if not 0 <= j < self.rank:
+                raise RootSystemError(f"reflection index {j} out of range")
         out = list(indices)
         for j in reversed(word):
             t = self.reflection_tables[j]
@@ -372,14 +377,8 @@ class RelativeRootSystem:
         images = self._images(w.word, range(len(self.positive_roots)))
         return tuple(r for r, x in zip(self.positive_roots, images) if x < 0)
 
-    def length(self, w: "WeylElement") -> int:
-        return len(self.inversion_set(w))
-
     def normalize(self, word: Sequence[int]) -> "WeylElement":
         """Lexicographically least reduced word, by descent stripping."""
-        for j in word:
-            if not 0 <= j < self.rank:
-                raise RootSystemError(f"reflection index {j} out of range")
         # w^{-1} = s_word[-1] ... s_word[0] as an index map; j is a (left)
         # descent of w when w^{-1}(gamma_j) < 0
         winv = self._images(tuple(reversed(word)), self._identity)
@@ -392,9 +391,6 @@ class RelativeRootSystem:
             # w <- s_d w, so w^{-1} <- w^{-1} s_d
             winv = [winv[x] for x in self.reflection_tables[descent]]
         raise RootSystemError("internal: reduced word longer than |Phi+|")
-
-    def multiply(self, w1: "WeylElement", w2: "WeylElement") -> "WeylElement":
-        return self.normalize(tuple(w1.word) + tuple(w2.word))
 
     def longest_element(self) -> "WeylElement":
         """Walk up by (right) ascents, j with w(gamma_j) > 0, until none is left."""
@@ -409,20 +405,29 @@ class RelativeRootSystem:
         raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def weyl_enumerate(self, limit: int = 4000) -> list["WeylElement"]:
-        seen = {(): WeylElement(())}
-        frontier = [()]
+        """Every element in normal form, by length, then word: a BFS over the
+        index maps of w^{-1}, keyed by the images of the simple roots.  As in
+        :meth:`normalize`, w reads d, the least left descent, then s_d w."""
+        rank, tables = self.rank, self.reflection_tables
+        words = {self._identity[:rank]: ()}
+        frontier = [self._identity]
         while frontier:
             nxt = []
-            for wd in frontier:
-                for j in range(self.rank):
-                    w = self.normalize(wd + (j,))
-                    if w.word not in seen:
-                        seen[w.word] = w
-                        nxt.append(w.word)
-                        if len(seen) > limit:
-                            raise RootSystemError("Weyl group too large to enumerate")
+            for winv in frontier:
+                for t in tables:
+                    new = [t[x] for x in winv]  # (w s_j)^{-1} = s_j w^{-1}
+                    key = tuple(new[:rank])
+                    if key in words:
+                        continue
+                    d = next(i for i in range(rank) if new[i] < 0)
+                    # (s_d w)^{-1} = w^{-1} s_d
+                    shorter = tuple(new[x] for x in tables[d][:rank])
+                    words[key] = (d,) + words[shorter]
+                    nxt.append(new)
+                    if len(words) > limit:
+                        raise RootSystemError("Weyl group too large to enumerate")
             frontier = nxt
-        return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+        return [WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
 
 
 @dataclass(frozen=True)
@@ -473,10 +478,8 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     tables, relative Cartan and Gram matrices, components and the
     divisibility flag."""
     n = len(a)
-    d = _symmetrizer(a)
     # Gram matrices are kept scaled to integers: (u, v) = u g v / scale
-    scale_abs = math.lcm(*(x.denominator for x in d))
-    g_abs = [[int(d[i] * scale_abs) * a[j][i] for j in range(n)] for i in range(n)]
+    g_abs, scale_abs = _integer_gram(a)
 
     def form(g, u: Sequence[int], v: Sequence[int]) -> int:
         return sum(x * sum(gi * y for gi, y in zip(row, v)) for x, row in zip(u, g) if x)

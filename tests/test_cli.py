@@ -262,6 +262,20 @@ def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+     [[2, -1], [-4, 2]], [[2, -3], [-3, 2]]],
+    ids=["affine-A1", "affine-A2-cycle", "affine-A2-twisted", "hyperbolic"],
+)
+def test_cartan_not_of_finite_type_exits_with_one_line_error(tmp_path, capsys, cartan):
+    path = write_spec(tmp_path, {"diagram": {"cartan": cartan}})
+    assert main(["classify", "--input", path]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Cartan matrix is not of finite type\n"
+
+
 def test_oracle_error_keeps_check_name(capsys, monkeypatch):
     def not_converged(*args):
         raise NotConverged("increase depth or tolerance")

@@ -13,6 +13,8 @@ from gkval import (
     family_datum,
     multiplicativity_check,
     pole_profile,
+    RootSystemError,
+    WeylElement,
     restrict_roots,
     sl3_longest_factorization,
     split_datum,
@@ -194,7 +196,7 @@ def test_multiplicativity_g2_longest_split():
     w0 = system.longest_element()
     w1 = system.normalize(w0.word[:3])
     w2 = system.normalize(w0.word[3:])
-    assert system.length(system.multiply(w1, w2)) == 6
+    assert len(system.normalize(w1.word + w2.word).word) == 6
     assert multiplicativity_check(system, chi, ray, w1, w2)
 
 
@@ -205,8 +207,7 @@ def test_multiplicativity_exhaustive_rank2():
         elements = system.weyl_enumerate()
         for w1 in elements:
             for w2 in elements:
-                w12 = system.multiply(w1, w2)
-                if system.length(w12) != system.length(w1) + system.length(w2):
+                if len(system.normalize(w1.word + w2.word).word) != len(w1.word) + len(w2.word):
                     continue
                 assert multiplicativity_check(system, chi, ray, w1, w2)
 
@@ -223,9 +224,7 @@ def test_multiplicativity_random_rank4():
             cut = rng.randrange(len(w.word) + 1)
             w1 = system.normalize(w.word[:cut])
             w2 = system.normalize(w.word[cut:])
-            if system.length(system.multiply(w1, w2)) != (
-                len(w1.word) + len(w2.word)
-            ):
+            if len(system.normalize(w1.word + w2.word).word) != len(w1.word) + len(w2.word):
                 continue
             assert multiplicativity_check(system, chi, ray, w1, w2)
             checked += 1
@@ -238,6 +237,32 @@ def test_multiplicativity_rejects_non_additive_split():
     s0 = system.normalize([0])
     with pytest.raises(ConstantTermError):
         multiplicativity_check(system, chi, ray, s0, s0)
+
+
+def test_multiplicativity_reads_lengths_from_inversion_sets():
+    """Words need not be reduced: s0 s0 s1 has length 1, so it splits
+    additively off s0 s1 but not off s1 s0."""
+    system = split_system("A", 2)
+    chi, ray = trivial_setup(system)
+    w1 = WeylElement((0, 0, 1))
+    assert multiplicativity_check(system, chi, ray, w1, WeylElement((0, 1)))
+    with pytest.raises(ConstantTermError, match="lengths do not add"):
+        multiplicativity_check(system, chi, ray, w1, WeylElement((1, 0)))
+
+
+@pytest.mark.parametrize("letter", [2, -1])
+def test_weyl_inputs_reject_bad_letters(letter):
+    system = split_system("A", 2)
+    chi, ray = trivial_setup(system)
+    bad, good = WeylElement((letter,)), WeylElement((0,))
+    with pytest.raises(RootSystemError, match="out of range"):
+        multiplicativity_check(system, chi, ray, good, bad)
+    with pytest.raises(RootSystemError, match="out of range"):
+        multiplicativity_check(system, chi, ray, bad, good)
+    with pytest.raises(RootSystemError, match="out of range"):
+        pole_profile(system, chi, w=[0, letter])
+    with pytest.raises(RootSystemError, match="out of range"):
+        constant_term(system, chi, ray, [letter])
 
 
 def test_multiplicativity_nontrivial_character():

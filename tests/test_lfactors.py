@@ -213,3 +213,19 @@ def test_json_round_trip_keeps_function_field_size():
     assert evaluate_finite(back, 4, 2.0) == pytest.approx(evaluate_finite(p, 4, 2.0))
     number = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
     assert all("q" not in atom["character"] for atom in number.to_json())
+
+
+def test_atom_order_is_total_over_mode_and_q():
+    """Atoms that differ only in the constant-field size q sort apart, so a
+    product's equality and JSON do not depend on the order of its terms."""
+    a1, a2 = (
+        LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(1),
+                    HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)),
+                                             mode=FUNCTION_MODE, q=q))
+        for q in (2, 3)
+    )
+    p12 = MeromorphicProduct([(a1, 1), (a2, 1)])
+    p21 = MeromorphicProduct([(a2, 1), (a1, 1)])
+    assert p12 == p21 and hash(p12) == hash(p21)
+    assert json.dumps(p12.to_json()) == json.dumps(p21.to_json())
+    assert [atom.character.q for atom, _ in p21] == [2, 3]

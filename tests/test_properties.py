@@ -219,6 +219,25 @@ def test_product_json_round_trip_is_byte_stable(p):
 
 
 @PRODUCT_PROPERTY
+@given(st.lists(st.tuples(rank_one_factors(), st.integers(-2, 2)), max_size=4), st.data())
+def test_product_does_not_depend_on_term_order_or_grouping(parts, data):
+    """A product built from any permutation of its pairs, or merged from
+    sub-products, is equal, hashes the same and serializes to the same bytes."""
+    pairs = [(atom, k * n) for factor, k in parts for atom, n in factor]
+    shuffled = data.draw(st.permutations(pairs))
+    cuts = data.draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    p = MeromorphicProduct(pairs)
+    groups = [[] for _ in range(4)]
+    for pair, g in zip(shuffled, cuts):
+        groups[g].append(pair)
+    merged = MeromorphicProduct.prod(MeromorphicProduct(g) for g in groups)
+    blob = json.dumps(p.to_json())
+    for other in (MeromorphicProduct(shuffled), merged):
+        assert other == p and hash(other) == hash(p)
+        assert json.dumps(other.to_json()) == blob
+
+
+@PRODUCT_PROPERTY
 @given(products(), products(), products())
 def test_product_is_commutative_and_associative(p, q, r):
     assert p * q == q * p

@@ -7,6 +7,7 @@ from gkval import (
     RootSystemError,
     SL2,
     SU21,
+    WeylElement,
     cartan_matrix,
     derived_table,
     family_datum,
@@ -52,6 +53,21 @@ def test_datum_rejects_wrong_order():
     a = tuple(tuple(r) for r in cartan_matrix("A", 3))
     with pytest.raises(RootSystemError):
         GroupDatum(a, (2, 1, 0), 3, 1)
+
+
+NOT_OF_FINITE_TYPE = {
+    "affine-A1": [[2, -2], [-2, 2]],
+    "affine-A2-cycle": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "affine-A2-twisted": [[2, -1], [-4, 2]],
+    "hyperbolic": [[2, -3], [-3, 2]],
+}
+
+
+@pytest.mark.parametrize("cartan", NOT_OF_FINITE_TYPE.values(), ids=NOT_OF_FINITE_TYPE)
+def test_datum_rejects_cartan_not_of_finite_type(cartan):
+    n = len(cartan)
+    with pytest.raises(RootSystemError, match="not of finite type"):
+        GroupDatum(tuple(map(tuple, cartan)), tuple(range(n)), 1, 1)
 
 
 def test_split_a2_folding_is_identity():
@@ -197,9 +213,9 @@ def test_inversion_cocycle():
         cut = rng.randrange(len(w.word) + 1)
         w1 = system.normalize(w.word[:cut])
         w2 = system.normalize(w.word[cut:])
-        if system.length(system.multiply(w1, w2)) != len(w1.word) + len(w2.word):
+        inv12 = {r.coords for r in system.inversion_set(system.normalize(w1.word + w2.word))}
+        if len(inv12) != len(w1.word) + len(w2.word):
             continue
-        inv12 = {r.coords for r in system.inversion_set(system.multiply(w1, w2))}
         inv2 = {r.coords for r in system.inversion_set(w2)}
         moved = {
             system._apply_word(tuple(reversed(w2.word)), r.coords)
@@ -213,3 +229,12 @@ def test_normalize_rejects_bad_index():
     system = split_system("A", 2)
     with pytest.raises(RootSystemError):
         system.normalize([2])
+
+
+@pytest.mark.parametrize("letter", [2, -1])
+def test_inversion_set_rejects_bad_index(letter):
+    system = split_system("A", 2)
+    with pytest.raises(RootSystemError, match="out of range"):
+        system.normalize([0, letter])
+    with pytest.raises(RootSystemError, match="out of range"):
+        system.inversion_set(WeylElement((0, letter)))

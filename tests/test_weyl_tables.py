@@ -6,16 +6,25 @@ as the product of the degrees; they are written here, not read from the
 program.  The tables themselves must be involutions on the root indices
 that send exactly one positive root, the simple root, negative.  Finally
 ``inversion_set`` and ``_apply_word`` must agree with a reflection action
-on coordinate vectors computed here from the relative Cartan matrix alone.
+on coordinate vectors computed here from the relative Cartan matrix alone,
+and ``weyl_enumerate`` with a BFS over ``normalize``.
 """
 
 import functools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkval import WeylElement, family_datum, restrict_roots, split_datum, su_datum
+from gkval import (
+    RootSystemError,
+    WeylElement,
+    family_datum,
+    restrict_roots,
+    split_datum,
+    su_datum,
+)
 
 # family -> (least rank, Coxeter number h(n), degrees(n))
 CLOSED_FORMS = {
@@ -125,3 +134,40 @@ def test_tables_agree_with_the_vector_action(case):
     expected = [r for r in system.positive_roots
                 if all(c <= 0 for c in reflect(system.cartan, word, r.coords))]
     assert list(system.inversion_set(WeylElement(tuple(word)))) == expected
+
+
+def enumerate_by_normalize(system, limit):
+    """Reference enumeration: a BFS over words that normalizes every word
+    times every letter."""
+    seen = {(): WeylElement(())}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for word in frontier:
+            for j in range(system.rank):
+                w = system.normalize(word + (j,))
+                if w.word not in seen:
+                    seen[w.word] = w
+                    nxt.append(w.word)
+                    if len(seen) > limit:
+                        return None
+        frontier = nxt
+    return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+
+
+def test_weyl_enumerate_matches_a_bfs_over_normalize():
+    data = [split_datum(f, n) for f, n in (("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                           ("G", 2), ("F", 4))]
+    data += [su_datum(3, 3), su_datum(3, 4, 2), family_datum("3D4", 4),
+             family_datum("Spin2n-", 5)]
+    for datum in data:
+        system = fold(datum)
+        assert system.weyl_enumerate() == enumerate_by_normalize(system, 4000), datum.label
+    b3 = fold(split_datum("B", 3))
+    for limit in (0, 1, 47, 48):
+        expected = enumerate_by_normalize(b3, limit)
+        if expected is None:
+            with pytest.raises(RootSystemError, match="too large"):
+                b3.weyl_enumerate(limit)
+        else:
+            assert b3.weyl_enumerate(limit) == expected
