@@ -111,12 +111,14 @@ class AffineForm:
         return f"{coef}{var} {sign} {abs(self.b)}"
 
 
-@dataclass(frozen=True)
 class ScaledVector:
-    """A rational vector as integer numerators over one common denominator."""
+    """A rational vector as integer numerators over one common denominator.
+    A plain class: making a dataclass costs about 1 ms of import time."""
 
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: tuple[int, ...], denominator: int) -> None:
+        self.numerators, self.denominator = numerators, denominator
 
     @staticmethod
     def of(values) -> "ScaledVector":
