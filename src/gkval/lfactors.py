@@ -100,6 +100,8 @@ class LFactorAtom:
 class MeromorphicProduct:
     """Product of L/eps atoms: a map from atom to nonzero integer exponent."""
 
+    __slots__ = ("_terms", "_sorted")
+
     def __init__(self, pairs: Iterable[tuple[LFactorAtom, int]] = ()) -> None:
         merged: dict[LFactorAtom, int] = {}
         for atom, n in pairs:
@@ -117,7 +119,8 @@ class MeromorphicProduct:
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
         if self._sorted is None:
-            self._sorted = sorted(self._terms.items(), key=lambda p: p[0].sort_key())
+            self._sorted = tuple(sorted(self._terms.items(),
+                                        key=lambda p: p[0].sort_key()))
         return iter(self._sorted)
 
     def __len__(self) -> int:

@@ -420,9 +420,8 @@ class RelativeRootSystem:
                     if key in words:
                         continue
                     d = next(i for i in range(rank) if new[i] < 0)
-                    # (s_d w)^{-1} = w^{-1} s_d
-                    shorter = tuple(new[x] for x in tables[d][:rank])
-                    words[key] = (d,) + words[shorter]
+                    # s_d w is one level shorter: (s_d w)^{-1} = w^{-1} s_d
+                    words[key] = (d,) + words[tuple(new[x] for x in tables[d][:rank])]
                     nxt.append(new)
                     if len(words) > limit:
                         raise RootSystemError("Weyl group too large to enumerate")
