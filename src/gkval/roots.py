@@ -127,8 +127,8 @@ def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
 
 
 def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(g, scale): g[i][j] = scale * d_i a[j][i] = scale * (alpha_i, alpha_j), for
-    d_i a[j][i] symmetric with (alpha_i, alpha_i) = 2 d_i, is integral."""
+    """(g, scale): the Gram matrix (alpha_i, alpha_j) = d_i a[j][i], with d making
+    it symmetric and (alpha_i, alpha_i) = 2 d_i, times the least integral scale."""
     n = len(a)
     d: list[Fraction | None] = [None] * n
     for start in range(n):
@@ -407,7 +407,7 @@ class RelativeRootSystem:
     def weyl_enumerate(self, limit: int = 4000) -> list["WeylElement"]:
         """Every element in normal form, by length, then word: a BFS over the
         index maps of w^{-1}, keyed by the images of the simple roots.  As in
-        :meth:`normalize`, w reads d, the least left descent, then s_d w."""
+        :meth:`normalize`, w is written d, its least left descent, then s_d w."""
         rank, tables = self.rank, self.reflection_tables
         words = {self._identity[:rank]: ()}
         frontier = [self._identity]
