@@ -7,7 +7,9 @@ commands are ``classify``, ``constant-term``, ``poles`` and ``poles
 --variable global`` (``poles-global``), all with ``--output-format json``,
 plus ``system``: the repr of the folded system's roots, Gram matrix,
 Cartan matrix, components, principal ray and coroot pairings.  One
-more key, ``seed0:verify-all``, pins ``verify-all`` under ``GK_SEED=0``.
+more key, ``seed0:verify-all``, pins ``verify-all`` under ``GK_SEED=0``,
+and ``q=<q>:verify-local`` pins ``verify-local --depth 120`` for every prime
+power q <= 11 on one s-grid of integral and non-integral s.
 
 A refactor must replay the corpus byte for byte.  Regenerate it only for
 an output change that is intended and explained::
@@ -38,6 +40,10 @@ COMMANDS = {
     "poles": ["poles"],
     "poles-global": ["poles", "--variable", "global"],
 }
+
+LOCAL_QS = (2, 3, 4, 5, 7, 8, 9, 11)
+LOCAL_ARGV = ["verify-local", "--depth", "120", "--s-grid", "1,2,3,1/2,2/3,5/4,12/5",
+              "--output-format", "json"]
 
 README_SPEC = {
     "diagram": "A4",
@@ -130,6 +136,8 @@ def outputs(workdir: str):
             del os.environ["GK_SEED"]
         else:
             os.environ["GK_SEED"] = saved
+    for q in LOCAL_QS:
+        yield f"q={q}:verify-local", _run(LOCAL_ARGV + ["--q", str(q)])
 
 
 def digest(text: str) -> str:

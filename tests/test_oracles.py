@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,36 @@ def test_su21_inert_matches_closed_form():
 def test_su21_specific_value():
     got = gk_integral_su21_inert(LocalPlace(3, 2), 1)
     assert got == pytest.approx(28 / 27, abs=1e-10)
+
+
+def _stratum_loop(q, s, depth):
+    """The SU(2,1) shell sum as first written: one max() and one complex
+    power per stratum (k, m), summed in (k, m) order."""
+    s = complex(s)
+    total = complex(0.0)
+    for k in range(depth + 1):
+        ck = 1.0 if k == 0 else 1.0 - q ** (-2)
+        for m in range(depth + 1):
+            cm = 1.0 if m == 0 else 1.0 - 1.0 / q
+            # volume exponent 2k + m, height exponent max(0, 2m, 4k);
+            # combined in one power of q to avoid overflow at depth
+            h = max(0, 2 * m, 4 * k)
+            total += ck * cm * q ** (2 * k + m - h * (s + 1.0))
+    return total
+
+
+def test_su21_shell_is_bit_identical_to_the_stratum_loop():
+    """Integral s takes CPython's integer-power path, the rest the general
+    one; both must give the reference sum to the last bit."""
+    rationals = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+                 Fraction(2, 3), Fraction(5, 4), Fraction(12, 5)]
+    samples = [complex(s) for s in rationals] + [complex(1, 2), complex(0.75, -0.5)]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 27):
+        for depth in (1, 2, 3, 60, 120):
+            cfg = OracleConfig(depth=depth, tolerance=1e300)
+            for s in samples:
+                got = gk_integral_su21_inert(LocalPlace(q), s, cfg)
+                assert repr(got) == repr(_stratum_loop(q, s, depth)), (q, depth, s)
 
 
 def test_su21_matches_symbolic_local_factors():
