@@ -143,15 +143,27 @@ def gk_integral_su21_inert(
     if _tail_bound(q, 2.0 * s.real, cfg.depth) > cfg.tolerance:
         raise NotConverged("increase depth or tolerance")
 
+    # Stratum (k, m) contributes ck * cm * q^(2k + m - h (s + 1)): volume
+    # exponent 2k + m and height exponent h = max(0, 2m, 4k), combined in one
+    # power of q to avoid overflow at depth.  h is 4k for m <= 2k and 2m
+    # beyond, so each row splits there.  The exponents, the powers and the
+    # order of the sum are those of the plain double loop, bit for bit (see
+    # tests/test_oracles.py); an integral s keeps the integer-power path.
+    depth = cfg.depth
+    qc, s1 = complex(q), s + 1.0
+    b_shell, c_shell = 1.0 - q ** (-2), 1.0 - 1.0 / q
+    by_m = [(2 * m) * s1 for m in range(depth + 1)]
     total = complex(0.0)
-    for k in range(cfg.depth + 1):
-        ck = 1.0 if k == 0 else 1.0 - q ** (-2)
-        for m in range(cfg.depth + 1):
-            cm = 1.0 if m == 0 else 1.0 - 1.0 / q
-            # volume exponent 2k + m, height exponent max(0, 2m, 4k);
-            # combined in one power of q to avoid overflow at depth
-            h = max(0, 2 * m, 4 * k)
-            total += ck * cm * q ** (2 * k + m - h * (s + 1.0))
+    for k in range(depth + 1):
+        ck = 1.0 if k == 0 else b_shell
+        c = ck * c_shell
+        row = (4 * k) * s1
+        split = min(2 * k, depth)
+        terms = [ck * qc ** (2 * k - row)]
+        terms += [c * qc ** (2 * k + m - row) for m in range(1, split + 1)]
+        terms += [c * qc ** (2 * k + m - by_m[m]) for m in range(split + 1, depth + 1)]
+        for term in terms:
+            total += term
     return total
 
 
