@@ -525,18 +525,31 @@ def cmd_verify_all(args) -> int:
 # entry point
 
 
+# --s-grid bounds.  Near s = 0, q^-s rounds to 1 and the closed forms divide
+# by zero; past about 1e308, s has no float.  Inside [S_MIN, S_MAX] neither
+# happens, and each shell sum converges or reports that it does not.
+S_MIN, S_MAX = Fraction(1, 1000), Fraction(1000)
+
+
+def _s_value(text: str) -> Fraction:
+    try:
+        # a decimal is range-checked as a float first, so that an exponent
+        # such as 1e999999999 is never expanded into an integer
+        s = Fraction(text) if "/" in text or S_MIN <= float(text) <= S_MAX else None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad --s-grid: {exc}") from exc
+    if s is None or not S_MIN <= s <= S_MAX:
+        raise SchemaError(f"--s-grid values must lie in [{S_MIN}, {S_MAX}]")
+    return s
+
+
 def _check_args(args) -> None:
     """Parse --s-grid and reject options outside their domain."""
     if getattr(args, "res_degree", 1) < 1:
         raise SchemaError("--res-degree must be positive")
     if not hasattr(args, "s_grid"):
         return
-    try:
-        args.s_grid = [Fraction(p) for p in args.s_grid.split(",") if p.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --s-grid: {exc}") from exc
-    if any(s <= 0 for s in args.s_grid):
-        raise SchemaError("--s-grid values must be positive")
+    args.s_grid = [_s_value(p) for p in args.s_grid.split(",") if p.strip()]
     try:
         _oracle_config(args)
         for q in args.q:
@@ -545,8 +558,16 @@ def _check_args(args) -> None:
         raise SchemaError(f"bad oracle option: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line with exit code 2, like every
+    other input error; the subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_SCHEMA, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkval",
         description="Constant-term factorizations over relative root systems",
     )

@@ -49,20 +49,35 @@ SU21_R = "SU21_R"
 ARCH_CASES = (SL2_R, RES_CR, SU21_R)
 
 
+# CPython takes q^-n for integral 0 < n <= 100 by repeated squaring; from
+# q = 2^16 on, the square q^64 overflows and the shell sums turn to nan.
+MAX_FIELD_SIZE = 2**16 - 1
+# One SU(2,1) shell sum costs (depth + 1)^2 complex powers: under a second at
+# this depth.
+MAX_DEPTH = 2000
+
+
 @dataclass(frozen=True)
 class LocalPlace:
     """Finite place of the ground field with residue size residue_q; the
     rank-one group may live over an unramified extension of residue
-    degree ``extension``."""
+    degree ``extension``.  Both residue_q and q_ext are at most
+    MAX_FIELD_SIZE."""
 
     residue_q: int
     extension: int = 1
 
     def __post_init__(self) -> None:
-        if not is_prime_power(self.residue_q):
-            raise OracleError("residue cardinality must be a prime power")
+        # the size test comes first: is_prime_power divides by trial
+        if not (2 <= self.residue_q <= MAX_FIELD_SIZE and is_prime_power(self.residue_q)):
+            raise OracleError(
+                f"residue cardinality must be a prime power at most {MAX_FIELD_SIZE}")
         if self.extension < 1:
             raise OracleError("residue degree must be at least 1")
+        # residue_q >= 2, so capping the exponent at 16 keeps q^16 > 2^16 - 1
+        # and spares a huge power
+        if self.residue_q ** min(self.extension, 16) > MAX_FIELD_SIZE:
+            raise OracleError(f"field size q^extension must be at most {MAX_FIELD_SIZE}")
 
     @property
     def q_ext(self) -> int:
@@ -75,9 +90,9 @@ class OracleConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise OracleError("depth must be at least 1")
-        if self.tolerance <= 0:
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise OracleError(f"depth must be between 1 and {MAX_DEPTH}")
+        if not self.tolerance > 0:  # also rejects nan
             raise OracleError("tolerance must be positive")
 
 

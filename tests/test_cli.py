@@ -248,16 +248,29 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-local", "--s-grid", "0"]),
         (None, ["verify-local", "--depth", "0"]),
         (None, ["tables", "--res-degree", "0"]),
+        (None, ["verify-local", "--depth", "1000000"]),
+        (None, ["verify-local", "--depth", "x"]),
+        (None, ["verify-local", "--tol", "nan"]),
+        (None, ["verify-local", "--q", "65536"]),
+        (None, ["verify-local", "--q", str(10**30 + 1)]),
+        (None, ["verify-local", "--s-grid", "1e-400"]),
+        (None, ["verify-local", "--s-grid", "1e400"]),
+        (None, ["verify-local", "--s-grid", "1/1001"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "function-field-q", "function-field-q-not-prime-power",
          "weyl-word-string", "q", "q-not-prime-power", "s-grid", "depth",
-         "tables-res-degree"],
+         "tables-res-degree", "depth-over-cap", "depth-not-int", "tol-nan",
+         "q-over-cap", "q-huge", "s-grid-tiny", "s-grid-huge", "s-grid-below-range"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     if spec is not None:
         argv = ["classify", "--input", write_spec(tmp_path, spec)]
-    assert main(argv) == EXIT_SCHEMA
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
