@@ -139,21 +139,28 @@ def load_spec(path: str) -> dict:
     if not isinstance(raw, dict) or "diagram" not in raw:
         raise SchemaError("spec file must be an object with a 'diagram' key")
     try:
-        return _build_spec(raw)
+        datum = _parse_datum(raw)
+    except RootSystemError as exc:
+        raise SchemaError(str(exc)) from exc
+    # outside the try: a validated datum always folds, so a RootSystemError
+    # from the fold is an invariant breach (exit 3), not bad input
+    system = restrict_roots(datum)
+    try:
+        return _build_spec(raw, datum, system)
     except (RootSystemError, CharacterError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def _build_spec(raw: dict) -> dict:
+def _parse_datum(raw: dict) -> GroupDatum:
     cartan = _parse_diagram(raw["diagram"])
     n = len(cartan)
     perm = tuple(_int_list(raw.get("automorphism", list(range(n))), "automorphism"))
     order = _int(raw.get("automorphism_order", 1), "automorphism_order")
     dprime = _int(raw.get("res_degree", 1), "res_degree")
-    label = str(raw.get("label", ""))
-    datum = GroupDatum(cartan, perm, order, dprime, label)
-    system = restrict_roots(datum)
+    return GroupDatum(cartan, perm, order, dprime, str(raw.get("label", "")))
 
+
+def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
     mode_raw = raw.get("mode", "number")
     if mode_raw == "number":
         mode, q = NUMBER_MODE, None

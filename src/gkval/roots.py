@@ -148,8 +148,14 @@ def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All roots as integer vectors in the simple-root basis."""
+    """All roots as integer vectors in the simple-root basis.
+
+    A finite-type diagram on at most MAX_NODES nodes has at most
+    2 MAX_NODES^2 roots (B12, C12 and E8 + F4 have exactly that many); more
+    means the diagram is not of finite type, whose root set never ends.
+    """
     n = len(a)
+    most = 2 * MAX_NODES ** 2
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen = set(simple)
     frontier = list(simple)
@@ -164,6 +170,9 @@ def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                 if tw not in seen:
                     seen.add(tw)
                     nxt.append(tw)
+        if len(seen) > most:
+            raise RootSystemError(f"more than {most} roots: the diagram is not "
+                                  "of finite type")
         frontier = nxt
     return sorted(seen)
 

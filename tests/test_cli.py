@@ -1,9 +1,12 @@
+import importlib
 import json
 
 import pytest
 
 from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement, cli
-from gkval.cli import EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
+from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
+
+roots = importlib.import_module("gkval.roots")
 
 
 def write_spec(tmp_path, payload, name="group.json"):
@@ -287,6 +290,18 @@ def test_cartan_not_of_finite_type_exits_with_one_line_error(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Cartan matrix is not of finite type\n"
+
+
+def test_runaway_root_generation_is_an_invariant_breach(tmp_path, capsys, monkeypatch):
+    """Were a Cartan matrix not of finite type to pass validation, its roots
+    would never end; the bound on their number turns that into exit 3."""
+    monkeypatch.setattr(roots, "_validate_cartan", lambda cartan: None)
+    path = write_spec(tmp_path, {"diagram": {"cartan": [[2, -2], [-2, 2]]}})
+    assert main(["classify", "--input", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal invariant breach: more than 288 roots: "
+                            "the diagram is not of finite type\n")
 
 
 def test_oracle_error_keeps_check_name(capsys, monkeypatch):
