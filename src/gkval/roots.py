@@ -326,6 +326,8 @@ class RelativeRootSystem:
         # (key, table) of the rank-one factors last assembled on this system;
         # kept by constant_term, which replaces it when the key changes
         self.factor_cache: tuple | None = None
+        # the last normal form returned, a fixed point of normalize
+        self._last_normal = WeylElement(())
 
     # -- basic queries ----------------------------------------------------
 
@@ -388,14 +390,18 @@ class RelativeRootSystem:
 
     def normalize(self, word: Sequence[int]) -> "WeylElement":
         """Lexicographically least reduced word, by descent stripping."""
+        word, last = tuple(word), self._last_normal
+        if word == last.word:  # e.g. the w0 that longest_element just returned
+            return last
         # w^{-1} = s_word[-1] ... s_word[0] as an index map; j is a (left)
         # descent of w when w^{-1}(gamma_j) < 0
-        winv = self._images(tuple(reversed(word)), self._identity)
+        winv = self._images(word[::-1], self._identity)
         result: list[int] = []
         for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
             descent = next((j for j in range(self.rank) if winv[j] < 0), None)
             if descent is None:
-                return WeylElement(tuple(result))
+                self._last_normal = WeylElement(tuple(result))
+                return self._last_normal
             result.append(descent)
             # w <- s_d w, so w^{-1} <- w^{-1} s_d
             winv = [winv[x] for x in self.reflection_tables[descent]]

@@ -225,6 +225,25 @@ def test_inversion_cocycle():
         assert inv12 == inv2 | moved
 
 
+def test_normalize_is_idempotent():
+    """Every normal form is a fixed point of normalize, and a word one letter
+    longer normalizes to the element with its inversion set, whichever
+    normal form normalize returned last."""
+    for fam, rank in (("B", 3), ("G", 2)):
+        system = split_system(fam, rank)
+        elements = system.weyl_enumerate()  # built without normalize
+        by_inversions = {frozenset(system.inversion_set(w)): w for w in elements}
+        for w in elements:
+            assert system.normalize(w.word) == w
+            assert system.normalize(list(w.word)) == w
+            for j in range(rank):
+                word = w.word + (j,)
+                u = system.normalize(word)
+                inversions = frozenset(system.inversion_set(WeylElement(word)))
+                assert u == by_inversions[inversions]
+                assert system.normalize(u.word) == u
+
+
 def test_normalize_rejects_bad_index():
     system = split_system("A", 2)
     with pytest.raises(RootSystemError):
