@@ -74,8 +74,7 @@ class LocalPlace:
                 f"residue cardinality must be a prime power at most {MAX_FIELD_SIZE}")
         if self.extension < 1:
             raise OracleError("residue degree must be at least 1")
-        # residue_q >= 2, so capping the exponent at 16 keeps q^16 > 2^16 - 1
-        # and spares a huge power
+        # with q >= 2, q^16 is over the cap already; min() spares a huge power
         if self.residue_q ** min(self.extension, 16) > MAX_FIELD_SIZE:
             raise OracleError(f"field size q^extension must be at most {MAX_FIELD_SIZE}")
 
@@ -158,12 +157,12 @@ def gk_integral_su21_inert(
     if _tail_bound(q, 2.0 * s.real, cfg.depth) > cfg.tolerance:
         raise NotConverged("increase depth or tolerance")
 
-    # Stratum (k, m) contributes ck * cm * q^(2k + m - h (s + 1)): volume
-    # exponent 2k + m and height exponent h = max(0, 2m, 4k), combined in one
-    # power of q to avoid overflow at depth.  h is 4k for m <= 2k and 2m
-    # beyond, so each row splits there.  The exponents, the powers and the
-    # order of the sum are those of the plain double loop, bit for bit (see
-    # tests/test_oracles.py); an integral s keeps the integer-power path.
+    # Stratum (k, m) adds ck * cm * q^(2k + m - h (s + 1)), volume and height
+    # in one power of q to avoid overflow at depth.  The height exponent
+    # h = max(0, 2m, 4k) is 4k for m <= 2k and 2m beyond, so each row splits
+    # there.  Exponents, powers and partial sums are bit for bit those of the
+    # plain double loop in tests/test_oracles.py; integral s keeps CPython's
+    # integer-power path.
     depth = cfg.depth
     qc, s1 = complex(q), s + 1.0
     b_shell, c_shell = 1.0 - q ** (-2), 1.0 - 1.0 / q
