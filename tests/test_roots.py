@@ -225,7 +225,7 @@ def test_inversion_cocycle():
         assert inv12 == inv2 | moved
 
 
-def test_normalize_is_idempotent():
+def test_normalize_is_idempotent_over_the_whole_group():
     """Every normal form is a fixed point of normalize, and a word one letter
     longer normalizes to the element with its inversion set, whichever
     normal form normalize returned last."""
