@@ -2,8 +2,8 @@
 
 Each key of ``tests/golden/digests.json`` is ``case:command``.  The cases
 are the 45 folded table cases of ``verify-all``, the split diagrams A-D up
-to rank 12 with E6-E8, F4 and G2, and the README's group spec.  The
-commands are ``classify``, ``constant-term``, ``poles`` and ``poles
+to rank 12 with E6-E8, F4 and G2, and the README's group spec, once as
+written and once over a function field.  The commands are ``classify``, ``constant-term``, ``poles`` and ``poles
 --variable global`` (``poles-global``), all with ``--output-format json``,
 plus ``system``: the repr of the folded system's roots, Gram matrix,
 Cartan matrix, components, principal ray and coroot pairings.  One
@@ -57,6 +57,15 @@ README_SPEC = {
     "mode": "number",
 }
 
+# the README spec over a function field: the imaginary parts are reduced
+# modulo the triviality lattice, and every atom's JSON records q
+README_FUNCTION_SPEC = {
+    **README_SPEC,
+    "label": "2A4-function",
+    "chi_exponent": [["1/2", "3/4"], ["0", "5/3"]],
+    "mode": {"function": 9},
+}
+
 
 def _datum_spec(datum) -> dict:
     return {
@@ -89,6 +98,7 @@ def cases() -> list[tuple[str, dict]]:
         out.append((f"split-{family}{rank}",
                     _datum_spec(split_datum(family, rank))))
     out.append(("readme", README_SPEC))
+    out.append(("readme-function", README_FUNCTION_SPEC))
     return out
 
 
