@@ -39,9 +39,17 @@ NUMBER_MODE = "number"
 FUNCTION_MODE = "function"
 
 
-def is_prime_power(q) -> bool:
-    """Whether q is an integer p^k, p prime and k >= 1: a finite field's size."""
-    if not isinstance(q, int) or q < 2:
+# One bound for every field size: a spec's constant field and an oracle's
+# residue field.  CPython takes q^-n for integral 0 < n <= 100 by repeated
+# squaring; from q = 2^16 on, the square q^64 overflows and the oracles'
+# shell sums turn to nan.
+MAX_FIELD_SIZE = 2**16 - 1
+
+
+def is_field_size(q) -> bool:
+    """Whether q is an integer p^k <= MAX_FIELD_SIZE, p prime and k >= 1."""
+    # the size test comes first: the prime test divides by trial
+    if not isinstance(q, int) or not 2 <= q <= MAX_FIELD_SIZE:
         return False
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     while q % p == 0:
@@ -150,8 +158,9 @@ class UnramifiedCharacter:
         if self.mode == NUMBER_MODE and self.q is not None:
             raise CharacterError("number mode takes no constant-field size q")
         if self.mode == FUNCTION_MODE:
-            if not is_prime_power(self.q):
-                raise CharacterError("function-field mode needs a prime power q >= 2")
+            if not is_field_size(self.q):
+                raise CharacterError(
+                    f"function-field mode needs a prime power q at most {MAX_FIELD_SIZE}")
             canon = tuple(
                 RationalComplex(z.re, z.im % 1) for z in self.exponents
             )
@@ -193,19 +202,19 @@ class UnramifiedCharacter:
 class HeckeCharacterDescriptor:
     """An unramified idele-class character of a field of given degree over
     the ground field, with an optional quadratic twist by the character of
-    a relative quadratic extension."""
+    a relative quadratic extension.  The field is a function field with
+    constant field of size q when q is set, a number field otherwise."""
 
     field_label: str
     degree: int
     exponent: RationalComplex
     quad_twist: bool = False
-    mode: str = NUMBER_MODE
     q: int | None = None
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise CharacterError("field degree must be positive")
-        if self.mode == FUNCTION_MODE:
+        if self.q is not None:
             lattice = Fraction(1, self.degree)
             canon = RationalComplex(self.exponent.re, self.exponent.im % lattice)
             object.__setattr__(self, "exponent", canon)
@@ -276,7 +285,6 @@ def compose_with_coroot(
         degree=degree,
         exponent=exponent,
         quad_twist=False,
-        mode=chi.mode,
         q=chi.q,
     )
 
@@ -297,6 +305,5 @@ def restrict_descriptor(eta: HeckeCharacterDescriptor) -> HeckeCharacterDescript
         degree=eta.degree // 2,
         exponent=eta.exponent.scale(Fraction(2)),
         quad_twist=False,
-        mode=eta.mode,
         q=eta.q,
     )

@@ -89,9 +89,18 @@ def _list(value, what: str) -> list:
     return value
 
 
+# Spec integers, and the numerators and denominators of spec and --s-grid
+# rationals, have at most MAX_DIGITS digits: then every pairing, degree and
+# local argument prints within CPython's 4,300-digit limit on int-to-str
+# conversion.
+MAX_DIGITS = 100
+
+
 def _int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
+    if abs(value) >= 10**MAX_DIGITS:
+        raise SchemaError(f"{what} has more than {MAX_DIGITS} digits")
     return value
 
 
@@ -99,11 +108,21 @@ def _int_list(value, what: str) -> list[int]:
     return [_int(x, f"{what} entry") for x in _list(value, what)]
 
 
-def _rational(value) -> Fraction:
+def _rational(value, what: str) -> Fraction:
+    """An integer, a fraction p/q or a decimal with an optional exponent.
+    The exponent is bounded before Fraction expands it: for "1e99999999"
+    it would build an integer of 10^8 digits."""
+    text = str(value)
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(str(value))
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError("exponent out of range")
+        r = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"bad rational {value!r}") from None
+        raise SchemaError(f"bad {what} {value!r}") from None
+    if max(abs(r.numerator), r.denominator) >= 10**MAX_DIGITS:
+        raise SchemaError(f"{what} {value!r} has more than {MAX_DIGITS} digits")
+    return r
 
 
 def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
@@ -111,7 +130,9 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
         if len(spec) < 2 or not spec[0].isalpha():
             raise SchemaError(f"bad diagram string {spec!r}")
         family, rank = spec[0].upper(), spec[1:]
-        if not rank.isdigit():
+        # isdecimal refuses the superscripts that isdigit takes and int()
+        # does not; a rank of four digits is over MAX_NODES already
+        if not rank.isdecimal() or len(rank) > 3:
             raise SchemaError(f"bad diagram string {spec!r}")
         return tuple(tuple(r) for r in cartan_matrix(family, int(rank)))
     if isinstance(spec, dict) and "cartan" in spec:
@@ -123,10 +144,11 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
 
 
 def _parse_rational_pair(entry) -> RationalComplex:
+    what = "chi_exponent entry"
     if isinstance(entry, (int, str)):
-        return RationalComplex(_rational(entry), Fraction(0))
+        return RationalComplex(_rational(entry, what), Fraction(0))
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return RationalComplex(_rational(entry[0]), _rational(entry[1]))
+        return RationalComplex(_rational(entry[0], what), _rational(entry[1], what))
     raise SchemaError(f"bad rational pair {entry!r}")
 
 
@@ -134,7 +156,9 @@ def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or an integer of over 4,300 digits;
+    # RecursionError: nesting deeper than the parser's stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read spec file: {exc}") from exc
     if not isinstance(raw, dict) or "diagram" not in raw:
         raise SchemaError("spec file must be an object with a 'diagram' key")
@@ -184,7 +208,7 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
     else:
         if len(_list(direction_raw, "lambda_direction")) != system.rank:
             raise SchemaError("lambda_direction has wrong rank")
-        direction = tuple(_rational(e) for e in direction_raw)
+        direction = tuple(_rational(e, "lambda_direction entry") for e in direction_raw)
 
     word_raw = raw.get("weyl_word")
     if word_raw is None:
@@ -327,10 +351,6 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(depth=args.depth, tolerance=args.tol)
-
-
 def _check(name: str, inputs: dict, observed: complex, expected: complex,
            tol: float) -> dict:
     err = abs(observed - expected)
@@ -344,10 +364,10 @@ def _check(name: str, inputs: dict, observed: complex, expected: complex,
     }
 
 
-def _local_checks(qs, s_grid, cfg: OracleConfig) -> list[dict]:
+def _local_checks(places, s_grid, cfg: OracleConfig) -> list[dict]:
     checks = []
-    for q in qs:
-        place = LocalPlace(q)
+    for place in places:
+        q = place.residue_q
         for s in s_grid:
             sc = complex(s)
             # name, oracle, closed form, tolerance
@@ -488,26 +508,22 @@ def _weyl_checks(seed: int) -> list[dict]:
 
 
 def _finish_verify(checks: list[dict], fmt: str) -> int:
-    failed = [c for c in checks if not c["pass"]]
-    payload = {
-        "checks": checks,
-        "total": len(checks),
-        "failed": len(failed),
-        "pass": not failed,
-    }
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-    else:
-        for c in checks:
+    failed = sum(not c["pass"] for c in checks)
+    payload = {"checks": checks, "total": len(checks), "failed": failed,
+               "pass": not failed}
+
+    def render(p):
+        for c in p["checks"]:
             mark = "ok" if c["pass"] else "FAIL"
             print(f"[{mark}] {c['name']} {c.get('inputs', {})}")
-        print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+        print(f"{p['total'] - p['failed']}/{p['total']} checks passed")
+
+    _emit(payload, fmt, render)
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
 def cmd_verify_local(args) -> int:
-    cfg = _oracle_config(args)
-    return _finish_verify(_local_checks(args.q, args.s_grid, cfg),
+    return _finish_verify(_local_checks(args.places, args.s_grid, args.cfg),
                           args.output_format)
 
 
@@ -516,10 +532,9 @@ def cmd_verify_arch(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = _oracle_config(args)
     seed = int(os.environ.get("GK_SEED", "0"))
     checks = (
-        _local_checks(args.q, args.s_grid, cfg)
+        _local_checks(args.places, args.s_grid, args.cfg)
         + _arch_checks()
         + _table_checks()
         + _ratio_checks()
@@ -539,28 +554,23 @@ S_MIN, S_MAX = Fraction(1, 1000), Fraction(1000)
 
 
 def _s_value(text: str) -> Fraction:
-    try:
-        # a decimal is range-checked as a float first, so that an exponent
-        # such as 1e999999999 is never expanded into an integer
-        s = Fraction(text) if "/" in text or S_MIN <= float(text) <= S_MAX else None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --s-grid: {exc}") from exc
-    if s is None or not S_MIN <= s <= S_MAX:
+    s = _rational(text, "--s-grid value")
+    if not S_MIN <= s <= S_MAX:
         raise SchemaError(f"--s-grid values must lie in [{S_MIN}, {S_MAX}]")
     return s
 
 
 def _check_args(args) -> None:
-    """Parse --s-grid and reject options outside their domain."""
+    """Parse --s-grid, and build the oracle configuration and places once,
+    rejecting options outside their domain."""
     if getattr(args, "res_degree", 1) < 1:
         raise SchemaError("--res-degree must be positive")
     if not hasattr(args, "s_grid"):
         return
     args.s_grid = [_s_value(p) for p in args.s_grid.split(",") if p.strip()]
     try:
-        _oracle_config(args)
-        for q in args.q:
-            LocalPlace(q)
+        args.cfg = OracleConfig(depth=args.depth, tolerance=args.tol)
+        args.places = [LocalPlace(q) for q in args.q]
     except OracleError as exc:
         raise SchemaError(f"bad oracle option: {exc}") from exc
 
@@ -618,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-arch", help="archimedean oracles")
     common(p, False)
-    oracle_opts(p)
     p.set_defaults(func=cmd_verify_arch)
 
     p = sub.add_parser("verify-all", help="every verification suite")

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .characters import (
     AffineForm,
-    HeckeCharacterDescriptor,
     ScaledVector,
     UnramifiedCharacter,
     compose_with_coroot,
@@ -59,7 +58,6 @@ class RankOneFactor:
     root: RelativeRoot
     pairing: AffineForm        # <lambda, alpha^vee> in the ray parameter
     local_argument: AffineForm  # pairing / local scale of the rank-one group
-    character: HeckeCharacterDescriptor
     product: MeromorphicProduct
 
     def to_json(self) -> dict:
@@ -99,7 +97,6 @@ def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
         root=alpha,
         pairing=pairing,
         local_argument=pairing.scale(Fraction(1, local_scale(alpha))),
-        character=eta,
         product=r_alpha(pairing, alpha.d_alpha, alpha.rank_one_type, eta),
     )
 

@@ -29,8 +29,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .characters import (
-    FUNCTION_MODE,
-    NUMBER_MODE,
     AffineForm,
     HeckeCharacterDescriptor,
     RationalComplex,
@@ -71,7 +69,7 @@ class LFactorAtom:
         eta, z = self.character, self.character.exponent
         object.__setattr__(self, "_hash", hash((
             self.kind, self.place_kind, eta.field_label, eta.degree, eta.quad_twist,
-            eta.mode, eta.q, self.arg.a.as_integer_ratio(), self.arg.b.as_integer_ratio(),
+            eta.q, self.arg.a.as_integer_ratio(), self.arg.b.as_integer_ratio(),
             z.re.as_integer_ratio(), z.im.as_integer_ratio())))
 
     def __hash__(self) -> int:
@@ -80,8 +78,10 @@ class LFactorAtom:
     def sort_key(self) -> tuple:
         """A total order: atoms with equal keys are equal."""
         eta = self.character
+        # function-field atoms (q set) sort before number-field ones
         return (self.kind, eta.field_label, eta.degree, self.place_kind, eta.quad_twist,
-                eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b, eta.mode, eta.q or 0)
+                eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b,
+                eta.q is None, eta.q or 0)
 
     def render(self, var: str = "s") -> str:
         name = "L" if self.kind == KIND_L else "eps"
@@ -150,7 +150,7 @@ class MeromorphicProduct:
 
     def to_json(self) -> list[dict]:
         """One object per atom; a function-field character also records the
-        constant-field size ``q``, which ``from_json`` reads as its mode."""
+        constant-field size ``q``."""
         out = []
         for atom, n in self:
             eta = atom.character
@@ -158,7 +158,7 @@ class MeromorphicProduct:
                 "exponent": [str(eta.exponent.re), str(eta.exponent.im)],
                 "twist": eta.quad_twist,
             }
-            if eta.mode == FUNCTION_MODE:
+            if eta.q is not None:
                 character["q"] = eta.q
             out.append(
                 {
@@ -180,7 +180,6 @@ class MeromorphicProduct:
     def from_json(data: list[dict]) -> "MeromorphicProduct":
         pairs = []
         for entry in data:
-            q = entry["character"].get("q")
             atom = LFactorAtom(
                 kind=entry["kind"],
                 place_kind=entry["field"]["place_kind"],
@@ -193,8 +192,7 @@ class MeromorphicProduct:
                         Fraction(entry["character"]["exponent"][1]),
                     ),
                     quad_twist=bool(entry["character"]["twist"]),
-                    mode=NUMBER_MODE if q is None else FUNCTION_MODE,
-                    q=q,
+                    q=entry["character"].get("q"),
                 ),
             )
             pairs.append((atom, int(entry["exponent"])))
@@ -259,7 +257,6 @@ class PoleEntry:
     location: Fraction
     order: int
     conditional: bool
-    atom: LFactorAtom
 
 
 @dataclass(frozen=True)
@@ -292,21 +289,15 @@ def poles_positive(
         if loc <= 0:
             continue
         if atom.character.is_trivial:
-            entries.append(PoleEntry(loc, n, False, atom))
+            entries.append(PoleEntry(loc, n, False))
         elif include_conditional and atom.character.is_unitary:
-            entries.append(PoleEntry(loc, n, True, atom))
+            entries.append(PoleEntry(loc, n, True))
     entries.sort(key=lambda e: (e.location, e.conditional))
     return PoleProfile(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _character_value_exponent(atom: LFactorAtom) -> complex:
-    z = atom.character.exponent
-    q = atom.character.q if atom.character.mode == FUNCTION_MODE else None
-    return z.numeric(q)
 
 
 def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
@@ -317,7 +308,7 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
         return 1.0  # unramified epsilon factors are 1
     q_k = q ** atom.character.degree
     c = -1.0 if atom.character.quad_twist else 1.0
-    x = atom.arg(s) + _character_value_exponent(atom)
+    x = atom.arg(s) + atom.character.exponent.numeric(atom.character.q)
     denom = 1.0 - c * q_k ** (-x)
     if abs(denom) < 1e-14:
         raise PoleAtEvaluation(f"Euler factor pole at s={s}")
@@ -335,7 +326,7 @@ def arch_value(atom: LFactorAtom, s: complex) -> complex:
         return 1.0
     import mpmath  # loaded on first use: only archimedean checks need it
 
-    x = atom.arg(s) + _character_value_exponent(atom)
+    x = atom.arg(s) + atom.character.exponent.numeric(atom.character.q)
     if atom.place_kind == PLACE_COMPLEX:
         g = checked_gamma(x)
         return 2.0 * mpmath.power(2 * mpmath.pi, -x) * g

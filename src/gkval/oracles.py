@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
+    MAX_FIELD_SIZE,
     RationalComplex,
-    is_prime_power,
+    is_field_size,
 )
 from .lfactors import (
     KIND_L,
@@ -49,9 +50,6 @@ SU21_R = "SU21_R"
 ARCH_CASES = (SL2_R, RES_CR, SU21_R)
 
 
-# CPython takes q^-n for integral 0 < n <= 100 by repeated squaring; from
-# q = 2^16 on, the square q^64 overflows and the shell sums turn to nan.
-MAX_FIELD_SIZE = 2**16 - 1
 # One SU(2,1) shell sum costs (depth + 1)^2 complex powers: under a second at
 # this depth.
 MAX_DEPTH = 2000
@@ -59,28 +57,14 @@ MAX_DEPTH = 2000
 
 @dataclass(frozen=True)
 class LocalPlace:
-    """Finite place of the ground field with residue size residue_q; the
-    rank-one group may live over an unramified extension of residue
-    degree ``extension``.  Both residue_q and q_ext are at most
-    MAX_FIELD_SIZE."""
+    """Finite place with residue size residue_q, at most MAX_FIELD_SIZE."""
 
     residue_q: int
-    extension: int = 1
 
     def __post_init__(self) -> None:
-        # the size test comes first: is_prime_power divides by trial
-        if not (2 <= self.residue_q <= MAX_FIELD_SIZE and is_prime_power(self.residue_q)):
+        if not is_field_size(self.residue_q):
             raise OracleError(
                 f"residue cardinality must be a prime power at most {MAX_FIELD_SIZE}")
-        if self.extension < 1:
-            raise OracleError("residue degree must be at least 1")
-        # with q >= 2, q^16 is over the cap already; min() spares a huge power
-        if self.residue_q ** min(self.extension, 16) > MAX_FIELD_SIZE:
-            raise OracleError(f"field size q^extension must be at most {MAX_FIELD_SIZE}")
-
-    @property
-    def q_ext(self) -> int:
-        return self.residue_q ** self.extension
 
 
 @dataclass(frozen=True)
@@ -110,7 +94,7 @@ def gk_integral_sl2(
     place: LocalPlace, s: complex, cfg: OracleConfig = DEFAULT_CONFIG
 ) -> complex:
     """Rank-one intertwining integral on the spherical vector, over the
-    field with residue size place.q_ext, by valuation shells:
+    field with residue size place.residue_q, by valuation shells:
 
         1 + (1 - 1/q_K) * sum_{k>=1} q_K^{-k s}.
 
@@ -119,7 +103,7 @@ def gk_integral_sl2(
     s = complex(s)
     if s.real <= 0:
         raise DivergentIntegral("shell series needs Re(s) > 0")
-    q_k = place.q_ext
+    q_k = place.residue_q
     if _tail_bound(q_k, s.real, cfg.depth) > cfg.tolerance:
         raise NotConverged("increase depth or tolerance")
     total = complex(1.0)
@@ -301,7 +285,7 @@ def s_independence_check(
     for s in samples:
         if case == "SL2":
             values.append(
-                gk_integral_sl2(place, s, cfg) / sl2_closed_form(place.q_ext, complex(s))
+                gk_integral_sl2(place, s, cfg) / sl2_closed_form(place.residue_q, complex(s))
             )
         elif case == "SU21":
             values.append(

@@ -63,7 +63,7 @@ def test_criterion_2_su21_inert_equivalence():
     start = time.monotonic()
     ok = True
     for q in (3, 5):
-        place = LocalPlace(q, extension=2)
+        place = LocalPlace(q)
         for s in (1, 2):
             got = gk_integral_su21_inert(place, s)
             if abs(got - su21_inert_closed_form(q, s)) >= 1e-9:

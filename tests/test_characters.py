@@ -57,7 +57,7 @@ def test_field_sizes_must_be_prime_powers():
     for q in (4, 8, 9, 11):
         assert UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=q).q == q
         assert LocalPlace(q).residue_q == q
-    for q in (6, 12):
+    for q in (6, 12, 2**16, 2**61 - 1):  # 2^61 - 1: a prime past trial division
         with pytest.raises(CharacterError):
             UnramifiedCharacter((rc(0),), FUNCTION_MODE, q=q)
         with pytest.raises(OracleError):
@@ -163,10 +163,8 @@ def test_restrict_descriptor_rejects_odd_degree():
 
 def test_descriptor_function_field_lattice():
     # triviality lattice for a degree-2 constant-field extension is (1/2)Z
-    a = HeckeCharacterDescriptor("E_alpha", 2, rc(0, Fraction(1, 4)),
-                                 mode=FUNCTION_MODE, q=3)
-    b = HeckeCharacterDescriptor("E_alpha", 2, rc(0, Fraction(1, 2)),
-                                 mode=FUNCTION_MODE, q=3)
+    a = HeckeCharacterDescriptor("E_alpha", 2, rc(0, Fraction(1, 4)), q=3)
+    b = HeckeCharacterDescriptor("E_alpha", 2, rc(0, Fraction(1, 2)), q=3)
     assert b.exponent.is_zero
     assert a.exponent.im == Fraction(1, 4)
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 
 import pytest
 
@@ -10,8 +11,9 @@ roots = importlib.import_module("gkval.roots")
 
 
 def write_spec(tmp_path, payload, name="group.json"):
+    """``payload`` is written as JSON, or as is when it is a string."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -246,6 +248,14 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A1", "mode": {"function": 1}}, None),
         ({"diagram": "A1", "mode": {"function": 6}}, None),
         ({"diagram": "A2", "weyl_word": "01"}, None),
+        ({"diagram": "A1", "mode": {"function": 2**61 - 1}}, None),
+        ({"diagram": "A²"}, None),
+        ({"diagram": "A" + "9" * 5000}, None),
+        ('{"diagram": "A1", "res_degree": %s}' % ("9" * 5000), None),
+        ({"diagram": "A1", "chi_exponent": ["1e5000"]}, ["constant-term"]),
+        ({"diagram": "A2", "lambda_direction": ["1e5000", "1"]}, ["constant-term"]),
+        ({"diagram": "A1", "chi_exponent": ["1e99999999"]}, ["constant-term"]),
+        ({"diagram": "A2", "lambda_direction": ["1e-99999999", "1"]}, ["constant-term"]),
         (None, ["verify-local", "--q", "1"]),
         (None, ["verify-local", "--q", "6", "--s-grid", "1"]),
         (None, ["verify-local", "--s-grid", "0"]),
@@ -259,20 +269,31 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-local", "--s-grid", "1e-400"]),
         (None, ["verify-local", "--s-grid", "1e400"]),
         (None, ["verify-local", "--s-grid", "1/1001"]),
+        (None, ["verify-arch", "--depth", "7"]),
+        (None, ["verify-arch", "--tol", "1e-8"]),
+        (None, ["verify-arch", "--q", "5"]),
+        (None, ["verify-arch", "--s-grid", "2"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "function-field-q", "function-field-q-not-prime-power",
-         "weyl-word-string", "q", "q-not-prime-power", "s-grid", "depth",
+         "weyl-word-string", "function-field-q-huge", "diagram-superscript-rank",
+         "diagram-huge-rank", "json-integer-over-4300-digits", "chi-exponent-form-huge",
+         "direction-exponent-form-huge", "chi-exponent-form-hangs",
+         "direction-exponent-form-hangs", "q", "q-not-prime-power", "s-grid", "depth",
          "tables-res-degree", "depth-over-cap", "depth-not-int", "tol-nan",
-         "q-over-cap", "q-huge", "s-grid-tiny", "s-grid-huge", "s-grid-below-range"],
+         "q-over-cap", "q-huge", "s-grid-tiny", "s-grid-huge", "s-grid-below-range",
+         "verify-arch-depth", "verify-arch-tol", "verify-arch-q", "verify-arch-s-grid"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
+    """A spec runs under ``classify``, or under the command ``argv`` names."""
     if spec is not None:
-        argv = ["classify", "--input", write_spec(tmp_path, spec)]
+        argv = (argv or ["classify"]) + ["--input", write_spec(tmp_path, spec)]
+    start = time.monotonic()
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
+    assert time.monotonic() - start < 1.0
     assert code == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

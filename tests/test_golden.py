@@ -3,12 +3,13 @@
 Each key of ``tests/golden/digests.json`` is ``case:command``.  The cases
 are the 45 folded table cases of ``verify-all``, the split diagrams A-D up
 to rank 12 with E6-E8, F4 and G2, and the README's group spec, once as
-written and once over a function field.  The commands are ``classify``, ``constant-term``, ``poles`` and ``poles
---variable global`` (``poles-global``), all with ``--output-format json``,
-plus ``system``: the repr of the folded system's roots, Gram matrix,
-Cartan matrix, components, principal ray and coroot pairings.  One
-more key, ``seed0:verify-all``, pins ``verify-all`` under ``GK_SEED=0``,
-and ``q=<q>:verify-local`` pins ``verify-local --depth 120`` for every prime
+written and once over a function field.  The commands are ``classify``,
+``constant-term``, ``poles`` and ``poles --variable global``
+(``poles-global``), all with ``--output-format json``, plus ``system``:
+the repr of the folded system's roots, Gram matrix, Cartan matrix,
+components, principal ray and coroot pairings.  One more key,
+``seed0:verify-all``, pins ``verify-all`` under ``GK_SEED=0``, and
+``q=<q>:verify-local`` pins ``verify-local --depth 120`` for every prime
 power q <= 11 on one s-grid of integral and non-integral s.
 
 A refactor must replay the corpus byte for byte.  Regenerate it only for

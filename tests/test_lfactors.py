@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from gkval import (
-    FUNCTION_MODE,
     AffineForm,
     HeckeCharacterDescriptor,
     LFactorAtom,
@@ -203,8 +202,7 @@ def test_json_round_trip():
 
 
 def test_json_round_trip_keeps_function_field_size():
-    eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)),
-                                   mode=FUNCTION_MODE, q=4)
+    eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)), q=4)
     p = r_alpha(AffineForm.of(1), 1, SL2, eta)
     data = json.loads(json.dumps(p.to_json()))
     assert [atom["character"]["q"] for atom in data] == [4, 4, 4]
@@ -221,7 +219,7 @@ def test_atom_order_is_total_over_mode_and_q():
     a1, a2 = (
         LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(1),
                     HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)),
-                                             mode=FUNCTION_MODE, q=q))
+                                             q=q))
         for q in (2, 3)
     )
     p12 = MeromorphicProduct([(a1, 1), (a2, 1)])

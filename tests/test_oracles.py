@@ -32,9 +32,6 @@ from gkval.oracles import ARCH_CASES, DivergentIntegral, OracleError
 def test_place_validation():
     with pytest.raises(OracleError):
         LocalPlace(1)
-    with pytest.raises(OracleError):
-        LocalPlace(3, 0)
-    assert LocalPlace(3, 2).q_ext == 9
 
 
 def test_sl2_shell_matches_closed_form():
@@ -46,7 +43,7 @@ def test_sl2_shell_matches_closed_form():
 
 
 def test_sl2_shell_extension_field():
-    place = LocalPlace(3, extension=2)
+    place = LocalPlace(9)
     got = gk_integral_sl2(place, 1)
     assert abs(got - sl2_closed_form(9, 1)) < 1e-12
 
@@ -83,14 +80,14 @@ def test_sl2_tail_bound_dominates_error():
 
 def test_su21_inert_matches_closed_form():
     for q in (3, 5):
-        place = LocalPlace(q, extension=2)
+        place = LocalPlace(q)
         for s in (1, 2):
             got = gk_integral_su21_inert(place, s)
             assert abs(got - su21_inert_closed_form(q, s)) < 1e-9
 
 
 def test_su21_specific_value():
-    got = gk_integral_su21_inert(LocalPlace(3, 2), 1)
+    got = gk_integral_su21_inert(LocalPlace(3), 1)
     assert got == pytest.approx(28 / 27, abs=1e-10)
 
 
@@ -130,12 +127,12 @@ def test_su21_matches_symbolic_local_factors():
     for q in (3, 5):
         for s in (1.0, 2.0):
             symbolic = evaluate_finite(prod, q, s)
-            integral = gk_integral_su21_inert(LocalPlace(q, 2), s)
+            integral = gk_integral_su21_inert(LocalPlace(q), s)
             assert abs(symbolic - integral) < 1e-9
 
 
 def test_su21_large_s_is_one():
-    got = gk_integral_su21_inert(LocalPlace(3, 2), 40)
+    got = gk_integral_su21_inert(LocalPlace(3), 40)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,7 +179,7 @@ def test_padic_normalized_constant_is_one():
         ok, const = s_independence_check("SL2", LocalPlace(q), (1, 2, 3))
         assert ok
         assert const == pytest.approx(1.0, abs=1e-10)
-    ok, const = s_independence_check("SU21", LocalPlace(3, 2), (1, 2))
+    ok, const = s_independence_check("SU21", LocalPlace(3), (1, 2))
     assert ok
     assert const == pytest.approx(1.0, abs=1e-9)
 
