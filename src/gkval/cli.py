@@ -181,7 +181,10 @@ def _parse_datum(raw: dict) -> GroupDatum:
     perm = tuple(_int_list(raw.get("automorphism", list(range(n))), "automorphism"))
     order = _int(raw.get("automorphism_order", 1), "automorphism_order")
     dprime = _int(raw.get("res_degree", 1), "res_degree")
-    return GroupDatum(cartan, perm, order, dprime, str(raw.get("label", "")))
+    label = raw.get("label", "")
+    if not isinstance(label, str):
+        raise SchemaError(f"label must be a string, got {type(label).__name__}")
+    return GroupDatum(cartan, perm, order, dprime, label)
 
 
 def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:

@@ -12,11 +12,14 @@ reduced relative root carries:
   ``"SU21"`` for a quasi-split special unitary group in three variables,
 * ``length_class``  -- ``"long"`` / ``"short"`` / ``"single"``.
 
-Length classes follow the classification tables reproduced by
-:func:`proposition_table`; for a triality fold (automorphism of order 3)
-the tables record the orbit-of-three roots as *long*, which is the
-opposite of the metric ordering induced by the projection, and we follow
-the tables.
+Length classes are decided per component of the relative diagram, by the
+metric the projection induces, except on a genuine triality fold: a
+component whose simple orbits have sizes 1 and 3, which only a D4 with its
+order-3 automorphism gives.  There the classification tables reproduced by
+:func:`proposition_table` record the orbit-of-three roots as *long*, the
+opposite of the metric ordering, and we follow the tables.  Any other
+component, such as a split G2 beside a triality D4 or three cycled copies
+of a split G2, keeps the metric classes.
 
 Weyl-group elements of the relative system are reduced words in the
 simple reflections (0-based node indices in the order reported by
@@ -311,8 +314,8 @@ class RelativeRootSystem:
 
     def __init__(self, datum: GroupDatum) -> None:
         (orbits, roots, pairings, self.reflection_tables, self.cartan, self.gram,
-         self.components, self.has_divisible) = _fold(tuple(map(tuple, datum.cartan)),
-                                     tuple(datum.automorphism))
+         self.components, self.has_divisible, self._ray) = _fold(
+             tuple(map(tuple, datum.cartan)), tuple(datum.automorphism))
         d = datum.res_degree
         self.datum = datum
         self.simple_orbits = [list(o) for o in orbits]
@@ -354,13 +357,14 @@ class RelativeRootSystem:
 
     def principal_ray(self) -> tuple[Fraction, ...]:
         """Direction x with <x, beta_j^vee> = local_scale(beta_j) on every
-        relative simple root, i.e. sum_i x_i C[i][j] = local_scale(beta_j) / d'."""
-        n = self.rank
-        return _solve(
-            [[self.cartan[i][j] for i in range(n)] for j in range(n)],
-            [Fraction(local_scale(b), self.datum.res_degree)
-             for b in self.simple_roots],
-        )
+        relative simple root, i.e. sum_i x_i C[i][j] = local_scale(beta_j) / d'.
+
+        The weight c(beta) = local_scale(beta) / d' is constant on W-orbits,
+        and s_j permutes the positive reduced roots other than beta_j, so the
+        half-sum x = 1/2 sum c(beta) beta over them pairs with beta_j^vee to
+        c(beta_j).  c does not depend on d', so the fold computes x once.
+        """
+        return self._ray
 
     # -- Weyl combinatorics ----------------------------------------------
 
@@ -455,21 +459,6 @@ class WeylElement:
 # folding
 
 
-def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(mat)
-    m = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
-
-
 def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
     """Fold the absolute system of ``datum`` to its relative reduced system.
 
@@ -489,8 +478,8 @@ def restrict_roots(datum: GroupDatum) -> RelativeRootSystem:
 def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     """The fold of :func:`restrict_roots` at d' = 1, as immutable values:
     simple orbits, positive roots, coroot pairing vectors, reflection
-    tables, relative Cartan and Gram matrices, components and the
-    divisibility flag."""
+    tables, relative Cartan and Gram matrices, components, the
+    divisibility flag and the principal ray."""
     n = len(a)
     # Gram matrices are kept scaled to integers: (u, v) = u g v / scale
     g_abs, scale_abs = _integer_gram(a)
@@ -570,20 +559,20 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     component = {v: comp_of_node[next(i for i, c in enumerate(v) if c)]
                  for v in reduced}
 
-    # length classes per component; a triality fold records the orbit-of-three
-    # roots as long, matching the classification tables.
-    has_triality = any(len(o) == 3 for o in simple_orbits)
+    # length classes per component; on a triality fold the orbit-of-three
+    # roots are long, matching the classification tables
     comp_norms = [
         sorted({norm[v] for v in reduced if component[v] == ci})
         for ci in range(len(comps))
     ]
+    triality = [{len(simple_orbits[k]) for k in nodes} == {1, 3} for nodes in comps]
 
     def length_class(v: tuple[int, ...]) -> str:
         norms = comp_norms[component[v]]
         if len(norms) == 1:
             return "single"
         small = norm[v] == norms[0]
-        if has_triality and norms[-1] == 3 * norms[0]:
+        if triality[component[v]]:
             small = not small
         return "short" if small else "long"
 
@@ -592,22 +581,10 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     for index, v in enumerate(reduced):
         over = images[v]
         over_double = images.get(tuple(2 * c for c in v), [])
-        orbit_roots = over + over_double
-        # connected components of the orbit under non-orthogonality
-        k = len(orbit_roots)
-        comp_id = list(range(k))
-
-        def find(x: int) -> int:
-            while comp_id[x] != x:
-                comp_id[x] = comp_id[comp_id[x]]
-                x = comp_id[x]
-            return x
-
-        for x, y in itertools.combinations(range(k), 2):
-            if form(g_abs, orbit_roots[x], orbit_roots[y]) != 0:
-                comp_id[find(x)] = find(y)
-        ncomp = len({find(x) for x in range(k)})
-        if over_double and k != 3 * ncomp:
+        # the fibre over beta is d_alpha orthogonal roots (SL2-type) or
+        # d_alpha copies of A2, each with two roots over beta and one over
+        # 2 beta (SU21-type)
+        if over_double and len(over) != 2 * len(over_double):
             raise RootSystemError("internal: unexpected unitary orbit shape")
         rel_roots.append(
             RelativeRoot(
@@ -615,7 +592,7 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
                 coords=v,
                 orbit=tuple(sorted(over) + sorted(over_double)),
                 length_class=length_class(v),
-                d_alpha=ncomp,
+                d_alpha=len(over_double) or len(over),
                 rank_one_type=SU21 if over_double else SL2,
                 norm2=Fraction(norm[v], scale_rel),
                 abs_norm2=Fraction(form(g_abs, over[0], over[0]), scale_abs),
@@ -642,13 +619,15 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
             image.append(index_of[tuple(w)])
         tables.append(tuple(image) + tuple(~x for x in reversed(image)))
 
+    ray = tuple(Fraction(sum(local_scale(r) * r.coords[i] for r in rel_roots), 2)
+                for i in range(rel_rank))
     components = tuple(
         (_component_type(cartan_rel_int, g_rel, nodes,
                          sum(component[v] == ci for v in reduced)), tuple(nodes))
         for ci, nodes in enumerate(comps)
     )
     return (tuple(simple_orbits), tuple(rel_roots), pairings, tuple(tables),
-            cartan_rel_int, gram_rel, components, has_divisible)
+            cartan_rel_int, gram_rel, components, has_divisible, ray)
 
 
 def _component_type(cartan: Sequence[Sequence[int]], gram: Sequence[Sequence],

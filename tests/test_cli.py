@@ -41,6 +41,34 @@ def test_classify_triality(tmp_path, capsys):
     assert payload["degree_table"] == {"long": 3, "short": 1}
 
 
+@pytest.mark.parametrize(
+    "spec, classes",
+    [
+        # nodes 2 and 3 are the triality fold of the D4, which the tables
+        # record as long (orbit of three) and short
+        ({"diagram": {"cartan": [[2, -1, 0, 0, 0, 0], [-3, 2, 0, 0, 0, 0],
+                                 [0, 0, 2, -1, 0, 0], [0, 0, -1, 2, -1, -1],
+                                 [0, 0, 0, -1, 2, 0], [0, 0, 0, -1, 0, 2]]},
+          "automorphism": [0, 1, 4, 3, 5, 2], "automorphism_order": 3},
+         ["short", "long", "long", "short"]),
+        # three cycled copies of split G2, the restriction of scalars of G2
+        # from a cubic extension
+        ({"diagram": {"cartan": [[2, -1, 0, 0, 0, 0], [-3, 2, 0, 0, 0, 0],
+                                 [0, 0, 2, -1, 0, 0], [0, 0, -3, 2, 0, 0],
+                                 [0, 0, 0, 0, 2, -1], [0, 0, 0, 0, -3, 2]]},
+          "automorphism": [2, 3, 4, 5, 0, 1], "automorphism_order": 3},
+         ["short", "long"]),
+    ],
+    ids=["split-G2-beside-triality", "three-cycled-G2"],
+)
+def test_triality_flip_only_on_a_triality_component(tmp_path, capsys, spec, classes):
+    """Split G2 calls node 0 short, whatever else has an orbit of three."""
+    code, out = run(capsys, "classify", "--input", write_spec(tmp_path, spec),
+                    "--output-format", "json")
+    assert code == EXIT_OK
+    assert [r["length_class"] for r in json.loads(out)["simple_roots"]] == classes
+
+
 def test_classify_scales_with_res_degree(tmp_path, capsys):
     path = write_spec(
         tmp_path,
@@ -249,6 +277,7 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A1", "mode": {"function": 6}}, None),
         ({"diagram": "A2", "weyl_word": "01"}, None),
         ({"diagram": "A1", "mode": {"function": 2**61 - 1}}, None),
+        ({"diagram": "A1", "label": [1, {"x": None}]}, None),
         ({"diagram": "A²"}, None),
         ({"diagram": "A" + "9" * 5000}, None),
         ('{"diagram": "A1", "res_degree": %s}' % ("9" * 5000), None),
@@ -276,7 +305,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "function-field-q", "function-field-q-not-prime-power",
-         "weyl-word-string", "function-field-q-huge", "diagram-superscript-rank",
+         "weyl-word-string", "function-field-q-huge", "label-not-string",
+         "diagram-superscript-rank",
          "diagram-huge-rank", "json-integer-over-4300-digits", "chi-exponent-form-huge",
          "direction-exponent-form-huge", "chi-exponent-form-hangs",
          "direction-exponent-form-hangs", "q", "q-not-prime-power", "s-grid", "depth",

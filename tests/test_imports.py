@@ -1,5 +1,6 @@
-"""Every name a gkval module imports is used by that module, and every
-public top-level name a gkval module defines is used somewhere.
+"""Every name a gkval module imports is used by that module, every
+private top-level name a gkval module defines is used by that module, and
+every public top-level name is used somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -40,8 +41,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def public_definitions(source: str) -> list[str]:
-    """Top-level public functions, classes and constants of a module."""
+def definitions(source: str) -> list[str]:
+    """Top-level functions, classes and constants of a module."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -49,7 +50,7 @@ def public_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if not n.startswith("_")]
+    return names
 
 
 def uses(source: str) -> set[str]:
@@ -76,7 +77,7 @@ def test_checker_flags_only_unused_names():
 def test_dead_name_checker_sees_definitions_and_uses():
     source = ("from x import y\nA = 1\n_B = 2\nC: int = 3\n"
               "def f():\n    return m.g(A)\nclass K:\n    pass\nL = ['h.k']\n")
-    assert public_definitions(source) == ["A", "C", "f", "K", "L"]
+    assert definitions(source) == ["A", "_B", "C", "f", "K", "L"]
     assert uses(source) == {"int", "A", "g", "m", "h", "k"}
 
 
@@ -88,9 +89,18 @@ def test_no_unused_imports(path):
 def test_no_dead_public_names():
     used = set().union(*(uses(p.read_text(encoding="utf-8")) for p in USERS))
     dead = [f"{path.name}: {name}" for path in MODULES
-            for name in public_definitions(path.read_text(encoding="utf-8"))
-            if name not in used]
+            for name in definitions(path.read_text(encoding="utf-8"))
+            if not name.startswith("_") and name not in used]
     assert dead == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    """A private helper's only users are in its own module, so a helper
+    whose last caller is deleted must go with it."""
+    source = path.read_text(encoding="utf-8")
+    used = uses(source)
+    assert [n for n in definitions(source) if n.startswith("_") and n not in used] == []
 
 
 def test_mpmath_loads_only_for_archimedean_checks():

@@ -2,7 +2,8 @@
 the L-factor product algebra.
 
 The systems are the table families of ``verify-all`` and split A-G up to
-rank 6, each at res_degree 1, 2 and 3.  Products are built from the
+rank 6, each at res_degree 1, 2 and 3, plus cycled copies of the split
+types and a few other disconnected diagrams.  Products are built from the
 rank-one factors ``r_alpha`` of SL2- and SU21-type roots at d_alpha = 1,
 2, 3, over number fields and function fields.  Hypothesis runs derandomized,
 so the drawn words and products are the same on every run.
@@ -26,12 +27,16 @@ from gkval import (
     RationalComplex,
     GroupDatum,
     UnramifiedCharacter,
+    cartan_matrix,
     constant_term,
     family_datum,
+    local_scale,
     r_alpha,
     restrict_roots,
     split_datum,
 )
+from gkval.roots import MAX_NODES
+from test_golden import COMMANDS, _datum_spec, _run
 
 
 def positive_count(family, n):
@@ -40,14 +45,17 @@ def positive_count(family, n):
             "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[family]
 
 
+# every split type on at most 6 nodes
+SPLIT = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+SPLIT += [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
+SPLIT += [("E", 6), ("F", 4), ("G", 2)]
+
+
 def _cases():
     """(datum, absolute family, absolute rank) for every system under test."""
-    split = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
-    split += [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
-    split += [("E", 6), ("F", 4), ("G", 2)]
     out = []
     for d in (1, 2, 3):
-        out += [(split_datum(f, r, d), f, r) for f, r in split]
+        out += [(split_datum(f, r, d), f, r) for f, r in SPLIT]
         out += [(family_datum("SU(n,n+1)", n, d), "A", 2 * n) for n in range(2, 7)]
         out += [(family_datum("SU(n,n)", n, d), "A", 2 * n - 1) for n in range(2, 7)]
         out += [(family_datum("Spin2n-", n, d), "D", n) for n in range(4, 7)]
@@ -140,38 +148,71 @@ def test_res_degree_scales_only_d_alpha_and_pairings():
                 one.has_divisible, one.principal_ray()), (datum.label, k)
 
 
-# Cartan matrices written out here, not taken from the program
-RANK_TWO = {
-    "A2": ((2, -1), (-1, 2)),
-    "B2": ((2, -2), (-1, 2)),
-    "G2": ((2, -1), (-3, 2)),
-}
+def block_diagonal(*blocks):
+    """The Cartan matrix of the disjoint union of the given diagrams."""
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(row)] = row
+        at += len(block)
+    return tuple(map(tuple, out))
 
 
-def _copies(cartan, k):
+def _copies(cartan, k, res_degree):
     """k disjoint copies of a diagram, cycled by the automorphism."""
     n = len(cartan)
-    block = tuple(
-        tuple(cartan[i % n][j % n] if i // n == j // n else 0 for j in range(k * n))
-        for i in range(k * n)
-    )
-    return GroupDatum(block, tuple((i + n) % (k * n) for i in range(k * n)), k, 1)
+    return GroupDatum(block_diagonal(*[cartan] * k),
+                      tuple((i + n) % (k * n) for i in range(k * n)), k, res_degree)
 
 
-def test_restriction_of_scalars_matches_res_degree():
-    """Folding k cycled copies of X at d' = 1 gives X with d_alpha = k on every
-    root: the same roots, length classes, rank-one types and d_alpha as X at
-    d' = k.  The copies are diagrams of their own, folded under their own keys."""
-    for name, k in [("A2", 2), ("B2", 2), ("G2", 2), ("A2", 3)]:
-        folded = restrict_roots(_copies(RANK_TWO[name], k))
-        split = restrict_roots(split_datum(name[0], 2, k))
-        assert folded.components == split.components == ((name, (0, 1)),), name
-        assert folded.cartan == split.cartan, name
-        assert all(r.d_alpha == k for r in folded.positive_roots), (name, k)
-        assert [(r.coords, r.length_class, r.rank_one_type, r.d_alpha)
-                for r in folded.positive_roots] == [
-            (r.coords, r.length_class, r.rank_one_type, r.d_alpha)
-            for r in split.positive_roots], (name, k)
+def _cli_json(tmp_path, datum, argv):
+    """Exit code and stdout of a CLI command on the spec of ``datum``."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_datum_spec(datum)), encoding="utf-8")
+    return _run(argv + ["--input", str(path), "--output-format", "json"])
+
+
+def test_restriction_of_scalars_matches_res_degree(tmp_path):
+    """Folding k cycled copies of split X at d' prints the JSON of X at k d'
+    for every command: the same roots, length classes, rank-one types,
+    degrees, pairings and poles."""
+    mismatches = []
+    for family, rank in SPLIT:
+        cartan = cartan_matrix(family, rank)
+        for k in (2, 3):
+            if k * rank > MAX_NODES:
+                continue
+            for d in (1, 2):
+                single = GroupDatum(tuple(map(tuple, cartan)), tuple(range(rank)), 1, k * d)
+                for command, argv in COMMANDS.items():
+                    out = _cli_json(tmp_path, single, argv)
+                    assert out.startswith("exit 0\n"), (family, rank, k * d, command)
+                    if _cli_json(tmp_path, _copies(cartan, k, d), argv) != out:
+                        mismatches.append(f"{family}{rank} k={k} d'={d} {command}")
+    assert mismatches == []
+
+
+def test_principal_ray_pairs_to_local_scale():
+    """sum_i x_i C[i][j] = local_scale(beta_j) / d' on every simple root, on
+    the table systems and on disconnected diagrams that mix triality, flips,
+    cycled copies and fixed components."""
+    g2, d4 = cartan_matrix("G", 2), cartan_matrix("D", 4)
+    a1, a2, a4 = (cartan_matrix("A", n) for n in (1, 2, 4))
+    disconnected = [
+        GroupDatum(block_diagonal(g2, d4), (0, 1, 4, 3, 5, 2), 3, 2),
+        GroupDatum(block_diagonal(a1, a1, a1), (1, 0, 2), 2, 1),
+        GroupDatum(block_diagonal(a2, a4), (1, 0, 5, 4, 3, 2), 2, 3),
+        GroupDatum(block_diagonal(cartan_matrix("B", 3), a4), (0, 1, 2, 6, 5, 4, 3), 2, 1),
+        _copies(a2, 3, 2),
+        _copies(g2, 3, 1),
+    ]
+    for datum in [datum for datum, _, _ in CASES] + disconnected:
+        system = fold(datum)
+        x, c = system.principal_ray(), system.cartan
+        for j, beta in enumerate(system.simple_roots):
+            assert sum(x[i] * c[i][j] for i in range(system.rank)) == Fraction(
+                local_scale(beta), datum.res_degree), (datum, j)
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4)))
