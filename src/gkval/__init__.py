@@ -33,7 +33,6 @@ from .lfactors import (
     MeromorphicProduct,
     PoleAtEvaluation,
     PoleEntry,
-    PoleProfile,
     arch_value,
     evaluate_finite,
     local_euler_value,
@@ -50,7 +49,6 @@ from .oracles import (
     gk_integral_sl2,
     gk_integral_sl3,
     gk_integral_su21_inert,
-    lambda_product_check,
     legendre_check,
     normalizing_factor_arch,
     s_independence_check,

@@ -109,9 +109,12 @@ def _int_list(value, what: str) -> list[int]:
 
 
 def _rational(value, what: str) -> Fraction:
-    """An integer, a fraction p/q or a decimal with an optional exponent.
-    The exponent is bounded before Fraction expands it: for "1e99999999"
-    it would build an integer of 10^8 digits."""
+    """A JSON integer, or a string holding an integer, a fraction p/q or a
+    decimal with an optional exponent.  The exponent is bounded before
+    Fraction expands it: for "1e99999999" it would build an integer of 10^8
+    digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{what} must be an integer or a string, got {value!r}")
     text = str(value)
     _, e, exponent = text.lower().partition("e")
     try:
@@ -145,11 +148,9 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
 
 def _parse_rational_pair(entry) -> RationalComplex:
     what = "chi_exponent entry"
-    if isinstance(entry, (int, str)):
-        return RationalComplex(_rational(entry, what), Fraction(0))
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if isinstance(entry, list) and len(entry) == 2:
         return RationalComplex(_rational(entry[0], what), _rational(entry[1], what))
-    raise SchemaError(f"bad rational pair {entry!r}")
+    return RationalComplex(_rational(entry, what), Fraction(0))
 
 
 def load_spec(path: str) -> dict:
@@ -396,7 +397,7 @@ def _arch_checks() -> list[dict]:
     checks = []
     samples = (0.7, 1.0, 1.3, 2.1, 3.0)
     for case in ARCH_CASES:
-        ok, const = s_independence_check(case, None, samples)
+        ok, const = s_independence_check(case, samples)
         checks.append(
             {
                 "name": "arch_constancy",
@@ -535,7 +536,11 @@ def cmd_verify_arch(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    seed = int(os.environ.get("GK_SEED", "0"))
+    raw_seed = os.environ.get("GK_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError:
+        raise SchemaError(f"GK_SEED must be a decimal integer, got {raw_seed!r}") from None
     checks = (
         _local_checks(args.places, args.s_grid, args.cfg)
         + _arch_checks()

@@ -56,9 +56,13 @@ RAY_VARIABLE = "ray"
 @dataclass(frozen=True)
 class RankOneFactor:
     root: RelativeRoot
-    pairing: AffineForm        # <lambda, alpha^vee> in the ray parameter
-    local_argument: AffineForm  # pairing / local scale of the rank-one group
+    pairing: AffineForm  # <lambda, alpha^vee> in the ray parameter
     product: MeromorphicProduct
+
+    @property
+    def local_argument(self) -> AffineForm:
+        """The pairing over the local scale of the rank-one group."""
+        return self.pairing.scale(Fraction(1, local_scale(self.root)))
 
     def to_json(self) -> dict:
         return {
@@ -86,9 +90,6 @@ class ConstantTermReport:
             "product": self.product.to_json(),
         }
 
-    def evaluate_finite(self, q: int, s: complex) -> complex:
-        return evaluate_finite(self.product, q, s)
-
 
 def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
                      alpha: RelativeRoot, pairing: AffineForm) -> RankOneFactor:
@@ -96,7 +97,6 @@ def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
     return RankOneFactor(
         root=alpha,
         pairing=pairing,
-        local_argument=pairing.scale(Fraction(1, local_scale(alpha))),
         product=r_alpha(pairing, alpha.d_alpha, alpha.rank_one_type, eta),
     )
 
@@ -193,7 +193,7 @@ def pole_profile(
                                    pairing=AffineForm(Fraction(1), Fraction(0)))
     entries = []
     for alpha in roots:
-        for e in poles_positive(factor(alpha).product, include_conditional).entries:
+        for e in poles_positive(factor(alpha).product, include_conditional):
             entries.append(RootPoleEntry(alpha, e.location, e.order, e.conditional))
     return tuple(entries)
 
@@ -302,7 +302,7 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
     value = None
     if complex(s).real > 0:
         try:
-            value = report.evaluate_finite(q, s)
+            value = evaluate_finite(report.product, q, s)
         except PoleAtEvaluation:
             value = None
     return {

@@ -259,22 +259,12 @@ class PoleEntry:
     conditional: bool
 
 
-@dataclass(frozen=True)
-class PoleProfile:
-    entries: tuple[PoleEntry, ...]
-
-    @property
-    def unconditional(self) -> tuple[PoleEntry, ...]:
-        return tuple(e for e in self.entries if not e.conditional)
-
-    def locations(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({e.location for e in self.unconditional}))
-
-
 def poles_positive(
     product: MeromorphicProduct, include_conditional: bool = False
-) -> PoleProfile:
-    """Poles of a normalized product on the positive real s-axis.
+) -> tuple[PoleEntry, ...]:
+    """Poles of a normalized product on the positive real s-axis, as a tuple
+    sorted by location, unconditional before conditional at one location.
+    Conditional candidates are listed only with ``include_conditional``.
 
     Locations are reported in the variable s of the atoms' affine forms
     (the caller fixed that variable when building the arguments).
@@ -293,7 +283,7 @@ def poles_positive(
         elif include_conditional and atom.character.is_unitary:
             entries.append(PoleEntry(loc, n, True))
     entries.sort(key=lambda e: (e.location, e.conditional))
-    return PoleProfile(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,7 @@ class RelativeRoot:
     length_class: str
     d_alpha: int
     rank_one_type: str
-    norm2: Fraction
-    abs_norm2: Fraction  # squared length of the absolute roots over beta
     component: int
-    positive: bool = True
 
 
 def local_scale(alpha: RelativeRoot) -> int:
@@ -484,9 +481,6 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     # Gram matrices are kept scaled to integers: (u, v) = u g v / scale
     g_abs, scale_abs = _integer_gram(a)
 
-    def form(g, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(x * sum(gi * y for gi, y in zip(row, v)) for x, row in zip(u, g) if x)
-
     # relative simple roots: the simple orbits, in order of their least node
     simple_orbits: list[tuple[int, ...]] = []
     orbit_of = [-1] * n
@@ -594,8 +588,6 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
                 length_class=length_class(v),
                 d_alpha=len(over_double) or len(over),
                 rank_one_type=SU21 if over_double else SL2,
-                norm2=Fraction(norm[v], scale_rel),
-                abs_norm2=Fraction(form(g_abs, over[0], over[0]), scale_abs),
                 component=component[v],
             )
         )

@@ -212,6 +212,15 @@ def test_verify_all_reports_known_ratio_discrepancy(capsys, monkeypatch):
     assert check["observed"] == {"short": "2", "long": "1"}
 
 
+@pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+def test_malformed_gk_seed_exits_with_one_line_error(capsys, monkeypatch, seed):
+    monkeypatch.setenv("GK_SEED", seed)
+    assert main(["verify-all", "--q", "2", "--s-grid", "1"]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GK_SEED must be a decimal integer, got {seed!r}\n"
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     path = write_spec(tmp_path, {"diagram": "Q9"})
     code = main(["classify", "--input", str(path)])
@@ -273,6 +282,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
           "automorphism_order": "x"}, None),
         ({"diagram": "A1", "res_degree": "x"}, None),
         ({"diagram": "A2", "lambda_direction": ["x", "1"]}, None),
+        ({"diagram": "A3", "lambda_direction": [1.5, 0, 0]}, ["constant-term"]),
+        ({"diagram": "A1", "chi_exponent": [[1.5, 0]]}, ["constant-term"]),
         ({"diagram": "A1", "mode": {"function": 1}}, None),
         ({"diagram": "A1", "mode": {"function": 6}}, None),
         ({"diagram": "A2", "weyl_word": "01"}, None),
@@ -304,7 +315,7 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-arch", "--s-grid", "2"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
-         "direction", "function-field-q", "function-field-q-not-prime-power",
+         "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
          "weyl-word-string", "function-field-q-huge", "label-not-string",
          "diagram-superscript-rank",
          "diagram-huge-rank", "json-integer-over-4300-digits", "chi-exponent-form-huge",

@@ -10,6 +10,7 @@ from gkval import (
     component_pole_ratio,
     constant_term,
     corollary_ratio_table,
+    evaluate_finite,
     family_datum,
     multiplicativity_check,
     pole_profile,
@@ -84,7 +85,7 @@ def test_report_evaluation_matches_closed_form():
             want = 1.0
             for t in (s, s, 2 * s):
                 want *= (1 - q ** (-1 - t)) / (1 - q ** (-t))
-            assert report.evaluate_finite(q, s) == pytest.approx(want, abs=1e-12)
+            assert evaluate_finite(report.product, q, s) == pytest.approx(want, abs=1e-12)
 
 
 def test_pole_profile_pairing_variable():

@@ -1,6 +1,7 @@
 """Every name a gkval module imports is used by that module, every
-private top-level name a gkval module defines is used by that module, and
-every public top-level name is used somewhere.
+private top-level name a gkval module defines is used by that module,
+every public top-level name is used somewhere, and every annotated class
+field is read as an attribute somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -68,6 +69,20 @@ def uses(source: str) -> set[str]:
     return out
 
 
+def fields(source: str) -> list[str]:
+    """Class.field for every annotated field of a top-level class."""
+    return [f"{node.name}.{item.target.id}"
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names a module reads; stores and string mentions are not reads."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport os.path as osp\nfrom x import a, b as c\nprint(a, osp)\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
@@ -81,6 +96,13 @@ def test_dead_name_checker_sees_definitions_and_uses():
     assert uses(source) == {"int", "A", "g", "m", "h", "k"}
 
 
+def test_field_checker_sees_fields_and_reads():
+    source = ("class K:\n    a: int\n    b: str = ''\n    c = 1\n    def f(self):\n"
+              "        self.d = self.a\n        return 'b'\n")
+    assert fields(source) == ["K.a", "K.b"]
+    assert attribute_reads(source) == {"a"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -91,6 +113,15 @@ def test_no_dead_public_names():
     dead = [f"{path.name}: {name}" for path in MODULES
             for name in definitions(path.read_text(encoding="utf-8"))
             if not name.startswith("_") and name not in used]
+    assert dead == []
+
+
+def test_no_dead_fields():
+    """A field that nothing reads is a value held for no one."""
+    read = set().union(*(attribute_reads(p.read_text(encoding="utf-8")) for p in USERS))
+    dead = [f"{path.name}: {field}" for path in MODULES
+            for field in fields(path.read_text(encoding="utf-8"))
+            if field.partition(".")[2] not in read]
     assert dead == []
 
 

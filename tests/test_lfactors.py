@@ -126,33 +126,31 @@ def test_r_alpha_rejects_wrong_field_degree():
 
 def test_poles_sl2_trivial():
     prof = poles_positive(r_alpha(AffineForm.of(1), 1, SL2, trivial_eta()))
-    assert [(e.location, e.order) for e in prof.unconditional] == [(1, 1)]
+    assert [(e.location, e.order) for e in prof] == [(1, 1)]
 
 
 def test_poles_scale_linearly_with_argument():
     for d in (1, 2, 3):
         eta = trivial_eta(d, "F_alpha" if d > 1 else "F")
         prof = poles_positive(r_alpha(AffineForm.of(1), d, SL2, eta))
-        assert prof.locations() == (Fraction(d),)
+        assert [e.location for e in prof] == [Fraction(d)]
 
 
 def test_poles_quad_twist_has_no_unconditional_pole():
     eta = trivial_eta(1, "F", quad=True)
     prof = poles_positive(r_alpha(AffineForm.of(1), 1, SL2, eta))
-    assert prof.unconditional == ()
+    assert prof == ()
     prof2 = poles_positive(
         r_alpha(AffineForm.of(1), 1, SL2, eta), include_conditional=True
     )
-    assert len(prof2.entries) == 1 and prof2.entries[0].conditional
+    assert len(prof2) == 1 and prof2[0].conditional
 
 
 def test_poles_nontrivial_unitary_conditional_only():
     eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 2)))
-    prof = poles_positive(
-        r_alpha(AffineForm.of(1), 1, SL2, eta), include_conditional=True
-    )
-    assert prof.unconditional == ()
-    assert all(e.conditional for e in prof.entries)
+    product = r_alpha(AffineForm.of(1), 1, SL2, eta)
+    assert poles_positive(product) == ()
+    assert all(e.conditional for e in poles_positive(product, include_conditional=True))
 
 
 def test_euler_values():

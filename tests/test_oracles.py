@@ -17,7 +17,6 @@ from gkval import (
     gk_integral_sl2,
     gk_integral_sl3,
     gk_integral_su21_inert,
-    lambda_product_check,
     legendre_check,
     normalizing_factor_arch,
     r_alpha,
@@ -164,34 +163,20 @@ def test_arch_gk_rejects_unknown_case():
 def test_arch_constancy_all_cases():
     samples = (0.7, 1.0, 1.3, 2.1, 3.0)
     for case in ARCH_CASES:
-        ok, const = s_independence_check(case, None, samples, tol=1e-9)
+        ok, const = s_independence_check(case, samples, tol=1e-9)
         assert ok, case
         assert abs(const) > 0
 
 
 def test_sl2_r_constant_is_one_over_pi():
-    _, const = s_independence_check("SL2_R", None, (1.0,))
+    _, const = s_independence_check("SL2_R", (1.0,))
     assert const == pytest.approx(1 / math.pi, abs=1e-12)
-
-
-def test_padic_normalized_constant_is_one():
-    for q in (2, 3, 5):
-        ok, const = s_independence_check("SL2", LocalPlace(q), (1, 2, 3))
-        assert ok
-        assert const == pytest.approx(1.0, abs=1e-10)
-    ok, const = s_independence_check("SU21", LocalPlace(3), (1, 2))
-    assert ok
-    assert const == pytest.approx(1.0, abs=1e-9)
 
 
 def test_legendre_identities():
     samples = [0.3 + 0.2 * k for k in range(10)]
     assert legendre_check(samples)
     assert legendre_check([1, 0.5, 1.5])
-
-
-def test_lambda_product_is_one():
-    assert lambda_product_check((2, 3, 5), 2)
 
 
 def test_normalizer_has_poles_signaled():

@@ -31,9 +31,13 @@ from gkval import (
     constant_term,
     family_datum,
     local_scale,
+    quasi_split_e6_datum,
     r_alpha,
     restrict_roots,
+    spin_minus_datum,
     split_datum,
+    su_datum,
+    triality_datum,
 )
 from gkval.roots import MAX_NODES
 from test_golden import COMMANDS, _datum_spec, _run
@@ -190,6 +194,40 @@ def test_restriction_of_scalars_matches_res_degree(tmp_path):
                     assert out.startswith("exit 0\n"), (family, rank, k * d, command)
                     if _cli_json(tmp_path, _copies(cartan, k, d), argv) != out:
                         mismatches.append(f"{family}{rank} k={k} d'={d} {command}")
+    assert mismatches == []
+
+
+# The relative types of the quasi-split outer forms, from Tits, "Classification
+# of algebraic semisimple groups" (1966): (family, datum at (n, d'), the n
+# tested, the relative type at n and whether it has divisible roots).
+BOREL_TITS = [
+    ("SU(n,n+1)", lambda n, d: su_datum(n, n + 1, d), range(2, 7),
+     lambda n: (f"B{n}", True)),  # BC_n
+    ("SU(n,n)", lambda n, d: su_datum(n, n, d), range(2, 7),
+     lambda n: ("B2" if n == 2 else f"C{n}", False)),
+    ("Spin2n-", spin_minus_datum, range(4, 13), lambda n: (f"B{n - 1}", False)),
+    ("3D4", lambda n, d: triality_datum(d), [4], lambda n: ("G2", False)),
+    ("2E6", lambda n, d: quasi_split_e6_datum(d), [6], lambda n: ("F4", False)),
+]
+
+
+def test_relative_types_match_borel_tits(tmp_path):
+    """classify prints each quasi-split family's relative type as Tits
+    tabulates it, on one component over every relative node, at every d':
+    restriction of scalars leaves the relative type alone."""
+    mismatches = []
+    for family, build, ns, expected in BOREL_TITS:
+        for n in ns:
+            relative_type, divisible = expected(n)
+            want = {"components": [{"type": relative_type,
+                                    "nodes": list(range(int(relative_type[1:])))}],
+                    "has_divisible_roots": divisible}
+            for d in (1, 2, 3):
+                out = _cli_json(tmp_path, build(n, d), ["classify"])
+                assert out.startswith("exit 0\n"), (family, n, d)
+                got = json.loads(out.partition("\n")[2])
+                if {key: got[key] for key in want} != want:
+                    mismatches.append(f"{family} n={n} d'={d}")
     assert mismatches == []
 
 
