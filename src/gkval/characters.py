@@ -16,13 +16,12 @@ dot product per root (see :class:`ScaledVector`).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .records import Record
 from .roots import (
     SU21,
     RelativeRoot,
@@ -57,13 +56,14 @@ def is_field_size(q) -> bool:
     return q == 1
 
 
-@dataclass(frozen=True)
-class RationalComplex:
+class RationalComplex(Record):
     """Exact complex scalar re + i*im (in function-field mode the imaginary
     unit carries the factor 2*pi/log q)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        self.re, self.im = re, im
 
     @staticmethod
     def of(re, im=0) -> "RationalComplex":
@@ -86,12 +86,13 @@ class RationalComplex:
         return complex(float(self.re), im)
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Record):
     """a*s + b with exact rational coefficients."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction = Fraction(0), b: Fraction = Fraction(0)) -> None:
+        self.a, self.b = a, b
 
     @staticmethod
     def of(a, b=0) -> "AffineForm":
@@ -120,8 +121,7 @@ class AffineForm:
 
 
 class ScaledVector:
-    """A rational vector as integer numerators over one common denominator.
-    A plain class: making a dataclass costs about 1 ms of import time."""
+    """A rational vector as integer numerators over one common denominator."""
 
     __slots__ = ("numerators", "denominator")
 
@@ -143,28 +143,25 @@ class ScaledVector:
                         self.denominator * divisor)
 
 
-@dataclass(frozen=True)
-class UnramifiedCharacter:
+class UnramifiedCharacter(Record):
     """Exponent vector over the relative character space, one coordinate per
     relative simple root."""
 
-    exponents: tuple[RationalComplex, ...]
-    mode: str = NUMBER_MODE
-    q: int | None = None
+    __slots__ = ("exponents", "mode", "q", "_scaled")
 
-    def __post_init__(self) -> None:
-        if self.mode not in (NUMBER_MODE, FUNCTION_MODE):
-            raise CharacterError(f"unknown mode {self.mode!r}")
-        if self.mode == NUMBER_MODE and self.q is not None:
+    def __init__(self, exponents: tuple[RationalComplex, ...], mode: str = NUMBER_MODE,
+                 q: int | None = None) -> None:
+        if mode not in (NUMBER_MODE, FUNCTION_MODE):
+            raise CharacterError(f"unknown mode {mode!r}")
+        if mode == NUMBER_MODE and q is not None:
             raise CharacterError("number mode takes no constant-field size q")
-        if self.mode == FUNCTION_MODE:
-            if not is_field_size(self.q):
+        if mode == FUNCTION_MODE:
+            if not is_field_size(q):
                 raise CharacterError(
                     f"function-field mode needs a prime power q at most {MAX_FIELD_SIZE}")
-            canon = tuple(
-                RationalComplex(z.re, z.im % 1) for z in self.exponents
-            )
-            object.__setattr__(self, "exponents", canon)
+            exponents = tuple(RationalComplex(z.re, z.im % 1) for z in exponents)
+        self.exponents, self.mode, self.q = exponents, mode, q
+        self._scaled = None
 
     @staticmethod
     def trivial(rank: int, mode: str = NUMBER_MODE, q: int | None = None):
@@ -182,11 +179,13 @@ class UnramifiedCharacter:
     def is_trivial(self) -> bool:
         return all(z.is_zero for z in self.exponents)
 
-    @functools.cached_property
+    @property
     def scaled_exponents(self) -> tuple[ScaledVector, ScaledVector]:
         """Real and imaginary parts of the exponents, each scaled once."""
-        return (ScaledVector.of(z.re for z in self.exponents),
-                ScaledVector.of(z.im for z in self.exponents))
+        if self._scaled is None:
+            self._scaled = (ScaledVector.of(z.re for z in self.exponents),
+                            ScaledVector.of(z.im for z in self.exponents))
+        return self._scaled
 
     def twist(self, direction: Sequence[Fraction], s0: RationalComplex):
         """Multiply by the unramified character attached to s0 * direction."""
@@ -198,26 +197,22 @@ class UnramifiedCharacter:
         return UnramifiedCharacter(new, self.mode, self.q)
 
 
-@dataclass(frozen=True)
-class HeckeCharacterDescriptor:
+class HeckeCharacterDescriptor(Record):
     """An unramified idele-class character of a field of given degree over
     the ground field, with an optional quadratic twist by the character of
     a relative quadratic extension.  The field is a function field with
     constant field of size q when q is set, a number field otherwise."""
 
-    field_label: str
-    degree: int
-    exponent: RationalComplex
-    quad_twist: bool = False
-    q: int | None = None
+    __slots__ = ("field_label", "degree", "exponent", "quad_twist", "q")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(self, field_label: str, degree: int, exponent: RationalComplex,
+                 quad_twist: bool = False, q: int | None = None) -> None:
+        if degree < 1:
             raise CharacterError("field degree must be positive")
-        if self.q is not None:
-            lattice = Fraction(1, self.degree)
-            canon = RationalComplex(self.exponent.re, self.exponent.im % lattice)
-            object.__setattr__(self, "exponent", canon)
+        if q is not None:
+            exponent = RationalComplex(exponent.re, exponent.im % Fraction(1, degree))
+        self.field_label, self.degree, self.exponent = field_label, degree, exponent
+        self.quad_twist, self.q = quad_twist, q
 
     @property
     def is_trivial(self) -> bool:

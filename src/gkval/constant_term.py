@@ -15,7 +15,6 @@ whenever lengths add.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +32,7 @@ from .lfactors import (
     poles_positive,
     r_alpha,
 )
+from .records import Record
 from .roots import (
     RelativeRoot,
     RelativeRootSystem,
@@ -53,11 +53,15 @@ PAIRING_VARIABLE = "pairing"
 RAY_VARIABLE = "ray"
 
 
-@dataclass(frozen=True)
-class RankOneFactor:
-    root: RelativeRoot
-    pairing: AffineForm  # <lambda, alpha^vee> in the ray parameter
-    product: MeromorphicProduct
+class RankOneFactor(Record):
+    """The factor r_alpha of one root; ``pairing`` is <lambda, alpha^vee> in
+    the ray parameter."""
+
+    __slots__ = ("root", "pairing", "product")
+
+    def __init__(self, root: RelativeRoot, pairing: AffineForm,
+                 product: MeromorphicProduct) -> None:
+        self.root, self.pairing, self.product = root, pairing, product
 
     @property
     def local_argument(self) -> AffineForm:
@@ -76,11 +80,12 @@ class RankOneFactor:
         }
 
 
-@dataclass(frozen=True)
-class ConstantTermReport:
-    weyl: WeylElement
-    factors: tuple[RankOneFactor, ...]
-    product: MeromorphicProduct
+class ConstantTermReport(Record):
+    __slots__ = ("weyl", "factors", "product")
+
+    def __init__(self, weyl: WeylElement, factors: tuple[RankOneFactor, ...],
+                 product: MeromorphicProduct) -> None:
+        self.weyl, self.factors, self.product = weyl, factors, product
 
     def to_json(self) -> dict:
         return {
@@ -141,12 +146,13 @@ def constant_term(
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
 
-@dataclass(frozen=True)
-class RootPoleEntry:
-    root: RelativeRoot
-    location: Fraction
-    order: int
-    conditional: bool
+class RootPoleEntry(Record):
+    __slots__ = ("root", "location", "order", "conditional")
+
+    def __init__(self, root: RelativeRoot, location: Fraction, order: int,
+                 conditional: bool) -> None:
+        self.root, self.location, self.order, self.conditional = (
+            root, location, order, conditional)
 
     def to_json(self) -> dict:
         return {

@@ -24,7 +24,6 @@ unitary character are reported, on request, as conditional candidates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -34,6 +33,7 @@ from .characters import (
     RationalComplex,
     restrict_descriptor,
 )
+from .records import Record
 from .roots import SL2, SU21
 
 
@@ -53,24 +53,23 @@ PLACE_REAL = "real"
 PLACE_COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class LFactorAtom:
-    """One L or eps factor; the character names the field it lives over."""
+class LFactorAtom(Record):
+    """One L or eps factor (``kind`` is KIND_L or KIND_EPS); the character
+    names the field it lives over."""
 
-    kind: str  # KIND_L or KIND_EPS
-    place_kind: str
-    arg: AffineForm
-    character: HeckeCharacterDescriptor
+    __slots__ = ("kind", "place_kind", "arg", "character", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_L, KIND_EPS):
-            raise LFactorError(f"unknown atom kind {self.kind!r}")
+    def __init__(self, kind: str, place_kind: str, arg: AffineForm,
+                 character: HeckeCharacterDescriptor) -> None:
+        if kind not in (KIND_L, KIND_EPS):
+            raise LFactorError(f"unknown atom kind {kind!r}")
+        self.kind, self.place_kind, self.arg, self.character = kind, place_kind, arg, character
         # products merge atoms by hash: computed once, from integer ratios
-        eta, z = self.character, self.character.exponent
-        object.__setattr__(self, "_hash", hash((
-            self.kind, self.place_kind, eta.field_label, eta.degree, eta.quad_twist,
-            eta.q, self.arg.a.as_integer_ratio(), self.arg.b.as_integer_ratio(),
-            z.re.as_integer_ratio(), z.im.as_integer_ratio())))
+        z = character.exponent
+        self._hash = hash((
+            kind, place_kind, character.field_label, character.degree, character.quad_twist,
+            character.q, arg.a.as_integer_ratio(), arg.b.as_integer_ratio(),
+            z.re.as_integer_ratio(), z.im.as_integer_ratio()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -234,7 +233,9 @@ def r_alpha(
         if eta.degree != 2 * d_alpha:
             raise LFactorError("character lives over the wrong field")
         # the restriction to K, twisted by the class character of E/K
-        eta_f = replace(restrict_descriptor(eta), quad_twist=True)
+        eta_k = restrict_descriptor(eta)
+        eta_f = HeckeCharacterDescriptor(eta_k.field_label, eta_k.degree, eta_k.exponent,
+                                         True, eta_k.q)
         return MeromorphicProduct(
             _quotient(pairing.scale(Fraction(1, 4 * d_alpha)), eta)
             + _quotient(pairing.scale(Fraction(1, 2 * d_alpha)), eta_f))
@@ -252,11 +253,11 @@ def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> list:
 # poles
 
 
-@dataclass(frozen=True)
-class PoleEntry:
-    location: Fraction
-    order: int
-    conditional: bool
+class PoleEntry(Record):
+    __slots__ = ("location", "order", "conditional")
+
+    def __init__(self, location: Fraction, order: int, conditional: bool) -> None:
+        self.location, self.order, self.conditional = location, order, conditional
 
 
 def poles_positive(

@@ -14,8 +14,6 @@ closed form at every finite place it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
@@ -31,6 +29,7 @@ from .lfactors import (
     arch_value,
     checked_gamma,
 )
+from .records import Record
 
 
 class OracleError(ValueError):
@@ -56,28 +55,27 @@ ARCH_CASES = (SL2_R, RES_CR, SU21_R)
 MAX_DEPTH = 2000
 
 
-@dataclass(frozen=True)
-class LocalPlace:
+class LocalPlace(Record):
     """Finite place with residue size residue_q, at most MAX_FIELD_SIZE."""
 
-    residue_q: int
+    __slots__ = ("residue_q",)
 
-    def __post_init__(self) -> None:
-        if not is_field_size(self.residue_q):
+    def __init__(self, residue_q: int) -> None:
+        if not is_field_size(residue_q):
             raise OracleError(
                 f"residue cardinality must be a prime power at most {MAX_FIELD_SIZE}")
+        self.residue_q = residue_q
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    depth: int = 60
-    tolerance: float = 1e-10
+class OracleConfig(Record):
+    __slots__ = ("depth", "tolerance")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
+    def __init__(self, depth: int = 60, tolerance: float = 1e-10) -> None:
+        if not 1 <= depth <= MAX_DEPTH:
             raise OracleError(f"depth must be between 1 and {MAX_DEPTH}")
-        if not self.tolerance > 0:  # also rejects nan
+        if not tolerance > 0:  # also rejects nan
             raise OracleError("tolerance must be positive")
+        self.depth, self.tolerance = depth, tolerance
 
 
 DEFAULT_CONFIG = OracleConfig()

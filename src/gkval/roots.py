@@ -36,9 +36,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
+
+from .records import Record
 
 
 class RootSystemError(ValueError):
@@ -184,39 +185,37 @@ def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 # group datum
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class GroupDatum(Record):
     """Absolute diagram, folding automorphism and scalar-restriction degree.
 
     ``res_degree`` is the degree d' of the field over which the absolute
     datum lives, relative to the ground field (restriction of scalars).
     """
 
-    cartan: tuple[tuple[int, ...], ...]
-    automorphism: tuple[int, ...]
-    automorphism_order: int
-    res_degree: int
-    label: str = ""
+    __slots__ = ("cartan", "automorphism", "automorphism_order", "res_degree", "label")
 
-    def __post_init__(self) -> None:
-        _validate_cartan(self.cartan)
-        n = len(self.cartan)
-        perm = self.automorphism
-        if sorted(perm) != list(range(n)):
+    def __init__(self, cartan: tuple[tuple[int, ...], ...], automorphism: tuple[int, ...],
+                 automorphism_order: int, res_degree: int, label: str = "") -> None:
+        _validate_cartan(cartan)
+        n = len(cartan)
+        if sorted(automorphism) != list(range(n)):
             raise RootSystemError("automorphism is not a permutation of the nodes")
         for i in range(n):
             for j in range(n):
-                if self.cartan[perm[i]][perm[j]] != self.cartan[i][j]:
+                if cartan[automorphism[i]][automorphism[j]] != cartan[i][j]:
                     raise RootSystemError("automorphism does not preserve the diagram")
-        if self.automorphism_order not in (1, 2, 3):
+        if automorphism_order not in (1, 2, 3):
             raise RootSystemError("automorphism order must be 1, 2 or 3")
         p = list(range(n))
-        for _ in range(self.automorphism_order):
-            p = [perm[i] for i in p]
+        for _ in range(automorphism_order):
+            p = [automorphism[i] for i in p]
         if p != list(range(n)):
             raise RootSystemError("permutation order does not divide the declared order")
-        if self.res_degree < 1:
+        if res_degree < 1:
             raise RootSystemError("res_degree must be a positive integer")
+        self.cartan, self.automorphism = cartan, automorphism
+        self.automorphism_order, self.res_degree, self.label = (
+            automorphism_order, res_degree, label)
 
 
 def datum_from_type(
@@ -276,15 +275,19 @@ def quasi_split_e6_datum(res_degree: int = 1) -> GroupDatum:
 # relative roots
 
 
-@dataclass(frozen=True)
-class RelativeRoot:
-    index: int
-    coords: tuple[int, ...]  # in the basis of relative simple roots
-    orbit: tuple[tuple[int, ...], ...]  # absolute roots over beta and 2*beta
-    length_class: str
-    d_alpha: int
-    rank_one_type: str
-    component: int
+class RelativeRoot(Record):
+    """A reduced positive relative root.  ``coords`` are in the basis of the
+    relative simple roots, and ``orbit`` lists the absolute roots over beta
+    and then those over 2 beta."""
+
+    __slots__ = ("index", "coords", "orbit", "length_class", "d_alpha", "rank_one_type",
+                 "component")
+
+    def __init__(self, index: int, coords: tuple[int, ...], orbit: tuple[tuple[int, ...], ...],
+                 length_class: str, d_alpha: int, rank_one_type: str, component: int) -> None:
+        self.index, self.coords, self.orbit, self.length_class = (
+            index, coords, orbit, length_class)
+        self.d_alpha, self.rank_one_type, self.component = d_alpha, rank_one_type, component
 
 
 def local_scale(alpha: RelativeRoot) -> int:
@@ -316,7 +319,9 @@ class RelativeRootSystem:
         d = datum.res_degree
         self.datum = datum
         self.simple_orbits = [list(o) for o in orbits]
-        self.positive_roots = tuple(replace(r, d_alpha=d * r.d_alpha) for r in roots)
+        self.positive_roots = tuple(
+            RelativeRoot(r.index, r.coords, r.orbit, r.length_class, d * r.d_alpha,
+                         r.rank_one_type, r.component) for r in roots)
         self.rank = len(self.cartan)
         self._by_coords = {r.coords: r for r in self.positive_roots}
         # the identity map on root indices, laid out like a reflection table
@@ -445,11 +450,13 @@ class RelativeRootSystem:
         return [WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """A Weyl-group element as a (not necessarily reduced) word."""
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]) -> None:
+        self.word = word
 
 
 # ---------------------------------------------------------------------------

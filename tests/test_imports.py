@@ -70,11 +70,21 @@ def uses(source: str) -> set[str]:
 
 
 def fields(source: str) -> list[str]:
-    """Class.field for every annotated field of a top-level class."""
-    return [f"{node.name}.{item.target.id}"
-            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    """Class.field for every annotated field of a top-level class and every
+    public name in its ``__slots__``; private slots such as a cached hash
+    are not fields."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                out.append(f"{node.name}.{item.target.id}")
+            elif (isinstance(item, ast.Assign)
+                  and [getattr(t, "id", None) for t in item.targets] == ["__slots__"]):
+                out += [f"{node.name}.{name}" for name in ast.literal_eval(item.value)
+                        if not name.startswith("_")]
+    return out
 
 
 def attribute_reads(source: str) -> set[str]:
@@ -101,6 +111,9 @@ def test_field_checker_sees_fields_and_reads():
               "        self.d = self.a\n        return 'b'\n")
     assert fields(source) == ["K.a", "K.b"]
     assert attribute_reads(source) == {"a"}
+    slotted = ("class S:\n    __slots__ = ('x', 'y', '_hash')\n    z = 1\n"
+               "class T:\n    __slots__ = ('w',)\n")
+    assert fields(slotted) == ["S.x", "S.y", "T.w"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -9,7 +9,6 @@ rank-one factors ``r_alpha`` of SL2- and SU21-type roots at d_alpha = 1,
 so the drawn words and products are the same on every run.
 """
 
-import dataclasses
 import functools
 import json
 import operator
@@ -26,6 +25,7 @@ from gkval import (
     MeromorphicProduct,
     RationalComplex,
     GroupDatum,
+    RelativeRoot,
     UnramifiedCharacter,
     cartan_matrix,
     constant_term,
@@ -139,9 +139,11 @@ def test_res_degree_scales_only_d_alpha_and_pairings():
             continue
         one = restrict_roots(datum)
         for k in (2, 3):
-            scaled = restrict_roots(dataclasses.replace(datum, res_degree=k))
+            scaled = restrict_roots(GroupDatum(datum.cartan, datum.automorphism,
+                                               datum.automorphism_order, k, datum.label))
             assert scaled.positive_roots == tuple(
-                dataclasses.replace(r, d_alpha=k * r.d_alpha) for r in one.positive_roots
+                RelativeRoot(r.index, r.coords, r.orbit, r.length_class, k * r.d_alpha,
+                             r.rank_one_type, r.component) for r in one.positive_roots
             ), (datum.label, k)
             assert _pairings(scaled) == [
                 tuple(k * c for c in vec) for vec in _pairings(one)
