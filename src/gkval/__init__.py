@@ -39,22 +39,6 @@ from .lfactors import (
     poles_positive,
     r_alpha,
 )
-from .oracles import (
-    DivergentIntegral,
-    LocalPlace,
-    NotConverged,
-    OracleConfig,
-    OracleError,
-    arch_gk,
-    gk_integral_sl2,
-    gk_integral_sl3,
-    gk_integral_su21_inert,
-    legendre_check,
-    normalizing_factor_arch,
-    s_independence_check,
-    sl2_closed_form,
-    su21_inert_closed_form,
-)
 from .roots import (
     GroupDatum,
     RelativeRoot,
@@ -77,3 +61,31 @@ from .roots import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric oracles load on first use (PEP 562): only the verify-* checks
+# need them.  constant_term stays eager, because importing the submodule
+# would make gkval.constant_term the module instead of the function.
+_ORACLE_NAMES = frozenset({
+    "DivergentIntegral",
+    "LocalPlace",
+    "NotConverged",
+    "OracleConfig",
+    "OracleError",
+    "arch_gk",
+    "gk_integral_sl2",
+    "gk_integral_sl3",
+    "gk_integral_su21_inert",
+    "legendre_check",
+    "normalizing_factor_arch",
+    "s_independence_check",
+    "sl2_closed_form",
+    "su21_inert_closed_form",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

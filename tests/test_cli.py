@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement, cli
+from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement
+from gkval import checks as suites
 from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
 roots = importlib.import_module("gkval.roots")
@@ -163,7 +164,7 @@ def test_weyl_exhaustive_fails_on_non_reduced_words(monkeypatch):
         return [WeylElement(w.word + (0, 0)) for w in enumerate_reduced(self, limit)]
 
     monkeypatch.setattr(RelativeRootSystem, "weyl_enumerate", padded)
-    checks = [c for c in cli._weyl_checks(0) if c["name"] == "weyl_exhaustive"]
+    checks = [c for c in suites.weyl_checks(0) if c["name"] == "weyl_exhaustive"]
     assert [c["pass"] for c in checks] == [False, False, False]
 
 
@@ -212,7 +213,7 @@ def test_verify_all_reports_known_ratio_discrepancy(capsys, monkeypatch):
     assert check["observed"] == {"short": "2", "long": "1"}
 
 
-@pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+@pytest.mark.parametrize("seed", ["abc", "", "1.5", "1_0", " 7 ", "\u0663"])
 def test_malformed_gk_seed_exits_with_one_line_error(capsys, monkeypatch, seed):
     monkeypatch.setenv("GK_SEED", seed)
     assert main(["verify-all", "--q", "2", "--s-grid", "1"]) == EXIT_SCHEMA
@@ -370,7 +371,7 @@ def test_oracle_error_keeps_check_name(capsys, monkeypatch):
     def not_converged(*args):
         raise NotConverged("increase depth or tolerance")
 
-    monkeypatch.setattr(cli, "gk_integral_su21_inert", not_converged)
+    monkeypatch.setattr(suites, "gk_integral_su21_inert", not_converged)
     code, out = run(capsys, "verify-local", "--q", "3", "--s-grid", "1",
                     "--output-format", "json")
     assert code == EXIT_VERIFY
