@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from gkval import (
     AffineForm,
     HeckeCharacterDescriptor,

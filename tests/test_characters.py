@@ -8,7 +8,6 @@ from gkval import (
     LocalPlace,
     OracleError,
     RationalComplex,
-    SL2,
     SU21,
     UnramifiedCharacter,
     compose_with_coroot,

@@ -1,16 +1,19 @@
-"""Every name a gkval module imports is used by that module, every
+"""Every name a gkval module or test imports is used by that module, every
 private top-level name a gkval module defines is used by that module,
-every public top-level name is used somewhere, and every annotated class
-field is read as an attribute somewhere.
+every public top-level name is used somewhere, and every class field, annotated
+or a public ``__slots__`` entry, is read as an attribute somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
 
-Last, the CLI must run its non-archimedean commands without importing
-mpmath, which only the Gamma evaluations need.
+Last, start-up: the CLI must run its non-archimedean commands without
+importing mpmath, which only the Gamma evaluations need, must import
+neither dataclasses nor inspect, and must load the oracles only for the
+``verify-*`` commands.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -18,9 +21,12 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import README_SPEC
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gkval"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # where a public name may be used: the package, its tests and the benchmark
 USERS = sorted(
     p for d in (ROOT / "src", ROOT / "tests", ROOT / "perfbench") for p in d.rglob("*.py")
@@ -116,7 +122,8 @@ def test_field_checker_sees_fields_and_reads():
     assert fields(slotted) == ["S.x", "S.y", "T.w"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -147,8 +154,15 @@ def test_no_dead_private_names(path):
     assert [n for n in definitions(source) if n.startswith("_") and n not in used] == []
 
 
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter, where nothing is imported yet."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 def test_mpmath_loads_only_for_archimedean_checks():
-    code = (
+    run_fresh(
         "import contextlib, io, sys\n"
         "import gkval.cli\n"
         "assert 'mpmath' not in sys.modules\n"
@@ -156,6 +170,23 @@ def test_mpmath_loads_only_for_archimedean_checks():
         "    assert gkval.cli.main(['verify-local', '--q', '2', '--s-grid', '1']) == 0\n"
         "assert 'mpmath' not in sys.modules\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_start_up_loads_no_dataclasses_and_oracles_on_first_use(tmp_path):
+    """Start-up compiles every module it imports, as no bytecode is cached
+    where PYTHONDONTWRITEBYTECODE is set: the CLI imports neither
+    dataclasses nor inspect, and only the verify-* commands load the
+    oracles and their suites."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(README_SPEC))
+    run_fresh(
+        "import contextlib, io, sys\n"
+        "import gkval.cli\n"
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert gkval.cli.main(['constant-term', '--input', {str(spec)!r}]) == 0\n"
+        "assert 'gkval.oracles' not in sys.modules and 'gkval.checks' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert gkval.cli.main(['verify-local', '--q', '2', '--s-grid', '1']) == 0\n"
+        "assert 'gkval.oracles' in sys.modules and 'gkval.checks' in sys.modules\n"
+    )

@@ -10,7 +10,6 @@ from gkval import (
     NotConverged,
     OracleConfig,
     RationalComplex,
-    SL2,
     SU21,
     arch_gk,
     evaluate_finite,
