@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,47 +135,58 @@ def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(g, scale): the Gram matrix (alpha_i, alpha_j) = d_i a[j][i], with d making
     it symmetric and (alpha_i, alpha_i) = 2 d_i, times the least integral scale."""
     n = len(a)
-    d: list[Fraction | None] = [None] * n
+    # d_i = num[i] / den[i] in lowest terms, d = 1 at the least node of each
+    # component; the off-diagonal entries of a are negative
+    num, den = [0] * n, [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if num[start]:
             continue
-        d[start] = Fraction(1)
+        num[start] = den[start] = 1
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
-                if i != j and a[i][j] != 0 and d[j] is None:
+                if i != j and a[i][j] != 0 and not num[j]:
                     # d_j a_ij = d_i a_ji
-                    d[j] = d[i] * a[j][i] / a[i][j]
+                    x, y = -num[i] * a[j][i], -den[i] * a[i][j]
+                    g = math.gcd(x, y)
+                    num[j], den[j] = x // g, y // g
                     queue.append(j)
-    scale = math.lcm(*(x.denominator for x in d))
-    return [[int(d[i] * scale) * a[j][i] for j in range(n)] for i in range(n)], scale
+    scale = math.lcm(*den)
+    # row i is the integer d_i * scale times column i of a
+    d_int = [x * (scale // y) for x, y in zip(num, den)]
+    return [[x * c for c in col] for x, col in zip(d_int, zip(*a))], scale
 
 
 def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All roots as integer vectors in the simple-root basis.
+    """The positive roots, sorted, as integer vectors in the simple-root basis.
+
+    Each root v carries its pairings p_k = <v, alpha_k^vee>, so s_j(v) =
+    v - p_j alpha_j gets its own as p - p_j a[j]: one Cartan row per new root.
+    Only the steps with p_j < 0, which raise the height, are taken; they reach
+    every positive root, since a non-simple one pairs positively with some
+    alpha_j^vee, and s_j takes it to a lower positive root.
 
     A finite-type diagram on at most MAX_NODES nodes has at most
-    2 MAX_NODES^2 roots (B12, C12 and E8 + F4 have exactly that many); more
-    means the diagram is not of finite type, whose root set never ends.
+    2 MAX_NODES^2 roots (B12, C12 and E8 + F4 have exactly that many), half
+    of them positive; more means the diagram is not of finite type.
     """
     n = len(a)
     most = 2 * MAX_NODES ** 2
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
+    frontier = [(tuple(int(i == j) for j in range(n)), a[i]) for i in range(n)]
+    seen = {v for v, _ in frontier}
     while frontier:
         nxt = []
-        for v in frontier:
-            for j in range(n):
-                pairing = sum(v[i] * a[i][j] for i in range(n))
-                w = list(v)
-                w[j] -= pairing
-                tw = tuple(w)
-                if tw not in seen:
-                    seen.add(tw)
-                    nxt.append(tw)
-        if len(seen) > most:
+        for v, pv in frontier:
+            for j, p in enumerate(pv):
+                if p < 0:
+                    w = list(v)
+                    w[j] -= p
+                    tw = tuple(w)
+                    if tw not in seen:
+                        seen.add(tw)
+                        nxt.append((tw, [x - p * y for x, y in zip(pv, a[j])]))
+        if 2 * len(seen) > most:
             raise RootSystemError(f"more than {most} roots: the diagram is not "
                                   "of finite type")
         frontier = nxt
@@ -506,11 +518,10 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
 
     images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for r in _generate_roots(a):
-        if all(c >= 0 for c in r):
-            v = [0] * rel_rank
-            for i, c in enumerate(r):
-                v[orbit_of[i]] += c
-            images.setdefault(tuple(v), []).append(r)
+        v = [0] * rel_rank
+        for i, c in enumerate(r):
+            v[orbit_of[i]] += c
+        images.setdefault(tuple(v), []).append(r)
     reduced = [
         v for v in images
         if any(c % 2 for c in v) or tuple(c // 2 for c in v) not in images
@@ -554,9 +565,10 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
 
     # order: simples first (orbit order), then by height and coordinates
     reduced.sort(key=lambda v: (0, v.index(1)) if sum(v) == 1 else (1, sum(v), v))
-    # g v and the scaled (v, v), per root
-    g_v = {v: [sum(g * c for g, c in zip(row, v)) for row in g_rel] for v in reduced}
-    norm = {v: sum(c * x for c, x in zip(v, g_v[v])) for v in reduced}
+    # g v and the scaled (v, v), per root; the pairings, the reflection
+    # tables and the length classes are all read off g v
+    g_v = {v: [sum(map(operator.mul, row, v)) for row in g_rel] for v in reduced}
+    norm = {v: sum(map(operator.mul, v, g_v[v])) for v in reduced}
     component = {v: comp_of_node[next(i for i, c in enumerate(v) if c)]
                  for v in reduced}
 
@@ -599,8 +611,10 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
             )
         )
 
-    # <gamma_i, beta^vee> = 2 (gamma_i, beta) / (beta, beta)
-    if any(2 * x % norm[v] for v in reduced for x in g_v[v]):
+    # <gamma_i, beta^vee> = 2 (gamma_i, beta) / (beta, beta) and
+    # <beta, gamma_j^vee> = 2 (beta, gamma_j) / (gamma_j, gamma_j)
+    diag = [g_rel[j][j] for j in range(rel_rank)]
+    if any(2 * x % norm[v] or 2 * x % g for v in reduced for x, g in zip(g_v[v], diag)):
         raise RootSystemError("internal: non-integral coroot pairing")
     pairings = tuple(tuple(2 * x // norm[v] for x in g_v[v]) for v in reduced)
 
@@ -610,16 +624,16 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
     index_of = {v: i for i, v in enumerate(reduced)}
     index_of.update({tuple(-c for c in v): ~i for i, v in enumerate(reduced)})
     tables = []
-    for j in range(rel_rank):
+    for j, g in enumerate(diag):
         image = []
-        for v in reduced:
-            w = list(v)
-            w[j] -= sum(c * row[j] for c, row in zip(v, cartan_rel_int))
-            image.append(index_of[tuple(w)])
+        for i, v in enumerate(reduced):
+            p = 2 * g_v[v][j] // g
+            image.append(index_of[v[:j] + (v[j] - p,) + v[j + 1:]] if p else i)
         tables.append(tuple(image) + tuple(~x for x in reversed(image)))
 
-    ray = tuple(Fraction(sum(local_scale(r) * r.coords[i] for r in rel_roots), 2)
-                for i in range(rel_rank))
+    # the half-sum of local_scale(beta) beta, as one weighted column sum
+    weights = [local_scale(r) for r in rel_roots]
+    ray = tuple(Fraction(sum(map(operator.mul, weights, col)), 2) for col in zip(*reduced))
     components = tuple(
         (_component_type(cartan_rel_int, g_rel, nodes,
                          sum(component[v] == ci for v in reduced)), tuple(nodes))

@@ -355,11 +355,20 @@ def test_cartan_not_of_finite_type_exits_with_one_line_error(tmp_path, capsys, c
     assert captured.err == "error: Cartan matrix is not of finite type\n"
 
 
-def test_runaway_root_generation_is_an_invariant_breach(tmp_path, capsys, monkeypatch):
+def _affine_cycle(n):
+    """The Cartan matrix of affine A_{n-1}: n nodes joined in a cycle."""
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], _affine_cycle(roots.MAX_NODES)],
+                         ids=["affine-A1", "affine-A11-cycle"])
+def test_runaway_root_generation_is_an_invariant_breach(tmp_path, capsys, monkeypatch, cartan):
     """Were a Cartan matrix not of finite type to pass validation, its roots
-    would never end; the bound on their number turns that into exit 3."""
+    would never end; the bound on their number turns that into exit 3, also
+    at the node limit, where a finite type has the most roots."""
     monkeypatch.setattr(roots, "_validate_cartan", lambda cartan: None)
-    path = write_spec(tmp_path, {"diagram": {"cartan": [[2, -2], [-2, 2]]}})
+    path = write_spec(tmp_path, {"diagram": {"cartan": cartan}})
     assert main(["classify", "--input", path]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,6 +11,7 @@ so the drawn words and products are the same on every run.
 
 import functools
 import json
+import math
 import operator
 from fractions import Fraction
 
@@ -231,6 +232,111 @@ def test_relative_types_match_borel_tits(tmp_path):
                 if {key: got[key] for key in want} != want:
                     mismatches.append(f"{family} n={n} d'={d}")
     assert mismatches == []
+
+
+def _symmetries(family, n, order):
+    """The diagram automorphisms of family_n drawn at automorphism order
+    ``order``: the identity, and the flips at order 2 or triality at 3."""
+    flips, trialities = [], []
+    if family == "A" and n > 1:
+        flips = [tuple(reversed(range(n)))]
+    elif family == "D":
+        flips = [tuple(range(n - 2)) + (n - 1, n - 2)]
+    elif (family, n) == ("E", 6):
+        flips = [quasi_split_e6_datum().automorphism]
+    if (family, n) == ("D", 4):
+        trialities = [(2, 1, 3, 0), (3, 1, 0, 2)]
+    return [tuple(range(n))] + {1: [], 2: flips, 3: trialities}[order]
+
+
+COMPONENTS = SPLIT + [("E", 7), ("E", 8)]
+
+
+@st.composite
+def direct_sums(draw):
+    """(datum, parts, shuffle): a disjoint union of split parts on at most
+    MAX_NODES nodes.  A part is one component with one of its symmetries, or
+    cycled copies of one component; node i of the parts laid end to end is
+    node shuffle[i] of the datum.  Half the unions of order 3 hold a split G2
+    beside a triality D4: a probe of this property found the once-per-diagram
+    triality flip only when that pair was drawn often."""
+    order = draw(st.sampled_from((1, 2, 3, 3)))
+    parts = []
+    if order == 3 and draw(st.booleans()):
+        triality = draw(st.sampled_from(_symmetries("D", 4, 3)[1:]))
+        parts = [GroupDatum(tuple(map(tuple, cartan_matrix("G", 2))), (0, 1), 3, 1),
+                 GroupDatum(tuple(map(tuple, cartan_matrix("D", 4))), triality, 3, 1)]
+    size = sum(len(part.cartan) for part in parts)
+    while size < MAX_NODES and (not parts or draw(st.booleans())):
+        room = MAX_NODES - size
+        family, n = draw(st.sampled_from([c for c in COMPONENTS if c[1] <= room]))
+        cartan = cartan_matrix(family, n)
+        if order > 1 and order * n <= room and draw(st.booleans()):
+            part = _copies(cartan, order, 1)
+        else:
+            sigma = draw(st.sampled_from(_symmetries(family, n, order)))
+            part = GroupDatum(tuple(map(tuple, cartan)), sigma, order, 1)
+        parts.append(part)
+        size += len(part.cartan)
+    perm = []
+    for part in parts:
+        perm += [len(perm) + x for x in part.automorphism]
+    laid = block_diagonal(*(part.cartan for part in parts))
+    shuffle = draw(st.permutations(range(size)))
+    cartan = [[0] * size for _ in range(size)]
+    sigma = [0] * size
+    for i in range(size):
+        sigma[shuffle[i]] = shuffle[perm[i]]
+        for j in range(size):
+            cartan[shuffle[i]][shuffle[j]] = laid[i][j]
+    return GroupDatum(tuple(map(tuple, cartan)), tuple(sigma), order, 1), parts, shuffle
+
+
+def _component_summary(system, component, relabel):
+    """The type of a relative component and, per root on it, its coordinates
+    on the component's nodes k, written at relabel[k] -> (its norm over the
+    least norm on the component, length class, d_alpha, rank-one type)."""
+    kind, nodes = system.components[component]
+    scale = math.lcm(*(x.denominator for row in system.gram for x in row))
+    gram = [[int(x * scale) for x in row] for row in system.gram]
+    rows = {}
+    for r in system.positive_roots:
+        if r.component != component:
+            continue
+        coords = [0] * len(nodes)
+        for k in nodes:
+            coords[relabel[k]] = r.coords[k]
+        assert sum(map(abs, coords)) == sum(map(abs, r.coords)), r
+        norm = sum(r.coords[i] * r.coords[j] * gram[i][j] for i in nodes for j in nodes)
+        rows[tuple(coords)] = (norm, r.length_class, r.d_alpha, r.rank_one_type)
+    least = min(norm for norm, *_ in rows.values())
+    return kind, {c: (Fraction(norm, least), *rest) for c, (norm, *rest) in rows.items()}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(direct_sums())
+def test_fold_of_a_direct_sum_is_the_fold_of_its_parts(case):
+    """Each component of the fold of a disjoint union is the fold of its part
+    alone, root by root, whatever the order of the nodes."""
+    datum, parts, shuffle = case
+    system = restrict_roots(datum)
+    owner, at = {}, 0  # node of the datum -> (part, relative node of the part)
+    for p, part in enumerate(parts):
+        for k, orbit in enumerate(fold(part).simple_orbits):
+            for node in orbit:
+                owner[shuffle[at + node]] = (p, k)
+        at += len(part.cartan)
+    seen = []
+    for ci, (_, nodes) in enumerate(system.components):
+        (p, _), *_ = where = [owner[system.simple_orbits[k][0]] for k in nodes]
+        assert {q for q, _ in where} == {p}
+        own = fold(parts[p])
+        assert len(own.components) == 1
+        relabel = {k: kp for k, (_, kp) in zip(nodes, where)}
+        assert _component_summary(system, ci, relabel) == _component_summary(
+            own, 0, range(own.rank)), parts[p]
+        seen.append(p)
+    assert sorted(seen) == list(range(len(parts)))
 
 
 def test_principal_ray_pairs_to_local_scale():

@@ -19,6 +19,7 @@ from gkval import (
     su_datum,
     triality_datum,
 )
+from gkval.roots import MAX_NODES, _generate_roots
 
 
 def split_system(family, rank):
@@ -83,6 +84,51 @@ def test_positive_root_counts_split():
                 ("F", 4): 24, ("G", 2): 6}
     for (fam, n), count in expected.items():
         assert len(split_system(fam, n).positive_roots) == count
+
+
+def _all_roots_closure(a):
+    """Root generation as first written: the closure of the simple roots under
+    every simple reflection, both signs, one pairing dot product per step."""
+    n = len(a)
+    most = 2 * MAX_NODES ** 2
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for j in range(n):
+                pairing = sum(v[i] * a[i][j] for i in range(n))
+                w = list(v)
+                w[j] -= pairing
+                tw = tuple(w)
+                if tw not in seen:
+                    seen.add(tw)
+                    nxt.append(tw)
+        if len(seen) > most:
+            raise RootSystemError(f"more than {most} roots: the diagram is not "
+                                  "of finite type")
+        frontier = nxt
+    return sorted(seen)
+
+
+# every split type on at most MAX_NODES nodes, with |Phi+|
+SPLIT_POSITIVE_COUNTS = {
+    **{("A", n): n * (n + 1) // 2 for n in range(1, MAX_NODES + 1)},
+    **{("B", n): n * n for n in range(2, MAX_NODES + 1)},
+    **{("C", n): n * n for n in range(2, MAX_NODES + 1)},
+    **{("D", n): n * (n - 1) for n in range(4, MAX_NODES + 1)},
+    ("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6,
+}
+
+
+@pytest.mark.parametrize("family, rank", SPLIT_POSITIVE_COUNTS,
+                         ids=[f"{f}{n}" for f, n in SPLIT_POSITIVE_COUNTS])
+def test_generated_roots_are_the_positive_half_of_the_closure(family, rank):
+    a = cartan_matrix(family, rank)
+    got = _generate_roots(a)
+    assert got == [r for r in _all_roots_closure(a) if all(c >= 0 for c in r)]
+    assert len(got) == SPLIT_POSITIVE_COUNTS[family, rank]
 
 
 def test_su_odd_fold_is_b_type_with_divisible_roots():
