@@ -28,7 +28,9 @@ permutation tables: root index i stands for ``positive_roots[i]`` and ~i
 for its negative, and the fold tabulates each simple reflection once on
 these indices (Casselman, "Computation in Coxeter groups I", 2002).  The
 fold computes in integers, with Gram matrices scaled by the lcm of their
-denominators.
+denominators.  It walks the positive absolute roots only, each carrying its
+coroot pairings, and reads the norms, coroot pairings and reflection tables
+off one Gram product g beta per reduced root beta.
 """
 
 from __future__ import annotations
@@ -565,8 +567,7 @@ def _fold(a: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> tuple:
 
     # order: simples first (orbit order), then by height and coordinates
     reduced.sort(key=lambda v: (0, v.index(1)) if sum(v) == 1 else (1, sum(v), v))
-    # g v and the scaled (v, v), per root; the pairings, the reflection
-    # tables and the length classes are all read off g v
+    # g v and the scaled (v, v), per root
     g_v = {v: [sum(map(operator.mul, row, v)) for row in g_rel] for v in reduced}
     norm = {v: sum(map(operator.mul, v, g_v[v])) for v in reduced}
     component = {v: comp_of_node[next(i for i, c in enumerate(v) if c)]

@@ -20,6 +20,7 @@ from gkval import (
     triality_datum,
 )
 from gkval.roots import MAX_NODES, _generate_roots
+from test_properties import positive_count
 
 
 def split_system(family, rank):
@@ -112,23 +113,18 @@ def _all_roots_closure(a):
     return sorted(seen)
 
 
-# every split type on at most MAX_NODES nodes, with |Phi+|
-SPLIT_POSITIVE_COUNTS = {
-    **{("A", n): n * (n + 1) // 2 for n in range(1, MAX_NODES + 1)},
-    **{("B", n): n * n for n in range(2, MAX_NODES + 1)},
-    **{("C", n): n * n for n in range(2, MAX_NODES + 1)},
-    **{("D", n): n * (n - 1) for n in range(4, MAX_NODES + 1)},
-    ("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6,
-}
+# every split type on at most MAX_NODES nodes
+ALL_SPLIT = [(f, n) for f, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+             for n in range(least, MAX_NODES + 1)]
+ALL_SPLIT += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 
-@pytest.mark.parametrize("family, rank", SPLIT_POSITIVE_COUNTS,
-                         ids=[f"{f}{n}" for f, n in SPLIT_POSITIVE_COUNTS])
+@pytest.mark.parametrize("family, rank", ALL_SPLIT, ids=[f"{f}{n}" for f, n in ALL_SPLIT])
 def test_generated_roots_are_the_positive_half_of_the_closure(family, rank):
     a = cartan_matrix(family, rank)
     got = _generate_roots(a)
     assert got == [r for r in _all_roots_closure(a) if all(c >= 0 for c in r)]
-    assert len(got) == SPLIT_POSITIVE_COUNTS[family, rank]
+    assert len(got) == positive_count(family, rank)
 
 
 def test_su_odd_fold_is_b_type_with_divisible_roots():
