@@ -14,6 +14,8 @@ closed form at every finite place it is given.
 
 from __future__ import annotations
 
+import math
+
 from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
@@ -219,7 +221,7 @@ def normalizing_factor_arch(case: str, s: complex) -> complex:
     """
 
     def lval(place_kind: str, eta, form: AffineForm) -> complex:
-        return complex(arch_value(LFactorAtom(KIND_L, place_kind, form, eta), s))
+        return arch_value(LFactorAtom(KIND_L, place_kind, form, eta), s)
 
     one_s = AffineForm.of(1, 1)
     just_s = AffineForm.of(1, 0)
@@ -241,16 +243,14 @@ def normalizing_factor_arch(case: str, s: complex) -> complex:
 
 def legendre_check(samples, tol: float = 1e-10) -> bool:
     """Duplication identities for Gamma(2s) and Gamma(2s+1)."""
-    import mpmath  # loaded on first use, like lfactors.checked_gamma
-
     g = checked_gamma
-    rt_pi = complex(mpmath.sqrt(mpmath.pi))
+    rt_pi = math.sqrt(math.pi)
     for s in samples:
         s = complex(s)
         lhs1 = g(2 * s)
-        rhs1 = complex(mpmath.power(2, 2 * s - 1)) / rt_pi * g(s) * g(s + 0.5)
+        rhs1 = 2 ** (2 * s - 1) / rt_pi * g(s) * g(s + 0.5)
         lhs2 = g(2 * s + 1)
-        rhs2 = complex(mpmath.power(2, 2 * s)) / rt_pi * g(s + 0.5) * g(s + 1)
+        rhs2 = 2 ** (2 * s) / rt_pi * g(s + 0.5) * g(s + 1)
         if abs(lhs1 - rhs1) > tol * max(1.0, abs(lhs1)):
             return False
         if abs(lhs2 - rhs2) > tol * max(1.0, abs(lhs2)):

@@ -6,10 +6,13 @@ or a public ``__slots__`` entry, is read as an attribute somewhere.
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
 
-Last, start-up: the CLI must run its non-archimedean commands without
-importing mpmath, which only the Gamma evaluations need, must import
-neither dataclasses nor inspect, and must load the oracles only for the
-``verify-*`` commands.
+Last, start-up and dependencies: the CLI must import neither dataclasses
+nor inspect, and must load the oracles only for the ``verify-*`` commands.
+Gamma is evaluated with the standard library, and ``cmath`` loads only for
+it.  ``verify-all`` and ``verify-arch`` must pass under ``python -S``, where
+no site-packages directory, and so no third-party module, is reachable.
+The old guard that the non-archimedean commands leave mpmath unloaded
+stays, and still holds.
 """
 
 import ast
@@ -190,3 +193,25 @@ def test_start_up_loads_no_dataclasses_and_oracles_on_first_use(tmp_path):
         "    assert gkval.cli.main(['verify-local', '--q', '2', '--s-grid', '1']) == 0\n"
         "assert 'gkval.oracles' in sys.modules and 'gkval.checks' in sys.modules\n"
     )
+
+
+def test_verify_commands_need_only_the_standard_library():
+    """``python -S`` with only the source on the path: mpmath, like every
+    third-party module, is out of reach, and the verify commands still pass."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-S", *args], capture_output=True,
+                              text=True, env=env)
+
+    probe = run("-c", "import importlib.util, sys\n"
+                      "assert importlib.util.find_spec('mpmath') is None\n"
+                      "import gkval.cli\n"
+                      "assert 'cmath' not in sys.modules\n")
+    assert probe.returncode == 0, probe.stderr
+    every = run("-m", "gkval.cli", "verify-all", "--output-format", "json")
+    assert every.returncode == 0, every.stderr
+    report = json.loads(every.stdout)
+    assert (report["pass"], report["total"], report["failed"]) == (True, 99, 0)
+    arch = run("-m", "gkval.cli", "verify-arch")
+    assert arch.returncode == 0, arch.stderr

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -26,6 +27,7 @@ from gkval.lfactors import (
     PLACE_COMPLEX,
     PLACE_FINITE,
     PLACE_REAL,
+    checked_gamma,
 )
 
 
@@ -177,11 +179,58 @@ def test_evaluate_finite_sl2_closed_form():
 
 def test_arch_values_explicit():
     c_atom = atom(degree=2, place=PLACE_COMPLEX, label="C")
-    assert complex(arch_value(c_atom, 1)) == pytest.approx(1 / math.pi)
     r_sgn = atom(place=PLACE_REAL, quad=True, label="R")
-    assert complex(arch_value(r_sgn, 1)) == pytest.approx(1 / math.pi)
     r_triv = atom(place=PLACE_REAL, label="R")
-    assert complex(arch_value(r_triv, 2)) == pytest.approx(1 / math.pi)
+    for value in (arch_value(c_atom, 1), arch_value(r_sgn, 1), arch_value(r_triv, 2)):
+        assert type(value) is complex
+        assert value == pytest.approx(1 / math.pi, rel=1e-14)
+
+
+# Gamma is a Lanczos approximation in double precision: these tests check it
+# against math.gamma on the real axis and by exact identities off it.
+
+REAL_AXIS = [k / 20 for k in range(1, 801)] + [k - 0.5 for k in range(-9, 1)]
+
+
+def test_gamma_matches_math_gamma_on_the_real_axis():
+    worst = max(abs(checked_gamma(x) - math.gamma(x)) / abs(math.gamma(x))
+                for x in REAL_AXIS)
+    assert worst < 1e-13
+    assert checked_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+COMPLEX_POINTS = [complex(re, t) for re in (-3.3, 0.25, 0.5, 1.0, 2.7, 11.0)
+                  for t in (0.5, 1.0, 3.0, 7.5, 12.0, 20.0)]
+
+
+@pytest.mark.parametrize("z", COMPLEX_POINTS)
+def test_gamma_satisfies_the_recurrence_and_conjugation(z):
+    assert checked_gamma(z + 1) == pytest.approx(z * checked_gamma(z), rel=1e-12)
+    assert checked_gamma(z.conjugate()) == pytest.approx(
+        checked_gamma(z).conjugate(), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0])
+def test_gamma_moduli_on_vertical_lines(t):
+    """|Gamma(1/2 + it)|^2 = pi / cosh(pi t) and |Gamma(1 + it)|^2 = pi t / sinh(pi t)."""
+    assert abs(checked_gamma(0.5 + 1j * t)) ** 2 == pytest.approx(
+        math.pi / math.cosh(math.pi * t), rel=1e-12)
+    assert abs(checked_gamma(1 + 1j * t)) ** 2 == pytest.approx(
+        math.pi * t / math.sinh(math.pi * t), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0, -1, -7, -1e-13, 1e-13j, -1 + 1e-13, -1 - 1e-13,
+                               -7 + 1e-13, complex(-7, -1e-13)])
+def test_gamma_raises_at_and_near_its_poles(x):
+    with pytest.raises(PoleAtEvaluation):
+        checked_gamma(x)
+
+
+def test_gamma_past_the_largest_float_is_infinite():
+    assert math.isfinite(checked_gamma(171).real)
+    for x in (172, 180.5, 300, 1000):
+        assert cmath.isinf(checked_gamma(x))
+    assert checked_gamma(-200.5) == 0
 
 
 def test_arch_value_signals_gamma_pole():

@@ -33,6 +33,7 @@ from gkval import (
     constant_term,
     family_datum,
     local_scale,
+    multiplicativity_check,
     quasi_split_e6_datum,
     r_alpha,
     restrict_roots,
@@ -339,6 +340,21 @@ def test_fold_of_a_direct_sum_is_the_fold_of_its_parts(case):
             own, 0, range(own.rank)), parts[p]
         seen.append(p)
     assert sorted(seen) == list(range(len(parts)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(direct_sums(), st.data())
+def test_cocycle_holds_on_random_length_additive_splits(case, data):
+    """A reduced word cut anywhere is a length-additive split w = w1 w2, so
+    r(w, lambda) = r(w1, w2 lambda) r(w2, lambda) on the fold of a drawn union."""
+    system = restrict_roots(case[0])
+    word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=24))
+    w = system.normalize(word)
+    assert len(system.inversion_set(w)) == len(w.word)
+    cut = data.draw(st.integers(0, len(w.word)))
+    w1, w2 = system.normalize(w.word[:cut]), system.normalize(w.word[cut:])
+    assert multiplicativity_check(system, UnramifiedCharacter.trivial(system.rank),
+                                  system.principal_ray(), w1, w2)
 
 
 def test_principal_ray_pairs_to_local_scale():
