@@ -7,12 +7,12 @@ or a public ``__slots__`` entry, is read as an attribute somewhere.
 ``__future__`` imports.  Only the standard ``ast`` module is used.
 
 Last, start-up and dependencies: the CLI must import neither dataclasses
-nor inspect, and must load the oracles only for the ``verify-*`` commands.
-Gamma is evaluated with the standard library, and ``cmath`` loads only for
-it.  ``verify-all`` and ``verify-arch`` must pass under ``python -S``, where
-no site-packages directory, and so no third-party module, is reachable.
-The old guard that the non-archimedean commands leave mpmath unloaded
-stays, and still holds.
+nor inspect, must load the oracles only for the ``verify-*`` commands, and
+must not load mpmath for a non-archimedean command.  Gamma is evaluated
+with the standard library, so ``verify-all`` and ``verify-arch`` must pass
+under ``python -S``, where no site-packages directory, and so no
+third-party module, is reachable; ``import gkval.cli`` must not load
+``cmath``, which only Gamma needs.
 """
 
 import ast
