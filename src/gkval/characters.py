@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .records import Record
 from .roots import (
@@ -110,14 +110,14 @@ class AffineForm(Record):
     def __call__(self, s: complex) -> complex:
         return float(self.a) * s + float(self.b)
 
-    def render(self, var: str = "s") -> str:
+    def render(self) -> str:
         if self.a == 0:
             return str(self.b)
         coef = "" if self.a == 1 else f"{self.a}*"
         if self.b == 0:
-            return f"{coef}{var}"
+            return f"{coef}s"
         sign = "+" if self.b > 0 else "-"
-        return f"{coef}{var} {sign} {abs(self.b)}"
+        return f"{coef}s {sign} {abs(self.b)}"
 
 
 class ScaledVector:
@@ -164,8 +164,8 @@ class UnramifiedCharacter(Record):
         self._scaled = None
 
     @staticmethod
-    def trivial(rank: int, mode: str = NUMBER_MODE, q: int | None = None):
-        return UnramifiedCharacter((RationalComplex(),) * rank, mode, q)
+    def trivial(rank: int):
+        return UnramifiedCharacter((RationalComplex(),) * rank)
 
     @property
     def rank(self) -> int:

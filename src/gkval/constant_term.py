@@ -15,8 +15,8 @@ whenever lengths add.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .characters import (
     AffineForm,

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .characters import (
     AffineForm,
@@ -83,7 +83,7 @@ class LFactorAtom(Record):
                 eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b,
                 eta.q is None, eta.q or 0)
 
-    def render(self, var: str = "s") -> str:
+    def render(self) -> str:
         name = "L" if self.kind == KIND_L else "eps"
         chi = "1"
         if self.character.quad_twist or not self.character.exponent.is_zero:
@@ -94,7 +94,7 @@ class LFactorAtom(Record):
                 parts.append("eta_[E:F]")
             chi = "*".join(parts)
         label = self.character.field_label
-        return f"{name}_{label}({self.arg.render(var)}, {chi})"
+        return f"{name}_{label}({self.arg.render()}, {chi})"
 
 
 class MeromorphicProduct:
@@ -338,7 +338,7 @@ def checked_gamma(x: complex) -> complex:
     reference to 2e-13 on Re x in [-10, 40], |Im x| <= 20.  Past x = 171.62,
     where |Gamma| exceeds the largest float, the value is infinite."""
     x = complex(x)
-    if abs(x.imag) < 1e-12 and x.real <= 0 and abs(x.real - round(x.real)) < 1e-12:
+    if abs(x.imag) < 1e-12 and round(x.real) <= 0 and abs(x.real - round(x.real)) < 1e-12:
         raise PoleAtEvaluation(f"Gamma pole at {x}")
     import cmath  # loaded on first use: only archimedean checks need it
 

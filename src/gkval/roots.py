@@ -39,8 +39,8 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .records import Record
 
@@ -337,11 +337,9 @@ class RelativeRootSystem:
             RelativeRoot(r.index, r.coords, r.orbit, r.length_class, d * r.d_alpha,
                          r.rank_one_type, r.component) for r in roots)
         self.rank = len(self.cartan)
-        self._by_coords = {r.coords: r for r in self.positive_roots}
         # the identity map on root indices, laid out like a reflection table
         self._identity = tuple(range(len(roots))) + tuple(range(-len(roots), 0))
-        self._pairings = {r.coords: tuple(d * c for c in vec)
-                          for r, vec in zip(roots, pairings)}
+        self._pairings = tuple(tuple(d * c for c in vec) for vec in pairings)
         # (key, table) of the rank-one factors last assembled on this system;
         # kept by constant_term, which replaces it when the key changes
         self.factor_cache: tuple | None = None
@@ -356,10 +354,10 @@ class RelativeRootSystem:
 
     def root_by_coords(self, coords: Sequence[int]) -> RelativeRoot:
         key = tuple(coords)
-        try:
-            return self._by_coords[key]
-        except KeyError:
-            raise RootSystemError(f"{key} is not a positive reduced root") from None
+        for r in self.positive_roots:
+            if r.coords == key:
+                return r
+        raise RootSystemError(f"{key} is not a positive reduced root")
 
     def coroot_pairing_vector(self, alpha: RelativeRoot) -> tuple[int, ...]:
         """Integer coefficients c_i with <lambda, alpha^vee> = sum c_i lambda_i.
@@ -369,7 +367,7 @@ class RelativeRootSystem:
         d' = 1, once per diagram.  Along the principal ray the pairing with a
         simple coroot is :func:`local_scale` times s.
         """
-        return self._pairings[alpha.coords]
+        return self._pairings[alpha.index]
 
     def principal_ray(self) -> tuple[Fraction, ...]:
         """Direction x with <x, beta_j^vee> = local_scale(beta_j) on every
@@ -394,14 +392,6 @@ class RelativeRootSystem:
             t = self.reflection_tables[j]
             out = [t[x] for x in out]
         return out
-
-    def _apply_word(self, word: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of w(v) for a reduced root v."""
-        sign = -1 if all(c <= 0 for c in v) else 1
-        x = self.root_by_coords([sign * c for c in v]).index
-        (x,) = self._images(word, [x if sign > 0 else ~x])
-        sign, x = (1, x) if x >= 0 else (-1, ~x)
-        return tuple(sign * c for c in self.positive_roots[x].coords)
 
     def inversion_set(self, w: "WeylElement") -> tuple[RelativeRoot, ...]:
         """Positive reduced roots sent to negative roots by w."""
@@ -428,13 +418,20 @@ class RelativeRootSystem:
         raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def longest_element(self) -> "WeylElement":
-        """Walk up by (right) ascents, j with w(gamma_j) > 0, until none is left."""
+        """Walk up by the least (right) ascent, j with w(gamma_j) > 0, until
+        none is left.
+
+        As l(u) + l(u^{-1} w0) = l(w0), j is an ascent of a prefix u exactly
+        when it is a left descent of the rest u^{-1} w0, so the walk spells
+        :meth:`normalize`'s normal form; it is kept as the last one returned.
+        """
         w = self._identity
         word: list[int] = []
         for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
             asc = next((j for j in range(self.rank) if w[j] >= 0), None)
             if asc is None:
-                return self.normalize(word)
+                self._last_normal = WeylElement(tuple(word))
+                return self._last_normal
             word.append(asc)
             w = [w[x] for x in self.reflection_tables[asc]]  # w <- w s_asc
         raise RootSystemError("internal: reduced word longer than |Phi+|")

@@ -82,10 +82,12 @@ def test_verify_all_work_counts(monkeypatch):
     automorphism) pairs once, in 60 restrict_roots calls (71 before the
     worked SL(3) example was built once per process), builds 62 rank-one
     factors (2,334 without the factor table, 95 before the SL(3) example
-    was built once) and makes 302 normalize calls (1,986 when
-    multiplicativity_check and pole_profile normalized their words and
-    weyl_enumerate normalized every word times every letter, 2,802 when
-    multiplicativity_check also re-normalized its products)."""
+    was built once) and makes 301 normalize calls (302 when
+    longest_element normalized its own walk, whose word is already the
+    normal form, for the SL(3) report; 1,986 when multiplicativity_check
+    and pole_profile normalized their words and weyl_enumerate normalized
+    every word times every letter, 2,802 when multiplicativity_check also
+    re-normalized its products)."""
     builds, normalized = [], []
     r_alpha = ct.r_alpha
     normalize = roots.RelativeRootSystem.normalize
@@ -108,4 +110,4 @@ def test_verify_all_work_counts(monkeypatch):
     info = roots._fold.cache_info()
     assert (info.misses, info.misses + info.hits) == (23, 60)
     assert len(builds) == 62
-    assert len(normalized) == 302
+    assert len(normalized) == 301

@@ -49,7 +49,7 @@ def test_function_field_mode_needs_q():
 def test_number_mode_takes_no_q():
     # a q here would be copied into every descriptor and lost by to_json
     with pytest.raises(CharacterError):
-        UnramifiedCharacter.trivial(1, NUMBER_MODE, 5)
+        UnramifiedCharacter((rc(0),), NUMBER_MODE, 5)
 
 
 def test_field_sizes_must_be_prime_powers():

@@ -1,7 +1,8 @@
 """Every name a gkval module or test imports is used by that module, every
-private top-level name a gkval module defines is used by that module,
-every public top-level name is used somewhere, and every class field, annotated
-or a public ``__slots__`` entry, is read as an attribute somewhere.
+private top-level name and private method a gkval module defines is used by
+that module, every public top-level name is used somewhere, and every class
+field, annotated or a public ``__slots__`` entry, is read as an attribute
+somewhere.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -12,7 +13,8 @@ must not load mpmath for a non-archimedean command.  Gamma is evaluated
 with the standard library, so ``verify-all`` and ``verify-arch`` must pass
 under ``python -S``, where no site-packages directory, and so no
 third-party module, is reachable; ``import gkval.cli`` must not load
-``cmath``, which only Gamma needs.
+``cmath``, which only Gamma needs, nor ``typing``, as the annotations take
+their names from ``collections.abc``.
 """
 
 import ast
@@ -61,6 +63,15 @@ def definitions(source: str) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
     return names
+
+
+def private_methods(source: str) -> list[str]:
+    """Methods of top-level classes named with a leading underscore, other
+    than dunders."""
+    return [item.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
 
 
 def uses(source: str) -> set[str]:
@@ -113,6 +124,12 @@ def test_dead_name_checker_sees_definitions_and_uses():
               "def f():\n    return m.g(A)\nclass K:\n    pass\nL = ['h.k']\n")
     assert definitions(source) == ["A", "_B", "C", "f", "K", "L"]
     assert uses(source) == {"int", "A", "g", "m", "h", "k"}
+    methods = ("class K:\n    def __init__(self):\n        self._b()\n"
+               "    def _a(self):\n        pass\n    def _b(self):\n        pass\n"
+               "    def c(self):\n        def _d():\n            pass\n"
+               "def _e():\n    pass\n")
+    assert private_methods(methods) == ["_a", "_b"]
+    assert "_b" in uses(methods) and "_a" not in uses(methods)
 
 
 def test_field_checker_sees_fields_and_reads():
@@ -150,11 +167,12 @@ def test_no_dead_fields():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_names(path):
-    """A private helper's only users are in its own module, so a helper
-    whose last caller is deleted must go with it."""
+    """A private helper or method's only users are in its own module, so a
+    helper whose last caller is deleted must go with it."""
     source = path.read_text(encoding="utf-8")
     used = uses(source)
-    assert [n for n in definitions(source) if n.startswith("_") and n not in used] == []
+    private = [n for n in definitions(source) if n.startswith("_")] + private_methods(source)
+    assert [n for n in private if n not in used] == []
 
 
 def run_fresh(code: str) -> None:
@@ -207,7 +225,8 @@ def test_verify_commands_need_only_the_standard_library():
     probe = run("-c", "import importlib.util, sys\n"
                       "assert importlib.util.find_spec('mpmath') is None\n"
                       "import gkval.cli\n"
-                      "assert 'cmath' not in sys.modules\n")
+                      "assert 'cmath' not in sys.modules\n"
+                      "assert 'typing' not in sys.modules\n")
     assert probe.returncode == 0, probe.stderr
     every = run("-m", "gkval.cli", "verify-all", "--output-format", "json")
     assert every.returncode == 0, every.stderr

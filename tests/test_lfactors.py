@@ -219,7 +219,7 @@ def test_gamma_moduli_on_vertical_lines(t):
         math.pi * t / math.sinh(math.pi * t), rel=1e-12)
 
 
-@pytest.mark.parametrize("x", [0, -1, -7, -1e-13, 1e-13j, -1 + 1e-13, -1 - 1e-13,
+@pytest.mark.parametrize("x", [0, -1, -7, -1e-13, 1e-13, 1e-13j, -1 + 1e-13, -1 - 1e-13,
                                -7 + 1e-13, complex(-7, -1e-13)])
 def test_gamma_raises_at_and_near_its_poles(x):
     with pytest.raises(PoleAtEvaluation):

@@ -255,14 +255,12 @@ def test_inversion_cocycle():
         cut = rng.randrange(len(w.word) + 1)
         w1 = system.normalize(w.word[:cut])
         w2 = system.normalize(w.word[cut:])
-        inv12 = {r.coords for r in system.inversion_set(system.normalize(w1.word + w2.word))}
+        inv12 = {r.index for r in system.inversion_set(system.normalize(w1.word + w2.word))}
         if len(inv12) != len(w1.word) + len(w2.word):
             continue
-        inv2 = {r.coords for r in system.inversion_set(w2)}
-        moved = {
-            system._apply_word(tuple(reversed(w2.word)), r.coords)
-            for r in system.inversion_set(w1)
-        }
+        inv2 = {r.index for r in system.inversion_set(w2)}
+        # w2^{-1} on root indices; a negative image ~i is no positive root's index
+        moved = set(system._images(w2.word[::-1], [r.index for r in system.inversion_set(w1)]))
         assert inv2.isdisjoint(moved)
         assert inv12 == inv2 | moved
 

@@ -4,20 +4,25 @@ Closed forms (Humphreys, *Reflection Groups and Coxeter Groups*, 3.7 and
 3.18) give the length n h / 2 of the longest element and the order of W
 as the product of the degrees; they are written here, not read from the
 program.  The tables themselves must be involutions on the root indices
-that send exactly one positive root, the simple root, negative.  Finally
-``inversion_set`` and ``_apply_word`` must agree with a reflection action
-on coordinate vectors computed here from the relative Cartan matrix alone,
-and ``weyl_enumerate`` with a BFS over ``normalize``.
+that send exactly one positive root, the simple root, negative.  The
+index action of a word and ``inversion_set`` must agree with a reflection
+action on coordinate vectors computed here from the relative Cartan matrix
+alone, ``weyl_enumerate`` with a BFS over ``normalize``, and
+``longest_element`` with the normal form of its own word.  Last, Macdonald's
+identity checks the fold's Hecke parameters and the W action together,
+exactly, over the whole Weyl group.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkval import (
+    SU21,
     RootSystemError,
     WeylElement,
     family_datum,
@@ -79,6 +84,19 @@ def test_longest_element_length_is_n_h_over_2():
         assert len(w0.word) == n * h // 2, f"{family}{n}"
 
 
+def test_longest_element_is_its_own_normal_form():
+    """The least-ascent walk spells the lexicographically least reduced word
+    of w0, with one letter per positive reduced root, and normalize returns
+    that very object."""
+    for datum in DATA:
+        system = fold(datum)
+        w0 = system.longest_element()
+        assert len(w0.word) == len(system.positive_roots), datum.label
+        assert system.normalize(w0.word) is w0, datum.label
+        system.normalize(())  # a different last normal form: no memo hit
+        assert system.normalize(w0.word) == w0, datum.label
+
+
 def test_weyl_group_order_is_product_of_degrees():
     checked = 0
     for family, n, _, degrees in SPLIT:
@@ -117,20 +135,28 @@ def reflect(cartan, word, v):
     return tuple(v)
 
 
+def coords(system, x):
+    """Coordinates of root index x: positive_roots[x], or the negative of
+    positive_roots[~x] when x < 0."""
+    if x >= 0:
+        return system.positive_roots[x].coords
+    return tuple(-c for c in system.positive_roots[~x].coords)
+
+
 @st.composite
 def words_and_roots(draw):
     system = fold(draw(st.sampled_from(DATA)))
     word = draw(st.lists(st.integers(0, system.rank - 1), max_size=12))
-    root = draw(st.sampled_from(system.positive_roots)).coords
-    sign = draw(st.sampled_from((1, -1)))
-    return system, word, tuple(sign * c for c in root)
+    i = draw(st.sampled_from(range(len(system.positive_roots))))
+    return system, word, draw(st.sampled_from((i, ~i)))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(words_and_roots())
 def test_tables_agree_with_the_vector_action(case):
-    system, word, v = case
-    assert system._apply_word(word, v) == reflect(system.cartan, word, v)
+    system, word, x = case
+    (y,) = system._images(word, [x])
+    assert coords(system, y) == reflect(system.cartan, word, coords(system, x))
     expected = [r for r in system.positive_roots
                 if all(c <= 0 for c in reflect(system.cartan, word, r.coords))]
     assert list(system.inversion_set(WeylElement(tuple(word)))) == expected
@@ -171,3 +197,51 @@ def test_weyl_enumerate_matches_a_bfs_over_normalize():
                 b3.weyl_enumerate(limit)
         else:
             assert b3.weyl_enumerate(limit) == expected
+
+
+def macdonald_sides(system, q, v):
+    """Both sides of Macdonald's identity (Macdonald, "The Poincare series of
+    a Coxeter group", 1972; Casselman, Compositio Math. 40, 1980)
+
+        sum_w prod_{alpha > 0} c_alpha(w lambda) = sum_w q_w^{-1},
+
+    at t_alpha = q^(-<lambda, alpha^vee>/2) = prod_i v_i^(c_i), where c is the
+    coroot pairing vector of alpha.  With d = d_alpha, c_alpha(t) is
+    (1 - q^-d t^2) / (1 - t^2) for an SL2-type root and
+    (1 - q^-2d t)(1 + q^-d t) / ((1 - t)(1 + t)) for an SU21-type root, the
+    inert Euler factors of its rank-one factor written out here.
+    <w lambda, alpha^vee> = <lambda, (w^{-1} alpha)^vee> is read through the
+    tables: t at root index x >= 0 is t_x, and at ~x it is 1 / t_x.  q_w is
+    the product over a reduced word of q^d for an SL2-type simple root and
+    q^(3d) for an SU21-type one."""
+    roots = system.positive_roots
+    t = [math.prod(Fraction(b) ** c for b, c in zip(v, system.coroot_pairing_vector(r)))
+         for r in roots]
+
+    def c(r, t):
+        if r.rank_one_type == SU21:
+            return ((1 - t / q ** (2 * r.d_alpha)) * (1 + t / q ** r.d_alpha)
+                    / ((1 - t) * (1 + t)))
+        return (1 - t * t / q ** r.d_alpha) / (1 - t * t)
+
+    # c at every signed root index, laid out like a reflection table
+    at = [c(r, x) for r, x in zip(roots, t)] + [c(r, 1 / x) for r, x in zip(roots, t)][::-1]
+    q_s = [q ** (3 * r.d_alpha if r.rank_one_type == SU21 else r.d_alpha)
+           for r in system.simple_roots]
+    lhs = rhs = 0
+    for w in system.weyl_enumerate():
+        lhs += math.prod(at[x] for x in system._images(w.word[::-1], range(len(roots))))
+        rhs += Fraction(1, math.prod(q_s[j] for j in w.word))
+    return lhs, rhs
+
+
+def test_macdonald_identity_holds_exactly():
+    """Rank two to four, split and quasi-split, d' = 1 to 3; the v_i are
+    distinct primes, so no t_alpha is +-1."""
+    data = [split_datum(f, n) for f, n in (("A", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4))]
+    data += [su_datum(2, 2), su_datum(3, 3, 2), su_datum(2, 3), su_datum(3, 4, 2),
+             family_datum("3D4", 4), family_datum("Spin2n-", 4, 3),
+             family_datum("Spin2n-", 5), family_datum("2E6", 6)]
+    for datum in data:
+        lhs, rhs = macdonald_sides(fold(datum), 3, (2, 3, 5, 7))
+        assert lhs == rhs, datum.label
