@@ -23,7 +23,6 @@ unitary character are reported, on request, as conditional candidates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -56,21 +55,30 @@ PLACE_COMPLEX = "complex"
 
 class LFactorAtom(Record):
     """One L or eps factor (``kind`` is KIND_L or KIND_EPS); the character
-    names the field it lives over."""
+    names the field it lives over.  Unlike other records, an atom compares
+    and hashes by one stored key."""
 
-    __slots__ = ("kind", "place_kind", "arg", "character", "_hash")
+    __slots__ = ("kind", "place_kind", "arg", "character", "_key", "_hash")
 
     def __init__(self, kind: str, place_kind: str, arg: AffineForm,
                  character: HeckeCharacterDescriptor) -> None:
         if kind not in (KIND_L, KIND_EPS):
             raise LFactorError(f"unknown atom kind {kind!r}")
         self.kind, self.place_kind, self.arg, self.character = kind, place_kind, arg, character
-        # products merge atoms by hash: computed once, from integer ratios
+        # every field, with each rational as its integer ratio: equal keys
+        # exactly when the fields are equal, so product merges compare flat
+        # tuples and never reach Fraction.__eq__
         z = character.exponent
-        self._hash = hash((
+        self._key = (
             kind, place_kind, character.field_label, character.degree, character.quad_twist,
-            character.q, arg.a.as_integer_ratio(), arg.b.as_integer_ratio(),
-            z.re.as_integer_ratio(), z.im.as_integer_ratio()))
+            character.q, *arg.a.as_integer_ratio(), *arg.b.as_integer_ratio(),
+            *z.re.as_integer_ratio(), *z.im.as_integer_ratio())
+        self._hash = hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -113,9 +121,15 @@ class MeromorphicProduct:
 
     @staticmethod
     def prod(factors: Iterable["MeromorphicProduct"]) -> "MeromorphicProduct":
-        """The product of ``factors``, merged from their terms unsorted."""
-        return MeromorphicProduct(
-            itertools.chain.from_iterable(f._terms.items() for f in factors))
+        """The product of ``factors``, merged from their terms unsorted; their
+        exponents are checked already."""
+        merged: dict[LFactorAtom, int] = {}
+        for f in factors:
+            for atom, n in f._terms.items():
+                merged[atom] = merged.get(atom, 0) + n
+        out = MeromorphicProduct()
+        out._terms = {a: n for a, n in merged.items() if n != 0}
+        return out
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
         if self._sorted is None:

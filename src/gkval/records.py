@@ -4,8 +4,10 @@ A record is a plain class whose public ``__slots__`` are its fields, set
 once by an explicit ``__init__``.  It compares, hashes and prints like a
 frozen dataclass: equal when the class and the fields are, hashed as the
 tuple of the fields, and shown as ``Name(field=value, ...)``.  Private
-slots such as a cached hash are not fields.  Plain classes keep
-``dataclasses``, and the ``inspect`` it imports, out of start-up.
+slots such as a cached hash are not fields.  One record overrides
+``__eq__``: ``lfactors.LFactorAtom`` compares one stored key that holds
+every field.  Plain classes keep ``dataclasses``, and the ``inspect`` it
+imports, out of start-up.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from gkval import (
     SU21,
     AffineForm,
     HeckeCharacterDescriptor,
+    LFactorAtom,
     MeromorphicProduct,
     RationalComplex,
     GroupDatum,
@@ -294,6 +295,46 @@ def direct_sums(draw):
     return GroupDatum(tuple(map(tuple, cartan)), tuple(sigma), order, 1), parts, shuffle
 
 
+def _relabelled(datum, perm):
+    """``datum`` with node i renamed perm[i], its automorphism conjugated."""
+    n = len(datum.cartan)
+    cartan, sigma = [[0] * n for _ in range(n)], [0] * n
+    for i in range(n):
+        sigma[perm[i]] = perm[datum.automorphism[i]]
+        for j in range(n):
+            cartan[perm[i]][perm[j]] = datum.cartan[i][j]
+    return GroupDatum(tuple(map(tuple, cartan)), tuple(sigma), datum.automorphism_order,
+                      datum.res_degree)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(direct_sums(), st.data())
+def test_relabelling_the_nodes_changes_no_root_data_and_no_constant_term(case, data):
+    """Renaming the nodes of a drawn union keeps the multiset of (length
+    class, d_alpha, rank-one type) over the positive roots, and the constant
+    term at w0 with the trivial character on the principal ray: the product
+    is equal, atom by atom across two separate folds, and prints the same."""
+    datum = case[0]
+    perm = data.draw(st.permutations(range(len(datum.cartan))))
+    if perm == sorted(perm):  # hypothesis draws the identity often
+        perm.reverse()
+    one, other = restrict_roots(datum), restrict_roots(_relabelled(datum, perm))
+
+    def root_types(system):
+        return sorted((r.length_class, r.d_alpha, r.rank_one_type)
+                      for r in system.positive_roots)
+
+    def w0_product(system):
+        chi = UnramifiedCharacter.trivial(system.rank)
+        return constant_term(system, chi, system.principal_ray(),
+                             system.longest_element()).product
+
+    assert root_types(other) == root_types(one)
+    p, q = w0_product(one), w0_product(other)
+    assert q == p and hash(q) == hash(p)
+    assert json.dumps(q.to_json()) == json.dumps(p.to_json())
+
+
 def _component_summary(system, component, relabel):
     """The type of a relative component and, per root on it, its coordinates
     on the component's nodes k, written at relabel[k] -> (its norm over the
@@ -413,14 +454,79 @@ def products(draw):
 @given(products())
 def test_product_json_round_trip_is_byte_stable(p):
     """Over number fields and function fields alike; only a function-field
-    atom records its q."""
+    atom records its q.  The atoms read back are equal to p's and hash alike."""
     data = p.to_json()
     assert [("q" in d["character"]) for d in data] == [
         atom.character.q is not None for atom, _ in p]
     blob = json.dumps(data, sort_keys=True)
     back = MeromorphicProduct.from_json(json.loads(blob))
     assert back == p
+    assert [(a, hash(a)) for a, _ in back] == [(a, hash(a)) for a, _ in p]
     assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+def _neighbours(atom):
+    """Atoms built apart from the fields of ``atom``, every rational a new
+    Fraction: one with the same fields, and one for each change of a single
+    field.  A rational is moved by 1/2, or halved, which keeps an odd
+    numerator; a function-field exponent moved by 1/2 may reduce back."""
+    eta, z = atom.character, atom.character.exponent
+    fields = dict(kind=atom.kind, place_kind=atom.place_kind, a=atom.arg.a, b=atom.arg.b,
+                  label=eta.field_label, degree=eta.degree, re=z.re, im=z.im,
+                  twist=eta.quad_twist, q=eta.q)
+    changes = [{}, {"kind": {"L": "eps", "eps": "L"}[atom.kind]}, {"place_kind": "real"},
+               {"label": eta.field_label + "'"}, {"degree": eta.degree + 1},
+               {"twist": not eta.quad_twist}, {"q": None if eta.q else 3},
+               {"q": 2 * (eta.q or 2)}]
+    for name in ("a", "b", "re", "im"):
+        changes += [{name: fields[name] + Fraction(1, 2)}, {name: fields[name] / 2}]
+    for change in changes:
+        f = {**fields, **change}
+        yield LFactorAtom(f["kind"], f["place_kind"],
+                          AffineForm(Fraction(f["a"]), Fraction(f["b"])),
+                          HeckeCharacterDescriptor(f["label"], f["degree"],
+                                                   RationalComplex(Fraction(f["re"]),
+                                                                   Fraction(f["im"])),
+                                                   f["twist"], f["q"]))
+
+
+@PRODUCT_PROPERTY
+@given(rank_one_factors(), rank_one_factors())
+def test_atoms_are_equal_exactly_when_their_fields_are(p, q):
+    """Atoms compare by a stored key; on atoms built apart that is the field
+    comparison of a plain record, and equal atoms hash alike.  (Unequal
+    atoms may share a hash: hash(-1) == hash(-2).)  An atom is never equal
+    to a non-atom, and comparing with one does not raise."""
+    atoms = [a for a, _ in p] + [a for a, _ in q]
+    apart = [b for a in atoms for b in _neighbours(a)]
+    for a in atoms:
+        for b in apart:
+            assert (a == b) == (a._values(a) == b._values(b))
+            assert (a != b) == (a._values(a) != b._values(b))
+            if a == b:
+                assert hash(a) == hash(b)
+        for other in (None, 1, a._key, a.arg, a.character, p, MeromorphicProduct([(a, 1)])):
+            assert a != other and other != a
+
+
+def _atom(arg, exponent=RationalComplex(), degree=1, q=None):
+    eta = HeckeCharacterDescriptor("F" if degree == 1 else "F_alpha", degree, exponent, False, q)
+    return LFactorAtom("L", "finite", arg, eta)
+
+
+def test_atoms_of_equal_value_are_equal():
+    """An int, a float and a Fraction of one value give one key, and a
+    function-field exponent is reduced modulo 1/degree before the key is
+    made; over a number field it is not."""
+    s, quarter = AffineForm.of(1), RationalComplex.of(0, Fraction(1, 4))
+    equal = [(_atom(AffineForm(1, 0)), _atom(s)), (_atom(AffineForm(1.0, 0.0)), _atom(s)),
+             (_atom(AffineForm(0.5, -0.25)),
+              _atom(AffineForm.of(Fraction(1, 2), Fraction(-1, 4))))]
+    equal += [(_atom(s, RationalComplex.of(0, im), 2, 4), _atom(s, quarter, 2, 4))
+              for im in (Fraction(3, 4), Fraction(-1, 4), Fraction(9, 4))]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+    assert _atom(s, RationalComplex.of(0, Fraction(3, 4)), 2) != _atom(s, quarter, 2)
 
 
 @PRODUCT_PROPERTY
