@@ -11,6 +11,8 @@ components, principal ray and coroot pairings.  One more key,
 ``seed0:verify-all``, pins ``verify-all`` under ``GK_SEED=0``, and
 ``q=<q>:verify-local`` pins ``verify-local --depth 120`` for every prime
 power q <= 11 on one s-grid of integral and non-integral s.
+``d=<d>:tables`` pins ``tables --res-degree d`` for d = 1, 2, 3, and
+``default:verify-arch`` pins ``verify-arch``, both in JSON.
 
 A refactor must replay the corpus byte for byte.  Regenerate it only for
 an output change that is intended and explained::
@@ -149,6 +151,10 @@ def outputs(workdir: str):
             os.environ["GK_SEED"] = saved
     for q in LOCAL_QS:
         yield f"q={q}:verify-local", _run(LOCAL_ARGV + ["--q", str(q)])
+    for dprime in (1, 2, 3):
+        yield f"d={dprime}:tables", _run(
+            ["tables", "--res-degree", str(dprime), "--output-format", "json"])
+    yield "default:verify-arch", _run(["verify-arch", "--output-format", "json"])
 
 
 def digest(text: str) -> str:
