@@ -12,7 +12,7 @@ Subcommands:
                     invariants (randomized words seeded by GK_SEED)
 
 Exit codes: 0 success, 1 verification failure, 2 input or schema error,
-3 internal invariant breach.
+3 internal invariant breach or any other exception a command raises.
 """
 
 from __future__ import annotations
@@ -498,6 +498,10 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except (RootSystemError, CharacterError, ConstantTermError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a fault of the program, reported in one line
+        first = next(iter(str(exc).splitlines()), "")
+        print(f"internal error: {type(exc).__name__}: {first}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

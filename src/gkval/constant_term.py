@@ -7,9 +7,10 @@ the spherical vector by the scalar
 
 one rank-one factor per reduced positive relative root inverted by w.
 ``constant_term`` assembles that product symbolically and records the
-per-root data; ``multiplicativity_check`` verifies the cocycle identity
-r(w1 w2) = r(w1, w2 lambda) r(w2, lambda) at the level of atom multisets
-whenever lengths add.
+per-root data.  ``multiplicativity_check`` verifies the cocycle identity
+r(w1 w2) = r(w1, w2 lambda) r(w2, lambda) whenever lengths add by deciding
+the inversion-set identity inv(w1 w2) = inv(w2) + w2^{-1} inv(w1) on root
+indices, which is what makes the two atom products agree.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from .characters import (
     AffineForm,
+    CharacterError,
     ScaledVector,
     UnramifiedCharacter,
     compose_with_coroot,
@@ -268,25 +270,41 @@ def multiplicativity_check(
     w2: WeylElement,
     base: Sequence | None = None,
 ) -> bool:
-    """Verify r(w1 w2, lambda) = r(w1, w2 lambda) * r(w2, lambda) as
-    normalized atom products, provided lengths add.
+    """Verify r(w1 w2, lambda) = r(w1, w2 lambda) * r(w2, lambda), provided
+    lengths add.
 
     Raises ConstantTermError when l(w1 w2) != l(w1) + l(w2); the cocycle
     holds in general but the factorization over inversion sets is only
     a disjoint union in the length-additive case.  Lengths are the sizes
     of inversion sets, so the words need not be reduced.
+
+    The two sides are products of rank-one factors over inv(w1 w2) and over
+    inv(w2) followed by w2^{-1} inv(w1), the roots of r(w1, w2 lambda) paired
+    against lambda.  The check decides the inversion-set identity on root
+    indices: where the two lists hold the same indices the products agree
+    factor by factor.  Only where they differ are the atom products built
+    and compared, as distinct roots may still share a factor.
     """
-    inv1, inv2 = system.inversion_set(w1), system.inversion_set(w2)
-    inv12 = system.inversion_set(WeylElement(tuple(w1.word) + tuple(w2.word)))
+    n = len(system.positive_roots)
+    inv1 = [x for x, y in enumerate(system._images(w1.word, range(n))) if y < 0]
+    images2 = system._images(w2.word, range(n))  # w2 x for each positive root x
+    inv2 = [x for x, y in enumerate(images2) if y < 0]
+    inv12 = [x for x, y in enumerate(system._images(w1.word, images2)) if y < 0]
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
+    split = inv2 + system._images(w2.word[::-1], inv1)
+    if sorted(split) == inv12:
+        if inv12:  # the rank checks of the first factor the products would build
+            for vec, what in ((direction, "ray direction"), (base, "ray base point")):
+                if vec is not None and len(vec) != system.rank:
+                    raise CharacterError(f"{what} has wrong rank")
+            if chi.rank != system.rank:
+                raise CharacterError("character has wrong rank")
+        return True
     factor = _factor_table(system, chi, direction, base)
-    # r(w2, lambda), then r(w1, w2 lambda): the translated roots w2^{-1} beta
-    # paired against lambda
-    translated = system._images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
-    split = inv2 + tuple(system.positive_roots[x] for x in translated)
-    return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
-            == MeromorphicProduct.prod(factor(alpha).product for alpha in split))
+    roots = system.positive_roots
+    return (MeromorphicProduct.prod(factor(roots[x]).product for x in inv12)
+            == MeromorphicProduct.prod(factor(roots[x]).product for x in split))
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,11 @@ def test_returned_systems_share_nothing_mutable():
 def test_verify_all_work_counts(monkeypatch):
     """verify-all at GK_SEED=0 folds each of its 23 distinct (Cartan,
     automorphism) pairs once, in 60 restrict_roots calls (71 before the
-    worked SL(3) example was built once per process), builds 62 rank-one
-    factors (2,334 without the factor table, 95 before the SL(3) example
-    was built once) and makes 301 normalize calls (302 when
+    worked SL(3) example was built once per process), builds the 3 rank-one
+    factors of the SL(3) report (62 when multiplicativity_check built the
+    factors of every inverted root and compared atom products, 2,334
+    without the factor table, 95 before the SL(3) example was built once)
+    and makes 301 normalize calls (302 when
     longest_element normalized its own walk, whose word is already the
     normal form, for the SL(3) report; 1,986 when multiplicativity_check
     and pole_profile normalized their words and weyl_enumerate normalized
@@ -112,16 +114,34 @@ def test_verify_all_work_counts(monkeypatch):
         assert main(["verify-all", "--output-format", "json"]) == 0
     info = roots._fold.cache_info()
     assert (info.misses, info.misses + info.hits) == (23, 60)
-    assert len(builds) == 62
+    assert len(builds) == 3
     assert len(normalized) == 301
 
 
+def test_weyl_checks_build_no_factors_or_products(monkeypatch):
+    """The cocycle checks of verify-all at seed 0 hold on root indices: no
+    rank-one factor is built and no atom product is merged."""
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(ct, "r_alpha", counted("r_alpha", ct.r_alpha))
+    monkeypatch.setattr(ct.MeromorphicProduct, "prod",
+                        staticmethod(counted("prod", ct.MeromorphicProduct.prod)))
+    assert all(c["pass"] for c in checks.weyl_checks(0))
+    assert calls == []
+
+
 def test_weyl_checks_compare_no_fractions_or_records(monkeypatch):
-    """The cocycle checks of verify-all at seed 0 merge and compare their
-    products without one Fraction.__eq__ or Record.__eq__ call (11,880 of
-    each when atoms compared through Record.__eq__ field by field, down to
-    the Fractions of their arguments and exponents): atoms compare by their
-    stored integer keys."""
+    """The cocycle checks of verify-all at seed 0 make no Fraction.__eq__ or
+    Record.__eq__ call (11,880 of each when they merged atom products and
+    atoms compared through Record.__eq__ field by field, down to the
+    Fractions of their arguments and exponents): they compare root indices,
+    and atoms compare by their stored integer keys."""
     calls = {"fraction": 0, "record": 0}
 
     def counted(cls, name):

@@ -8,6 +8,7 @@ from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElem
 from gkval import checks as suites
 from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
+cli = importlib.import_module("gkval.cli")
 roots = importlib.import_module("gkval.roots")
 
 
@@ -374,6 +375,28 @@ def test_runaway_root_generation_is_an_invariant_breach(tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err == ("internal invariant breach: more than 288 roots: "
                             "the diagram is not of finite type\n")
+
+
+@pytest.mark.parametrize("module, name, argv, exc, err", [
+    (cli, "constant_term", ["constant-term", "--input", "{spec}"],
+     KeyError("missing\nsecond line"), "KeyError: 'missing\\nsecond line'"),
+    (suites, "arch_checks", ["verify-arch"],
+     ZeroDivisionError("division by zero\nsecond line"),
+     "ZeroDivisionError: division by zero"),
+], ids=["constant-term", "verify-arch"])
+def test_other_exceptions_exit_3(tmp_path, capsys, monkeypatch, module, name, argv, exc,
+                                 err):
+    """Any other exception a command raises exits 3 with one stderr line
+    naming its class and the first line of its message."""
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, fail)
+    path = write_spec(tmp_path, {"diagram": "A2"})
+    assert main([a.format(spec=path) for a in argv]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {err}\n"
 
 
 def test_oracle_error_keeps_check_name(capsys, monkeypatch):

@@ -1,9 +1,13 @@
+import copy
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from gkval import (
+    FUNCTION_MODE,
+    CharacterError,
     ConstantTermError,
     MeromorphicProduct,
     UnramifiedCharacter,
@@ -14,13 +18,18 @@ from gkval import (
     family_datum,
     multiplicativity_check,
     pole_profile,
+    quasi_split_e6_datum,
+    RationalComplex,
     RootSystemError,
     WeylElement,
     restrict_roots,
     sl3_longest_factorization,
     split_datum,
     su_datum,
+    triality_datum,
 )
+
+ct = importlib.import_module("gkval.constant_term")
 
 
 def split_system(family, rank):
@@ -268,8 +277,6 @@ def test_weyl_inputs_reject_bad_letters(letter):
 
 def test_multiplicativity_nontrivial_character():
     system = split_system("A", 2)
-    from gkval import RationalComplex
-
     chi = UnramifiedCharacter(
         (RationalComplex.of(Fraction(1, 3)), RationalComplex.of(Fraction(1, 5)))
     )
@@ -277,3 +284,131 @@ def test_multiplicativity_nontrivial_character():
     w1 = system.normalize([1])
     w2 = system.normalize([0, 1])
     assert multiplicativity_check(system, chi, ray, w1, w2)
+
+
+def _product_check(system, chi, direction, w1, w2, base=None):
+    """The cocycle check as first written: both sides built as atom products
+    from the factor table, whatever the inversion sets."""
+    inv1, inv2 = system.inversion_set(w1), system.inversion_set(w2)
+    inv12 = system.inversion_set(WeylElement(tuple(w1.word) + tuple(w2.word)))
+    if len(inv12) != len(inv1) + len(inv2):
+        raise ConstantTermError("lengths do not add")
+    factor = ct._factor_table(system, chi, direction, base)
+    translated = system._images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
+    split = inv2 + tuple(system.positive_roots[x] for x in translated)
+    return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
+            == MeromorphicProduct.prod(factor(alpha).product for alpha in split))
+
+
+def _outcome(check, *args):
+    """The value check returns, or the class of the exception it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the class is the outcome
+        return type(exc)
+
+
+REFERENCE_DATA = [split_datum("A", 2), split_datum("B", 3), split_datum("G", 2),
+                  split_datum("F", 4), su_datum(3, 3, 2), triality_datum(),
+                  quasi_split_e6_datum()]
+
+
+def _pairs(system, rng, count):
+    """Per drawn word: a split of its normal form (length-additive), a split
+    of the word itself, the normal form beside an independent word (mostly
+    not additive), and the identity beside each; then the identity twice and
+    a letter out of range on each side."""
+    e = WeylElement(())
+    pairs = []
+    for _ in range(count):
+        word = tuple(rng.randrange(system.rank) for _ in range(rng.randrange(1, 14)))
+        reduced = system.normalize(word).word
+        for w in (reduced, word):
+            cut = rng.randrange(len(w) + 1)
+            pairs.append((WeylElement(w[:cut]), WeylElement(w[cut:])))
+        other = WeylElement(tuple(rng.randrange(system.rank) for _ in range(4)))
+        pairs += [(WeylElement(reduced), other), (e, WeylElement(reduced)),
+                  (WeylElement(word), e)]
+    return pairs + [(e, e), (WeylElement((system.rank,)), WeylElement((-1,)))]
+
+
+def _rays(system, rng):
+    """(chi, direction, base): the trivial character on the principal ray,
+    where distinct roots share factors, then a function-field character at
+    a random base point."""
+    n = system.rank
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    chi = UnramifiedCharacter(tuple(RationalComplex(rational(), rational())
+                                    for _ in range(n)), FUNCTION_MODE, 9)
+    return [(UnramifiedCharacter.trivial(n), system.principal_ray(), None),
+            (chi, tuple(rational() for _ in range(n)), tuple(rational() for _ in range(n)))]
+
+
+@pytest.mark.parametrize("datum", REFERENCE_DATA, ids=lambda d: d.label)
+def test_multiplicativity_matches_the_product_check(datum):
+    """Deciding the inversion-set identity on root indices gives what
+    comparing the atom products gives, on every pair and character, and
+    raises the same exception class on a character or ray of the wrong rank
+    whenever the products would build a factor."""
+    system = restrict_roots(datum)
+    rng = random.Random(datum.label)
+    outcomes = set()
+    for chi, direction, base in _rays(system, rng):
+        for w1, w2 in _pairs(system, rng, 12):
+            args = (system, chi, direction, w1, w2, base)
+            expected = _outcome(_product_check, *args)
+            assert _outcome(multiplicativity_check, *args) == expected, (w1, w2)
+            outcomes.add(expected)
+    assert outcomes == {True, ConstantTermError, RootSystemError}
+    n = system.rank
+    long_chi = UnramifiedCharacter.trivial(n + 1)
+    wrong = [(long_chi, system.principal_ray(), None),
+             (UnramifiedCharacter.trivial(n), system.principal_ray()[:-1], None),
+             (UnramifiedCharacter.trivial(n), system.principal_ray(), (0,) * (n + 1))]
+    e = WeylElement(())
+    for chi, direction, base in wrong:
+        for w2, expected in ((system.longest_element(), CharacterError), (e, True)):
+            args = (system, chi, direction, e, w2, base)
+            assert _outcome(_product_check, *args) == expected
+            assert _outcome(multiplicativity_check, *args) == expected
+
+
+def test_multiplicativity_falls_back_to_products(monkeypatch):
+    """On copies whose reflection tables swap two entries the index lists
+    can disagree; the check then compares the atom products, as the product
+    check does.  They come out unequal, and equal where the roots differ
+    but share their factors."""
+    built = []
+    factor_table = ct._factor_table
+
+    def counted(*args):
+        built.append(args)
+        return factor_table(*args)
+
+    fallbacks = set()
+    for datum in REFERENCE_DATA:
+        system = restrict_roots(datum)
+        rng = random.Random(datum.label)
+        for j in range(system.rank):
+            broken = copy.copy(system)
+            broken.factor_cache = None
+            table = list(system.reflection_tables[j])
+            a, b = rng.sample(range(len(system.positive_roots)), 2)
+            table[a], table[b] = table[b], table[a]
+            broken.reflection_tables = (system.reflection_tables[:j] + (tuple(table),)
+                                        + system.reflection_tables[j + 1:])
+            for chi, direction, base in _rays(system, rng):
+                for w1, w2 in _pairs(system, rng, 6):
+                    args = (broken, chi, direction, w1, w2, base)
+                    expected = _outcome(_product_check, *args)
+                    with monkeypatch.context() as m:
+                        m.setattr(ct, "_factor_table", counted)
+                        before = len(built)
+                        got = _outcome(multiplicativity_check, *args)
+                    assert got == expected, (datum.label, j, w1, w2)
+                    if len(built) > before:
+                        fallbacks.add(got)
+    assert fallbacks == {True, False}

@@ -14,7 +14,9 @@ import functools
 import json
 import math
 import operator
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,6 +335,47 @@ def test_relabelling_the_nodes_changes_no_root_data_and_no_constant_term(case, d
     p, q = w0_product(one), w0_product(other)
     assert q == p and hash(q) == hash(p)
     assert json.dumps(q.to_json()) == json.dumps(p.to_json())
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(direct_sums(), st.data())
+def test_relabelling_the_nodes_permutes_classify(case, data):
+    """Renaming the nodes of a drawn union keeps classify's relative rank,
+    divisible-root flag, root count, multiset of degree tables and multiset
+    of simple-root (length class, d_alpha, rank-one type), and carries each
+    component's node set, with its type, through the renaming: relative node
+    k, the orbit O_k, goes to the relative node whose orbit is perm(O_k)."""
+    datum = case[0]
+    perm = data.draw(st.permutations(range(len(datum.cartan))))
+    if perm == sorted(perm):  # hypothesis draws the identity often
+        perm.reverse()
+    renamed = _relabelled(datum, perm)
+    with tempfile.TemporaryDirectory() as tmp:
+        one, other = (json.loads(_cli_json(Path(tmp), d, ["classify"]).partition("\n")[2])
+                      for d in (datum, renamed))
+
+    def tables(p):
+        table = p["degree_table"]
+        return sorted(json.dumps(t, sort_keys=True)
+                      for t in (table if isinstance(table, list) else [table]))
+
+    def simple_types(p):
+        return sorted((r["length_class"], r["d_alpha"], r["rank_one_type"])
+                      for r in p["simple_roots"])
+
+    for key in ("relative_rank", "has_divisible_roots", "positive_root_count"):
+        assert other[key] == one[key], key
+    assert tables(other) == tables(one)
+    assert simple_types(other) == simple_types(one)
+    node_of = {tuple(orbit): k for k, orbit in enumerate(fold(renamed).simple_orbits)}
+    moved = [node_of[tuple(sorted(perm[i] for i in orbit))]
+             for orbit in fold(datum).simple_orbits]
+
+    def components(p, relabel):
+        return sorted((c["type"], sorted(relabel[k] for k in c["nodes"]))
+                      for c in p["components"])
+
+    assert components(other, range(len(moved))) == components(one, moved)
 
 
 def _component_summary(system, component, relabel):
