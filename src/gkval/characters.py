@@ -137,6 +137,9 @@ class ScaledVector:
         den = math.lcm(*(f.denominator for f in fracs))
         return ScaledVector(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
+    def __len__(self) -> int:
+        return len(self.numerators)
+
     def dot(self, vec: Sequence[int], divisor: int = 1) -> Fraction:
         """The pairing with an integer vector, divided by ``divisor``."""
         return Fraction(sum(map(operator.mul, self.numerators, vec)),
@@ -241,15 +244,25 @@ def pair(
     """
     vec = system.coroot_pairing_vector(alpha)
     direction = ScaledVector.of(direction)
-    if len(direction.numerators) != len(vec):
+    base = None if base is None else ScaledVector.of(base)
+    check_ray(system, direction, base)
+    return AffineForm(direction.dot(vec), Fraction(0) if base is None else base.dot(vec))
+
+
+def check_ray(system: RelativeRootSystem, direction: Sequence | ScaledVector,
+              base: Sequence | ScaledVector | None = None) -> None:
+    """Raise CharacterError unless the ray direction and, when given, the
+    base point have one entry per relative simple root of ``system``."""
+    if len(direction) != system.rank:
         raise CharacterError("ray direction has wrong rank")
-    b = Fraction(0)
-    if base is not None:
-        base = ScaledVector.of(base)
-        if len(base.numerators) != len(vec):
-            raise CharacterError("ray base point has wrong rank")
-        b = base.dot(vec)
-    return AffineForm(direction.dot(vec), b)
+    if base is not None and len(base) != system.rank:
+        raise CharacterError("ray base point has wrong rank")
+
+
+def check_character(system: RelativeRootSystem, chi: UnramifiedCharacter) -> None:
+    """Raise CharacterError unless chi has the rank of ``system``."""
+    if chi.rank != system.rank:
+        raise CharacterError("character has wrong rank")
 
 
 def compose_with_coroot(
@@ -265,8 +278,7 @@ def compose_with_coroot(
     normalization of the descriptor's own field, i.e. the rank-one local
     variable: pairing exponent divided by d_alpha resp. 4 d_alpha.
     """
-    if chi.rank != system.rank:
-        raise CharacterError("character has wrong rank")
+    check_character(system, chi)
     vec = system.coroot_pairing_vector(alpha)
     scale = local_scale(alpha)
     re, im = chi.scaled_exponents

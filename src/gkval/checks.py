@@ -163,7 +163,7 @@ def _weyl_check(name: str, inputs: dict, system, words, pairs) -> dict:
     """Inversion counts equal word lengths, and the cocycle holds on every
     length-additive pair (``multiplicativity_check`` raises on the others).
     The cocycle check decides the inversion-set identity on root indices, so
-    on a correct fold it builds no rank-one factor and no atom product."""
+    it builds no rank-one factor and no atom product."""
     chi = UnramifiedCharacter.trivial(system.rank)
     ray = system.principal_ray()
     ok = all(len(system.inversion_set(w)) == len(w.word) for w in words)

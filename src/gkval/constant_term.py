@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from .characters import (
     AffineForm,
-    CharacterError,
     ScaledVector,
     UnramifiedCharacter,
+    check_character,
+    check_ray,
     compose_with_coroot,
     pair,
 )
@@ -280,31 +281,23 @@ def multiplicativity_check(
 
     The two sides are products of rank-one factors over inv(w1 w2) and over
     inv(w2) followed by w2^{-1} inv(w1), the roots of r(w1, w2 lambda) paired
-    against lambda.  The check decides the inversion-set identity on root
-    indices: where the two lists hold the same indices the products agree
-    factor by factor.  Only where they differ are the atom products built
-    and compared, as distinct roots may still share a factor.
+    against lambda.  The check decides that inversion-set identity on root
+    indices, which makes the two products agree factor by factor; no factor
+    is built.  A character or ray that the factors could not be built from
+    raises as building them would.
     """
-    n = len(system.positive_roots)
-    inv1 = [x for x, y in enumerate(system._images(w1.word, range(n))) if y < 0]
-    images2 = system._images(w2.word, range(n))  # w2 x for each positive root x
-    inv2 = [x for x, y in enumerate(images2) if y < 0]
-    inv12 = [x for x, y in enumerate(system._images(w1.word, images2)) if y < 0]
+    n = range(len(system.positive_roots))
+    inv1 = system.inversion_indices(system._images(w1.word, n))
+    images2 = system._images(w2.word, n)  # w2 x for each positive root x
+    inv2 = system.inversion_indices(images2)
+    inv12 = system.inversion_indices(system._images(w1.word, images2))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    split = inv2 + system._images(w2.word[::-1], inv1)
-    if sorted(split) == inv12:
-        if inv12:  # the rank checks of the first factor the products would build
-            for vec, what in ((direction, "ray direction"), (base, "ray base point")):
-                if vec is not None and len(vec) != system.rank:
-                    raise CharacterError(f"{what} has wrong rank")
-            if chi.rank != system.rank:
-                raise CharacterError("character has wrong rank")
-        return True
-    factor = _factor_table(system, chi, direction, base)
-    roots = system.positive_roots
-    return (MeromorphicProduct.prod(factor(roots[x]).product for x in inv12)
-            == MeromorphicProduct.prod(factor(roots[x]).product for x in split))
+    _factor_table(system, chi, direction, base)  # rejects non-rational entries
+    if inv12:
+        check_ray(system, direction, base)
+        check_character(system, chi)
+    return sorted(inv2 + system._images(w2.word[::-1], inv1)) == inv12
 
 
 # ---------------------------------------------------------------------------

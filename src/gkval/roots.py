@@ -393,10 +393,16 @@ class RelativeRootSystem:
             out = [t[x] for x in out]
         return out
 
+    @staticmethod
+    def inversion_indices(images: Sequence[int]) -> list[int]:
+        """Indices of inv(w), given the images of all positive roots under w
+        from :meth:`_images`: the positions that hold negative roots."""
+        return [x for x, y in enumerate(images) if y < 0]
+
     def inversion_set(self, w: "WeylElement") -> tuple[RelativeRoot, ...]:
         """Positive reduced roots sent to negative roots by w."""
         images = self._images(w.word, range(len(self.positive_roots)))
-        return tuple(r for r, x in zip(self.positive_roots, images) if x < 0)
+        return tuple(self.positive_roots[x] for x in self.inversion_indices(images))
 
     def normalize(self, word: Sequence[int]) -> "WeylElement":
         """Lexicographically least reduced word, by descent stripping."""
