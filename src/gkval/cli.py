@@ -415,6 +415,8 @@ def _check_args(args) -> None:
     from .oracles import LocalPlace, OracleConfig, OracleError
 
     args.s_grid = [_s_value(p) for p in args.s_grid.split(",") if p.strip()]
+    if not args.s_grid:
+        raise SchemaError("--s-grid needs at least one value")
     # OracleConfig holds the defaults of the options that were not given
     given = {"depth": args.depth, "tolerance": args.tol}
     try:

@@ -287,17 +287,17 @@ def multiplicativity_check(
     raises as building them would.
     """
     n = range(len(system.positive_roots))
-    inv1 = system.inversion_indices(system._images(w1.word, n))
-    images2 = system._images(w2.word, n)  # w2 x for each positive root x
+    inv1 = system.inversion_indices(system.images(w1.word, n))
+    images2 = system.images(w2.word, n)  # w2 x for each positive root x
     inv2 = system.inversion_indices(images2)
-    inv12 = system.inversion_indices(system._images(w1.word, images2))
+    inv12 = system.inversion_indices(system.images(w1.word, images2))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
     _factor_table(system, chi, direction, base)  # rejects non-rational entries
     if inv12:
         check_ray(system, direction, base)
         check_character(system, chi)
-    return sorted(inv2 + system._images(w2.word[::-1], inv1)) == inv12
+    return sorted(inv2 + system.images(w2.word[::-1], inv1)) == inv12
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A product is a multiset of atoms ``L_K(a*s + b, eta)^n`` and
 ``eps_K(a*s + b, eta)^n`` (merged, zero exponents dropped), whose order is
-fixed by ``LFactorAtom.sort_key`` when the product is first read.  Products
+fixed by ``LFactorAtom.sort_key`` when the product is read.  Products
 stay symbolic; evaluation specializes an atom either at a finite place (an
 Euler factor) or at an archimedean place (Gamma factors).
 
@@ -108,7 +108,7 @@ class LFactorAtom(Record):
 class MeromorphicProduct:
     """Product of L/eps atoms: a map from atom to nonzero integer exponent."""
 
-    __slots__ = ("_terms", "_sorted")
+    __slots__ = ("_terms",)
 
     def __init__(self, pairs: Iterable[tuple[LFactorAtom, int]] = ()) -> None:
         merged: dict[LFactorAtom, int] = {}
@@ -117,7 +117,6 @@ class MeromorphicProduct:
                 raise LFactorError("exponents must be integers")
             merged[atom] = merged.get(atom, 0) + n
         self._terms = {a: n for a, n in merged.items() if n != 0}
-        self._sorted = None  # the terms in sort_key order, once read
 
     @staticmethod
     def prod(factors: Iterable["MeromorphicProduct"]) -> "MeromorphicProduct":
@@ -132,10 +131,7 @@ class MeromorphicProduct:
         return out
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._terms.items(),
-                                        key=lambda p: p[0].sort_key()))
-        return iter(self._sorted)
+        return iter(sorted(self._terms.items(), key=lambda p: p[0].sort_key()))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -309,12 +305,26 @@ def poles_positive(
 def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     """Value of one atom at a finite place with residue size q of the
     ground field; the atom's field is taken inert (residue size
-    q^degree), and a quadratic twist contributes the sign -1 there."""
+    q^degree), and a quadratic twist contributes the sign -1 there.
+
+    For an int or Fraction s and an untwisted number-field character with a
+    real exponent, x = a*s + b + Re(exponent) is exact, and a pole exactly
+    when x = 0.  Every other input (complex or float s, a function-field
+    character, a complex exponent) is a pole when |1 - c q_k^(-x)| < 1e-14,
+    which with a twist and a real x never holds."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
-    q_k = q ** atom.character.degree
-    c = -1.0 if atom.character.quad_twist else 1.0
-    x = atom.arg(s) + atom.character.exponent.numeric(atom.character.q)
+    chi = atom.character
+    q_k = q ** chi.degree
+    if (isinstance(s, (int, Fraction)) and chi.q is None and chi.exponent.im == 0
+            and not chi.quad_twist):
+        x = atom.arg.a * s + atom.arg.b + chi.exponent.re
+        denom = 0.0 if x == 0 else -math.expm1(-float(x) * math.log(q_k))
+        if denom == 0.0:
+            raise PoleAtEvaluation(f"Euler factor pole at s={s}")
+        return 1.0 / denom
+    c = -1.0 if chi.quad_twist else 1.0
+    x = atom.arg(s) + chi.exponent.numeric(chi.q)
     denom = 1.0 - c * q_k ** (-x)
     if abs(denom) < 1e-14:
         raise PoleAtEvaluation(f"Euler factor pole at s={s}")

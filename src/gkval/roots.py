@@ -26,11 +26,12 @@ simple reflections (0-based node indices in the order reported by
 ``RelativeRootSystem.simple_roots``).  W acts on the reduced roots by
 permutation tables: root index i stands for ``positive_roots[i]`` and ~i
 for its negative, and the fold tabulates each simple reflection once on
-these indices (Casselman, "Computation in Coxeter groups I", 2002).  The
-fold computes in integers, with Gram matrices scaled by the lcm of their
-denominators.  It walks the positive absolute roots only, each carrying its
-coroot pairings, and reads the norms, coroot pairings and reflection tables
-off one Gram product g beta per reduced root beta.
+these indices (Casselman, "Computation in Coxeter groups I", 2002).  Every
+normal form, w0's included, comes from one loop that strips the least left
+descent.  The fold computes in integers, with Gram matrices scaled by the
+lcm of their denominators.  It walks the positive absolute roots only, each
+carrying its coroot pairings, and reads the norms, coroot pairings and
+reflection tables off one Gram product g beta per reduced root beta.
 """
 
 from __future__ import annotations
@@ -322,8 +323,8 @@ class RelativeRootSystem:
     multiplies, so the d'-free fold is computed once per diagram.
     ``reflection_tables[j]`` is the permutation s_j induces on root indices
     (i for ``positive_roots[i]``, ~i for its negative), a tuple of length 2N
-    that a negative index reads from the end; the Weyl methods compose
-    these tables and never reflect coordinate vectors.
+    that a negative index reads from the end; :meth:`images` composes them,
+    and no Weyl method reflects a coordinate vector.
     """
 
     def __init__(self, datum: GroupDatum) -> None:
@@ -382,7 +383,7 @@ class RelativeRootSystem:
 
     # -- Weyl combinatorics ----------------------------------------------
 
-    def _images(self, word: Sequence[int], indices) -> list[int]:
+    def images(self, word: Sequence[int], indices) -> list[int]:
         """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
         for j in word:
             if not 0 <= j < self.rank:
@@ -396,12 +397,12 @@ class RelativeRootSystem:
     @staticmethod
     def inversion_indices(images: Sequence[int]) -> list[int]:
         """Indices of inv(w), given the images of all positive roots under w
-        from :meth:`_images`: the positions that hold negative roots."""
+        from :meth:`images`: the positions that hold negative roots."""
         return [x for x, y in enumerate(images) if y < 0]
 
     def inversion_set(self, w: "WeylElement") -> tuple[RelativeRoot, ...]:
         """Positive reduced roots sent to negative roots by w."""
-        images = self._images(w.word, range(len(self.positive_roots)))
+        images = self.images(w.word, range(len(self.positive_roots)))
         return tuple(self.positive_roots[x] for x in self.inversion_indices(images))
 
     def normalize(self, word: Sequence[int]) -> "WeylElement":
@@ -409,9 +410,18 @@ class RelativeRootSystem:
         word, last = tuple(word), self._last_normal
         if word == last.word:  # e.g. the w0 that longest_element just returned
             return last
-        # w^{-1} = s_word[-1] ... s_word[0] as an index map; j is a (left)
-        # descent of w when w^{-1}(gamma_j) < 0
-        winv = self._images(word[::-1], self._identity)
+        # w^{-1} = s_word[-1] ... s_word[0] as an index map
+        return self._strip(self.images(word[::-1], self._identity))
+
+    def longest_element(self) -> "WeylElement":
+        """w0, stripped from the map x -> ~x.  Like w0, that map sends every
+        root to one of the opposite sign, so after the same reflections both
+        maps show the signs :meth:`_strip` reads (Humphreys, section 1.8)."""
+        return self._strip([~x for x in self._identity])
+
+    def _strip(self, winv: list[int]) -> "WeylElement":
+        """Normal form of w from the index map of w^{-1}, by stripping the least
+        left descent j, w^{-1}(gamma_j) < 0; kept as the last one returned."""
         result: list[int] = []
         for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
             descent = next((j for j in range(self.rank) if winv[j] < 0), None)
@@ -421,25 +431,6 @@ class RelativeRootSystem:
             result.append(descent)
             # w <- s_d w, so w^{-1} <- w^{-1} s_d
             winv = [winv[x] for x in self.reflection_tables[descent]]
-        raise RootSystemError("internal: reduced word longer than |Phi+|")
-
-    def longest_element(self) -> "WeylElement":
-        """Walk up by the least (right) ascent, j with w(gamma_j) > 0, until
-        none is left.
-
-        As l(u) + l(u^{-1} w0) = l(w0), j is an ascent of a prefix u exactly
-        when it is a left descent of the rest u^{-1} w0, so the walk spells
-        :meth:`normalize`'s normal form; it is kept as the last one returned.
-        """
-        w = self._identity
-        word: list[int] = []
-        for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
-            asc = next((j for j in range(self.rank) if w[j] >= 0), None)
-            if asc is None:
-                self._last_normal = WeylElement(tuple(word))
-                return self._last_normal
-            word.append(asc)
-            w = [w[x] for x in self.reflection_tables[asc]]  # w <- w s_asc
         raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def weyl_enumerate(self, limit: int = 4000) -> list["WeylElement"]:

@@ -163,7 +163,7 @@ def test_criterion_8_weyl_invariants():
                 inv2 = {r.index for r in system.inversion_set(w2)}
                 # w2^{-1} on root indices; a negative image ~i is no
                 # positive root's index
-                moved = set(system._images(
+                moved = set(system.images(
                     w2.word[::-1], [r.index for r in system.inversion_set(w1)]))
                 if not inv2.isdisjoint(moved) or inv12 != inv2 | moved:
                     ok = False

@@ -311,6 +311,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-local", "--s-grid", "1e-400"]),
         (None, ["verify-local", "--s-grid", "1e400"]),
         (None, ["verify-local", "--s-grid", "1/1001"]),
+        (None, ["verify-local", "--s-grid", ""]),
+        (None, ["verify-all", "--s-grid", ","]),
         (None, ["verify-arch", "--depth", "7"]),
         (None, ["verify-arch", "--tol", "1e-8"]),
         (None, ["verify-arch", "--q", "5"]),
@@ -325,6 +327,7 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "direction-exponent-form-hangs", "q", "q-not-prime-power", "s-grid", "depth",
          "tables-res-degree", "depth-over-cap", "depth-not-int", "tol-nan",
          "q-over-cap", "q-huge", "s-grid-tiny", "s-grid-huge", "s-grid-below-range",
+         "s-grid-empty", "s-grid-comma",
          "verify-arch-depth", "verify-arch-tol", "verify-arch-q", "verify-arch-s-grid"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):

@@ -294,7 +294,7 @@ def _product_check(system, chi, direction, w1, w2, base=None):
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
     factor = ct._factor_table(system, chi, direction, base)
-    translated = system._images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
+    translated = system.images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
     split = inv2 + tuple(system.positive_roots[x] for x in translated)
     return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
             == MeromorphicProduct.prod(factor(alpha).product for alpha in split))

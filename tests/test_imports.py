@@ -2,7 +2,8 @@
 private top-level name and private method a gkval module defines is used by
 that module, every public top-level name is used somewhere, and every class
 field, annotated or a public ``__slots__`` entry, is read as an attribute
-somewhere.
+somewhere.  No gkval module reads a private attribute of an object other
+than ``self`` or ``cls`` unless it defines that name itself.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -113,6 +114,34 @@ def attribute_reads(source: str) -> set[str]:
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_attributes(source: str) -> set[str]:
+    """Private names a module defines: methods, ``__slots__`` entries,
+    ``self._x =`` and ``cls._x =`` assignments, and module-level names."""
+    out = {n for n in definitions(source) if is_private(n)} | set(private_methods(source))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__slots__"]):
+            out.update(ast.literal_eval(node.value))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) in ("self", "cls")):
+            out.add(node.attr)
+    return {n for n in out if is_private(n)}
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """``obj._x`` on anything but ``self`` or ``cls``, where the module
+    defines no ``_x`` itself: a reach into another module's internals."""
+    own = private_attributes(source)
+    return [f"{ast.unparse(n.value)}.{n.attr} (line {n.lineno})"
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and is_private(n.attr) and n.attr not in own
+            and getattr(n.value, "id", None) not in ("self", "cls")]
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport os.path as osp\nfrom x import a, b as c\nprint(a, osp)\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
@@ -140,6 +169,15 @@ def test_field_checker_sees_fields_and_reads():
     slotted = ("class S:\n    __slots__ = ('x', 'y', '_hash')\n    z = 1\n"
                "class T:\n    __slots__ = ('w',)\n")
     assert fields(slotted) == ["S.x", "S.y", "T.w"]
+
+
+def test_layering_checker_sees_foreign_private_reads():
+    source = ("_A = 1\nclass K:\n    __slots__ = ('_s', 'x')\n    def __init__(self):\n"
+              "        self._t = 1\n    def _m(self):\n        return self._u\n"
+              "    @classmethod\n    def c(cls):\n        cls._v = 2\n"
+              "def f(k, m):\n    return k._s, k._t, k._m(), k._v, m._A, k.__dict__, m._w, k._u\n")
+    assert private_attributes(source) == {"_A", "_s", "_t", "_m", "_v"}
+    assert foreign_private_reads(source) == ["m._w (line 12)", "k._u (line 12)"]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS,
@@ -173,6 +211,13 @@ def test_no_dead_private_names(path):
     used = uses(source)
     private = [n for n in definitions(source) if n.startswith("_")] + private_methods(source)
     assert [n for n in private if n not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_attributes(path):
+    """A private attribute belongs to the module that defines it; another
+    module that needs it needs a public name."""
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def run_fresh(code: str) -> None:

@@ -169,6 +169,21 @@ def test_euler_value_signals_pole():
         local_euler_value(atom(), 3, 0)
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 10**15), Fraction(1, 10**30)])
+def test_euler_pole_is_decided_exactly_at_a_rational_s(eps):
+    """At s = 0 the argument s + eps is not a pole, and the value is
+    1 / (1 - 2^-eps), about 1 / (eps log 2); a complex s keeps the float
+    test, which cannot tell eps from 0."""
+    value = local_euler_value(atom(b=eps), 2, 0)
+    assert value == pytest.approx(1 / (float(eps) * math.log(2)), rel=1e-12)
+    assert local_euler_value(atom(b=eps), 2, Fraction(0)) == value
+    for s in (0, Fraction(0)):
+        with pytest.raises(PoleAtEvaluation):
+            local_euler_value(atom(), 2, s)
+    with pytest.raises(PoleAtEvaluation):
+        local_euler_value(atom(b=eps), 2, 0j)
+
+
 def test_evaluate_finite_sl2_closed_form():
     p = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
     for q in (2, 3, 5):

@@ -260,7 +260,7 @@ def test_inversion_cocycle():
             continue
         inv2 = {r.index for r in system.inversion_set(w2)}
         # w2^{-1} on root indices; a negative image ~i is no positive root's index
-        moved = set(system._images(w2.word[::-1], [r.index for r in system.inversion_set(w1)]))
+        moved = set(system.images(w2.word[::-1], [r.index for r in system.inversion_set(w1)]))
         assert inv2.isdisjoint(moved)
         assert inv12 == inv2 | moved
 

@@ -8,9 +8,10 @@ that send exactly one positive root, the simple root, negative.  The
 index action of a word and ``inversion_set`` must agree with a reflection
 action on coordinate vectors computed here from the relative Cartan matrix
 alone, ``weyl_enumerate`` with a BFS over ``normalize``, and
-``longest_element`` with the normal form of its own word.  Last, Macdonald's
-identity checks the fold's Hecke parameters and the W action together,
-exactly, over the whole Weyl group.
+``longest_element`` with the normal form of its own word and with the last
+element of ``weyl_enumerate``'s BFS, which builds it without ``normalize``.
+Last, Macdonald's identity checks the fold's Hecke parameters and the W
+action together, exactly, over the whole Weyl group.
 """
 
 import functools
@@ -85,8 +86,8 @@ def test_longest_element_length_is_n_h_over_2():
 
 
 def test_longest_element_is_its_own_normal_form():
-    """The least-ascent walk spells the lexicographically least reduced word
-    of w0, with one letter per positive reduced root, and normalize returns
+    """longest_element spells the lexicographically least reduced word of
+    w0, with one letter per positive reduced root, and normalize returns
     that very object."""
     for datum in DATA:
         system = fold(datum)
@@ -95,6 +96,25 @@ def test_longest_element_is_its_own_normal_form():
         assert system.normalize(w0.word) is w0, datum.label
         system.normalize(())  # a different last normal form: no memo hit
         assert system.normalize(w0.word) == w0, datum.label
+
+
+def test_longest_element_is_the_last_element_of_the_bfs():
+    """w0 is the one element of greatest length, so the last element that
+    weyl_enumerate's own BFS lists must be it.  Groups with more than 24
+    positive roots, or more elements than weyl_enumerate lists, are left out
+    to keep the test near 0.3 s."""
+    checked = 0
+    for datum in DATA:
+        system = fold(datum)
+        if len(system.positive_roots) > 24:
+            continue
+        try:
+            elements = system.weyl_enumerate()
+        except RootSystemError:  # split A6, of order 5040
+            continue
+        assert system.longest_element() == elements[-1], datum.label
+        checked += 1
+    assert checked == 45
 
 
 def test_weyl_group_order_is_product_of_degrees():
@@ -155,7 +175,7 @@ def words_and_roots(draw):
 @given(words_and_roots())
 def test_tables_agree_with_the_vector_action(case):
     system, word, x = case
-    (y,) = system._images(word, [x])
+    (y,) = system.images(word, [x])
     assert coords(system, y) == reflect(system.cartan, word, coords(system, x))
     expected = [r for r in system.positive_roots
                 if all(c <= 0 for c in reflect(system.cartan, word, r.coords))]
@@ -230,7 +250,7 @@ def macdonald_sides(system, q, v):
            for r in system.simple_roots]
     lhs = rhs = 0
     for w in system.weyl_enumerate():
-        lhs += math.prod(at[x] for x in system._images(w.word[::-1], range(len(roots))))
+        lhs += math.prod(at[x] for x in system.images(w.word[::-1], range(len(roots))))
         rhs += Fraction(1, math.prod(q_s[j] for j in w.word))
     return lhs, rhs
 
