@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .characters import (
     FUNCTION_MODE,
@@ -205,9 +206,50 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
 # output helpers
 
 
+def _json_pieces(o, out: list, pad: str = "\n") -> None:
+    """Append the text of json.dumps(o, sort_keys=True, indent=2) to out.
+    json encodes in pure Python whenever indent is set; this walk writes the
+    same bytes with json's C string encoder.  Dict keys must be strings.
+    Floats, None and other leaves go through json.dumps, which spells NaN
+    and Infinity and raises TypeError on a value it cannot serialize."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (dict, list, tuple)) and o:
+        inner = pad + "  "
+        sep = inner
+        if isinstance(o, dict):
+            out.append("{")
+            for k in sorted(o):
+                out.append(sep + _encode_str(k) + ": ")
+                _json_pieces(o[k], out, inner)
+                sep = "," + inner
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for v in o:
+                out.append(sep)
+                _json_pieces(v, out, inner)
+                sep = "," + inner
+            out.append(pad + "]")
+    else:  # also an empty container
+        out.append(json.dumps(o))
+
+
 def _emit(payload: dict, fmt: str, text_renderer=None) -> None:
+    """Print the payload as JSON, or through text_renderer; the JSON is
+    built whole before anything is printed."""
     if fmt == "json" or text_renderer is None:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        pieces = []
+        _json_pieces(payload, pieces)
+        text = "".join(pieces)
+        del pieces  # before print encodes the text: a lower peak RSS
+        print(text)
     else:
         text_renderer(payload)
 

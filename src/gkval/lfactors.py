@@ -311,7 +311,8 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     real exponent, x = a*s + b + Re(exponent) is exact, and a pole exactly
     when x = 0.  Every other input (complex or float s, a function-field
     character, a complex exponent) is a pole when |1 - c q_k^(-x)| < 1e-14,
-    which with a twist and a real x never holds."""
+    which with a twist and a real x never holds.  Where q_k^(-x) overflows,
+    x is far below 0 and the value q_k^x / (q_k^x - c) is tiny."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
     chi = atom.character
@@ -319,13 +320,21 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     if (isinstance(s, (int, Fraction)) and chi.q is None and chi.exponent.im == 0
             and not chi.quad_twist):
         x = atom.arg.a * s + atom.arg.b + chi.exponent.re
-        denom = 0.0 if x == 0 else -math.expm1(-float(x) * math.log(q_k))
+        try:
+            denom = 0.0 if x == 0 else -math.expm1(-float(x) * math.log(q_k))
+        except OverflowError:
+            y = q_k ** float(x)
+            return y / (y - 1.0)
         if denom == 0.0:
             raise PoleAtEvaluation(f"Euler factor pole at s={s}")
         return 1.0 / denom
     c = -1.0 if chi.quad_twist else 1.0
     x = atom.arg(s) + chi.exponent.numeric(chi.q)
-    denom = 1.0 - c * q_k ** (-x)
+    try:
+        denom = 1.0 - c * q_k ** (-x)
+    except OverflowError:
+        y = q_k ** x
+        return y / (y - c)
     if abs(denom) < 1e-14:
         raise PoleAtEvaluation(f"Euler factor pole at s={s}")
     return 1.0 / denom

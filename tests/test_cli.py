@@ -1,14 +1,21 @@
+import contextlib
 import importlib
+import io
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement
 from gkval import checks as suites
 from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
 cli = importlib.import_module("gkval.cli")
+ct = importlib.import_module("gkval.constant_term")
 roots = importlib.import_module("gkval.roots")
 
 
@@ -124,6 +131,83 @@ def test_byte_stable_output(tmp_path, capsys):
     _, out2 = run(capsys, "constant-term", "--input", path,
                   "--output-format", "json")
     assert out1 == out2
+
+
+def _emitted(payload) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(payload, "json")
+    return out.getvalue()
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f389",
+                                      "\u2028", "a\"b\\c\nd\te"])
+_JSON_LEAVES = (
+    _TEXT | st.booleans() | st.none() | st.integers()
+    | st.sampled_from([2**64, -2**64 - 1, -10**40])
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_output_is_json_dumps_with_indent(value):
+    """The CLI's emitter writes exactly json.dumps(value, sort_keys=True,
+    indent=2) and a newline."""
+    assert _emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    Fraction(1, 2), {"a": [1, {"b": Fraction(1, 2)}]}, [{}, [], Fraction(1, 2)],
+], ids=["top", "nested", "after-empties"])
+def test_json_output_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        _emitted(payload)
+
+
+def test_unserializable_payload_prints_nothing(tmp_path, capsys, monkeypatch):
+    """A value json cannot serialize, at the end of the sorted output, exits
+    3 with one stderr line and nothing on stdout: the text is built whole
+    before it is printed."""
+    to_json = ct.ConstantTermReport.to_json
+
+    def with_fraction(self):
+        payload = to_json(self)
+        payload["weyl_word"].append(Fraction(1, 2))
+        return payload
+
+    monkeypatch.setattr(ct.ConstantTermReport, "to_json", with_fraction)
+    path = write_spec(tmp_path, {"diagram": "A2"})
+    assert main(["constant-term", "--input", path, "--output-format", "json"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: TypeError: Object of type Fraction "
+                            "is not JSON serializable\n")
+
+
+def test_json_output_builds_no_pure_python_encoder(tmp_path, monkeypatch):
+    """constant-term JSON output never builds json's pure-Python encoder,
+    which json.dumps builds once per call whenever indent is set."""
+    built = []
+    make = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    path = write_spec(tmp_path, {"diagram": "B2", "chi_exponent": ["1/3", ["1/2", "1/5"]]})
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["constant-term", "--input", path, "--output-format", "json"]) == EXIT_OK
+    assert json.loads(out.getvalue())["product"]
+    assert built == []
+    json.dumps([], indent=2)  # the counter sees the indented encoder
+    assert len(built) == 1
 
 
 def test_poles_local_variable(tmp_path, capsys):

@@ -184,6 +184,19 @@ def test_euler_pole_is_decided_exactly_at_a_rational_s(eps):
         local_euler_value(atom(b=eps), 2, 0j)
 
 
+@pytest.mark.parametrize("quad", [False, True], ids=["untwisted", "twisted"])
+@pytest.mark.parametrize("s", [0, Fraction(0), 0j], ids=["int", "Fraction", "complex"])
+def test_euler_value_far_below_zero_is_tiny(s, quad):
+    """At x = s - 1030 and q = 2, q^(-x) = 2^1030 overflows a float; the value
+    1 / (1 - c 2^1030) is about -c 2^-1030, with c = -1 under the twist.  At
+    x = s - 2000 it is within 1e-300 of 0."""
+    want = (1.0 if quad else -1.0) * 2.0 ** -1030
+    value = local_euler_value(atom(b=-1030, quad=quad), 2, s)
+    assert abs(value - want) <= 1e-12 * abs(want)
+    tiny = local_euler_value(atom(b=-2000, quad=quad), 2, s)
+    assert isinstance(tiny, (float, complex)) and abs(tiny) < 1e-300
+
+
 def test_evaluate_finite_sl2_closed_form():
     p = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
     for q in (2, 3, 5):
