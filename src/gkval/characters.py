@@ -65,13 +65,6 @@ class RationalComplex(Record):
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
         self.re, self.im = re, im
 
-    @staticmethod
-    def of(re, im=0) -> "RationalComplex":
-        return RationalComplex(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
     def scale(self, c: Fraction) -> "RationalComplex":
         return RationalComplex(self.re * c, self.im * c)
 
@@ -97,9 +90,6 @@ class AffineForm(Record):
     @staticmethod
     def of(a, b=0) -> "AffineForm":
         return AffineForm(Fraction(a), Fraction(b))
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(self.a + other.a, self.b + other.b)
 
     def scale(self, c: Fraction) -> "AffineForm":
         return AffineForm(self.a * c, self.b * c)
@@ -148,9 +138,9 @@ class ScaledVector:
 
 class UnramifiedCharacter(Record):
     """Exponent vector over the relative character space, one coordinate per
-    relative simple root."""
+    relative simple root; q is set exactly in function-field mode."""
 
-    __slots__ = ("exponents", "mode", "q", "_scaled")
+    __slots__ = ("exponents", "q", "_scaled")
 
     def __init__(self, exponents: tuple[RationalComplex, ...], mode: str = NUMBER_MODE,
                  q: int | None = None) -> None:
@@ -163,7 +153,7 @@ class UnramifiedCharacter(Record):
                 raise CharacterError(
                     f"function-field mode needs a prime power q at most {MAX_FIELD_SIZE}")
             exponents = tuple(RationalComplex(z.re, z.im % 1) for z in exponents)
-        self.exponents, self.mode, self.q = exponents, mode, q
+        self.exponents, self.q = exponents, q
         self._scaled = None
 
     @staticmethod
@@ -175,29 +165,12 @@ class UnramifiedCharacter(Record):
         return len(self.exponents)
 
     @property
-    def is_unitary(self) -> bool:
-        return all(z.re == 0 for z in self.exponents)
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(z.is_zero for z in self.exponents)
-
-    @property
     def scaled_exponents(self) -> tuple[ScaledVector, ScaledVector]:
         """Real and imaginary parts of the exponents, each scaled once."""
         if self._scaled is None:
             self._scaled = (ScaledVector.of(z.re for z in self.exponents),
                             ScaledVector.of(z.im for z in self.exponents))
         return self._scaled
-
-    def twist(self, direction: Sequence[Fraction], s0: RationalComplex):
-        """Multiply by the unramified character attached to s0 * direction."""
-        if len(direction) != self.rank:
-            raise CharacterError("direction has wrong rank")
-        new = tuple(
-            z + s0.scale(Fraction(c)) for z, c in zip(self.exponents, direction)
-        )
-        return UnramifiedCharacter(new, self.mode, self.q)
 
 
 class HeckeCharacterDescriptor(Record):

@@ -293,7 +293,8 @@ def multiplicativity_check(
     inv12 = system.inversion_indices(system.images(w1.word, images2))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    _factor_table(system, chi, direction, base)  # rejects non-rational entries
+    for v in direction if base is None else (*direction, *base):
+        Fraction(v)  # non-rational entries raise; the factor table is untouched
     if inv12:
         check_ray(system, direction, base)
         check_character(system, chi)

@@ -24,6 +24,7 @@ unitary character are reported, on request, as conditional candidates.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
@@ -91,19 +92,6 @@ class LFactorAtom(Record):
                 eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b,
                 eta.q is None, eta.q or 0)
 
-    def render(self) -> str:
-        name = "L" if self.kind == KIND_L else "eps"
-        chi = "1"
-        if self.character.quad_twist or not self.character.exponent.is_zero:
-            parts = []
-            if not self.character.exponent.is_zero:
-                parts.append(f"|.|^({self.character.exponent.re},{self.character.exponent.im})")
-            if self.character.quad_twist:
-                parts.append("eta_[E:F]")
-            chi = "*".join(parts)
-        label = self.character.field_label
-        return f"{name}_{label}({self.arg.render()}, {chi})"
-
 
 class MeromorphicProduct:
     """Product of L/eps atoms: a map from atom to nonzero integer exponent."""
@@ -142,19 +130,8 @@ class MeromorphicProduct:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __mul__(self, other: "MeromorphicProduct") -> "MeromorphicProduct":
-        return MeromorphicProduct.prod((self, other))
-
-    def inverse(self) -> "MeromorphicProduct":
-        return MeromorphicProduct((a, -n) for a, n in self._terms.items())
-
     def __repr__(self) -> str:
-        if not self._terms:
-            return "MeromorphicProduct(1)"
-        body = " * ".join(
-            f"{a.render()}^{n}" if n != 1 else a.render() for a, n in self
-        )
-        return f"MeromorphicProduct({body})"
+        return f"MeromorphicProduct({list(self)!r})"
 
     # -- serialization ------------------------------------------------------
 
@@ -312,7 +289,8 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     when x = 0.  Every other input (complex or float s, a function-field
     character, a complex exponent) is a pole when |1 - c q_k^(-x)| < 1e-14,
     which with a twist and a real x never holds.  Where q_k^(-x) overflows,
-    x is far below 0 and the value q_k^x / (q_k^x - c) is tiny."""
+    x is far below 0 and the value q_k^x / (q_k^x - c) is tiny; where Re x
+    is beyond float range, the value is 1.0 above 0 and 0 below."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
     chi = atom.character
@@ -323,13 +301,21 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
         try:
             denom = 0.0 if x == 0 else -math.expm1(-float(x) * math.log(q_k))
         except OverflowError:
+            if abs(x) > sys.float_info.max:  # |x| beyond float range
+                return 1.0 if x > 0 else -0.0
             y = q_k ** float(x)
             return y / (y - 1.0)
         if denom == 0.0:
             raise PoleAtEvaluation(f"Euler factor pole at s={s}")
         return 1.0 / denom
     c = -1.0 if chi.quad_twist else 1.0
-    x = atom.arg(s) + chi.exponent.numeric(chi.q)
+    try:
+        x = atom.arg(s) + chi.exponent.numeric(chi.q)
+    except OverflowError:  # a coefficient beyond float range
+        re = atom.arg.a * Fraction(s.real) + atom.arg.b + chi.exponent.re
+        if abs(re) <= sys.float_info.max:
+            raise
+        return 1.0 if re > 0 else 0.0
     try:
         denom = 1.0 - c * q_k ** (-x)
     except OverflowError:

@@ -51,6 +51,7 @@ class RootSystemError(ValueError):
 
 
 MAX_NODES = 12
+MAX_WEYL_ORDER = 4000  # F4's 1,152 elements fit; E6's 51,840 do not
 
 SL2 = "SL2"
 SU21 = "SU21"
@@ -114,9 +115,9 @@ def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
     n = len(a)
     if n == 0 or n > MAX_NODES:
         raise RootSystemError("diagram must have between 1 and 12 nodes")
+    if any(len(row) != n for row in a) or any(a[i][i] != 2 for i in range(n)):
+        raise RootSystemError("malformed Cartan matrix")
     for i in range(n):
-        if len(a[i]) != n or a[i][i] != 2:
-            raise RootSystemError("malformed Cartan matrix")
         for j in range(n):
             if i != j:
                 if a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0):
@@ -353,13 +354,6 @@ class RelativeRootSystem:
     def simple_roots(self) -> tuple[RelativeRoot, ...]:
         return self.positive_roots[: self.rank]
 
-    def root_by_coords(self, coords: Sequence[int]) -> RelativeRoot:
-        key = tuple(coords)
-        for r in self.positive_roots:
-            if r.coords == key:
-                return r
-        raise RootSystemError(f"{key} is not a positive reduced root")
-
     def coroot_pairing_vector(self, alpha: RelativeRoot) -> tuple[int, ...]:
         """Integer coefficients c_i with <lambda, alpha^vee> = sum c_i lambda_i.
 
@@ -433,7 +427,7 @@ class RelativeRootSystem:
             winv = [winv[x] for x in self.reflection_tables[descent]]
         raise RootSystemError("internal: reduced word longer than |Phi+|")
 
-    def weyl_enumerate(self, limit: int = 4000) -> list["WeylElement"]:
+    def weyl_enumerate(self) -> list["WeylElement"]:
         """Every element in normal form, by length, then word: a BFS over the
         index maps of w^{-1}, keyed by the images of the simple roots.  As in
         :meth:`normalize`, w is written d, its least left descent, then s_d w."""
@@ -452,7 +446,7 @@ class RelativeRootSystem:
                     # s_d w is one level shorter: (s_d w)^{-1} = w^{-1} s_d
                     words[key] = (d,) + words[tuple(new[x] for x in tables[d][:rank])]
                     nxt.append(new)
-                    if len(words) > limit:
+                    if len(words) > MAX_WEYL_ORDER:
                         raise RootSystemError("Weyl group too large to enumerate")
             frontier = nxt
         return [WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]

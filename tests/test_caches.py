@@ -68,6 +68,19 @@ def test_factor_table_matches_fresh_systems():
             assert _results(shared, *key) == fresh, (datum.label, key)
 
 
+def test_cocycle_check_keeps_the_factor_table():
+    """multiplicativity_check builds no factor, so whatever its ray, the
+    table of the last constant_term stays in place."""
+    system = restrict_roots(split_datum("B", 3))
+    chi = UnramifiedCharacter.trivial(system.rank)
+    w0 = system.longest_element()
+    ct.constant_term(system, chi, system.principal_ray(), w0)
+    before = system.factor_cache
+    assert len(before[1]) == 9
+    assert multiplicativity_check(system, chi, (1, 2, 3), w0, WeylElement(()), (0, 1, 0))
+    assert system.factor_cache is before and len(before[1]) == 9
+
+
 def test_returned_systems_share_nothing_mutable():
     datum = su_datum(3, 3)
     first = restrict_roots(datum)

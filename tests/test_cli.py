@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkval import MeromorphicProduct, NotConverged, RelativeRootSystem, WeylElement
+from gkval import (
+    MeromorphicProduct,
+    NotConverged,
+    RelativeRootSystem,
+    UnramifiedCharacter,
+    WeylElement,
+)
 from gkval import checks as suites
 from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
 
@@ -245,8 +251,8 @@ def test_tables_has_no_rank_option():
 def test_weyl_exhaustive_fails_on_non_reduced_words(monkeypatch):
     enumerate_reduced = RelativeRootSystem.weyl_enumerate
 
-    def padded(self, limit=4000):
-        return [WeylElement(w.word + (0, 0)) for w in enumerate_reduced(self, limit)]
+    def padded(self):
+        return [WeylElement(w.word + (0, 0)) for w in enumerate_reduced(self)]
 
     monkeypatch.setattr(RelativeRootSystem, "weyl_enumerate", padded)
     checks = [c for c in suites.weyl_checks(0) if c["name"] == "weyl_exhaustive"]
@@ -333,7 +339,7 @@ def test_bad_automorphism_exit_code(tmp_path, capsys):
 def test_load_spec_defaults(tmp_path):
     path = write_spec(tmp_path, {"diagram": "G2"})
     ctx = load_spec(path)
-    assert ctx["chi"].is_trivial
+    assert ctx["chi"] == UnramifiedCharacter.trivial(2)
     assert len(ctx["weyl"].word) == 6  # defaults to the longest element
 
 
@@ -401,6 +407,17 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-arch", "--tol", "1e-8"]),
         (None, ["verify-arch", "--q", "5"]),
         (None, ["verify-arch", "--s-grid", "2"]),
+        ({"diagram": {"cartan": [[2, -1], []]}}, None),
+        ({"diagram": {"cartan": [[3]]}}, None),
+        ({"diagram": {"cartan": [[2, 1], [1, 2]]}}, None),
+        ({"diagram": {"cartan": [[2, -1], [0, 2]]}}, None),
+        ([1], None),
+        ({"x": 1}, None),
+        ({"diagram": "A"}, None),
+        ({"diagram": "4A"}, None),
+        ({"diagram": "A2", "chi_exponent": [0]}, None),
+        ({"diagram": "A1", "res_degree": int("9" * 101)}, None),
+        ({"diagram": "A1", "chi_exponent": ["1/" + "9" * 101]}, ["constant-term"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -412,7 +429,11 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "tables-res-degree", "depth-over-cap", "depth-not-int", "tol-nan",
          "q-over-cap", "q-huge", "s-grid-tiny", "s-grid-huge", "s-grid-below-range",
          "s-grid-empty", "s-grid-comma",
-         "verify-arch-depth", "verify-arch-tol", "verify-arch-q", "verify-arch-s-grid"],
+         "verify-arch-depth", "verify-arch-tol", "verify-arch-q", "verify-arch-s-grid",
+         "cartan-ragged", "cartan-diagonal", "cartan-positive-entry", "cartan-one-sided-zero",
+         "spec-not-object", "spec-without-diagram", "diagram-without-rank",
+         "diagram-rank-first", "chi-exponent-wrong-rank", "res-degree-101-digits",
+         "chi-exponent-101-digit-denominator"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""

@@ -278,7 +278,7 @@ def test_weyl_inputs_reject_bad_letters(letter):
 def test_multiplicativity_nontrivial_character():
     system = split_system("A", 2)
     chi = UnramifiedCharacter(
-        (RationalComplex.of(Fraction(1, 3)), RationalComplex.of(Fraction(1, 5)))
+        (RationalComplex(Fraction(1, 3)), RationalComplex(Fraction(1, 5)))
     )
     ray = system.principal_ray()
     w1 = system.normalize([1])

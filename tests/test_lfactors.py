@@ -57,13 +57,18 @@ def test_normalize_merges_duplicates():
     assert list(p) == [(atom(), 2)]
 
 
+def test_product_repr_lists_its_terms_in_order():
+    p = MeromorphicProduct([(atom(b=1), -1), (atom(), 2)])
+    assert repr(p) == f"MeromorphicProduct([({atom()!r}, 2), ({atom(b=1)!r}, -1)])"
+    assert repr(MeromorphicProduct()) == "MeromorphicProduct([])"
+
+
 def test_normalize_idempotent_and_multiplicative():
     p = MeromorphicProduct([(atom(), 1), (atom(b=1), -1)])
     q = MeromorphicProduct([(atom(b=1), 1), (atom(a=2), 3)])
     assert MeromorphicProduct(p) == p
-    assert MeromorphicProduct(p * q) == MeromorphicProduct(
-        MeromorphicProduct(p) * MeromorphicProduct(q)
-    )
+    prod = MeromorphicProduct.prod
+    assert MeromorphicProduct(prod((p, q))) == prod((MeromorphicProduct(p), MeromorphicProduct(q)))
 
 
 def test_r_alpha_sl2_shape():
@@ -149,7 +154,7 @@ def test_poles_quad_twist_has_no_unconditional_pole():
 
 
 def test_poles_nontrivial_unitary_conditional_only():
-    eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 2)))
+    eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 2)))
     product = r_alpha(AffineForm.of(1), 1, SL2, eta)
     assert poles_positive(product) == ()
     assert all(e.conditional for e in poles_positive(product, include_conditional=True))
@@ -197,6 +202,15 @@ def test_euler_value_far_below_zero_is_tiny(s, quad):
     assert isinstance(tiny, (float, complex)) and abs(tiny) < 1e-300
 
 
+@pytest.mark.parametrize("quad", [False, True], ids=["untwisted", "twisted"])
+@pytest.mark.parametrize("s", [0, Fraction(0), 0j], ids=["int", "Fraction", "complex"])
+def test_euler_value_beyond_float_range(s, quad):
+    """At x = s +- 10^400 and q = 2, x itself is beyond float range; the value
+    1 / (1 - c 2^(-x)) is 1.0 above 0 and within 1e-300 of 0 below."""
+    assert local_euler_value(atom(b=10**400, quad=quad), 2, s) == 1.0
+    assert abs(local_euler_value(atom(b=-10**400, quad=quad), 2, s)) < 1e-300
+
+
 def test_evaluate_finite_sl2_closed_form():
     p = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
     for q in (2, 3, 5):
@@ -212,6 +226,7 @@ def test_arch_values_explicit():
     for value in (arch_value(c_atom, 1), arch_value(r_sgn, 1), arch_value(r_triv, 2)):
         assert type(value) is complex
         assert value == pytest.approx(1 / math.pi, rel=1e-14)
+    assert arch_value(atom(kind=KIND_EPS, place=PLACE_REAL, label="R"), 1) == 1.0
 
 
 # Gamma is a Lanczos approximation in double precision: these tests check it
@@ -277,7 +292,7 @@ def test_json_round_trip():
 
 
 def test_json_round_trip_keeps_function_field_size():
-    eta = HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)), q=4)
+    eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 3)), q=4)
     p = r_alpha(AffineForm.of(1), 1, SL2, eta)
     data = json.loads(json.dumps(p.to_json()))
     assert [atom["character"]["q"] for atom in data] == [4, 4, 4]
@@ -293,7 +308,7 @@ def test_atom_order_is_total_over_mode_and_q():
     product's equality and JSON do not depend on the order of its terms."""
     a1, a2 = (
         LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(1),
-                    HeckeCharacterDescriptor("F", 1, RationalComplex.of(0, Fraction(1, 3)),
+                    HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 3)),
                                              q=q))
         for q in (2, 3)
     )

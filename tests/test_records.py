@@ -85,4 +85,4 @@ def test_private_slots_are_not_fields():
     assert read.scaled_exponents
     assert read == fresh and hash(read) == hash(fresh)
     assert repr(read) == repr(fresh) == (
-        f"UnramifiedCharacter(exponents={exponents!r}, mode='number', q=None)")
+        f"UnramifiedCharacter(exponents={exponents!r}, q=None)")

@@ -57,6 +57,12 @@ def test_datum_rejects_wrong_order():
         GroupDatum(a, (2, 1, 0), 3, 1)
 
 
+def test_datum_rejects_ragged_cartan():
+    for cartan in (((2, -1), ()), ((2,), (-1, 2)), ((2, -1), (-1, 2, 0))):
+        with pytest.raises(RootSystemError, match="malformed Cartan matrix"):
+            GroupDatum(cartan, (0, 1), 1, 1)
+
+
 NOT_OF_FINITE_TYPE = {
     "affine-A1": [[2, -2], [-2, 2]],
     "affine-A2-cycle": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],

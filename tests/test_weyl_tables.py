@@ -31,6 +31,7 @@ from gkval import (
     split_datum,
     su_datum,
 )
+from gkval import roots
 
 # family -> (least rank, Coxeter number h(n), degrees(n))
 CLOSED_FORMS = {
@@ -201,22 +202,24 @@ def enumerate_by_normalize(system, limit):
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
 
 
-def test_weyl_enumerate_matches_a_bfs_over_normalize():
+def test_weyl_enumerate_matches_a_bfs_over_normalize(monkeypatch):
     data = [split_datum(f, n) for f, n in (("A", 3), ("B", 3), ("C", 3), ("D", 4),
                                            ("G", 2), ("F", 4))]
     data += [su_datum(3, 3), su_datum(3, 4, 2), family_datum("3D4", 4),
              family_datum("Spin2n-", 5)]
     for datum in data:
         system = fold(datum)
-        assert system.weyl_enumerate() == enumerate_by_normalize(system, 4000), datum.label
+        assert (system.weyl_enumerate()
+                == enumerate_by_normalize(system, roots.MAX_WEYL_ORDER)), datum.label
     b3 = fold(split_datum("B", 3))
     for limit in (0, 1, 47, 48):
+        monkeypatch.setattr(roots, "MAX_WEYL_ORDER", limit)
         expected = enumerate_by_normalize(b3, limit)
         if expected is None:
             with pytest.raises(RootSystemError, match="too large"):
-                b3.weyl_enumerate(limit)
+                b3.weyl_enumerate()
         else:
-            assert b3.weyl_enumerate(limit) == expected
+            assert b3.weyl_enumerate() == expected
 
 
 def macdonald_sides(system, q, v):
