@@ -65,9 +65,6 @@ class RationalComplex(Record):
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
         self.re, self.im = re, im
 
-    def scale(self, c: Fraction) -> "RationalComplex":
-        return RationalComplex(self.re * c, self.im * c)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -91,11 +88,11 @@ class AffineForm(Record):
     def of(a, b=0) -> "AffineForm":
         return AffineForm(Fraction(a), Fraction(b))
 
-    def scale(self, c: Fraction) -> "AffineForm":
-        return AffineForm(self.a * c, self.b * c)
-
-    def shift(self, c) -> "AffineForm":
-        return AffineForm(self.a, self.b + Fraction(c))
+    def over(self, k: int) -> "AffineForm":
+        """This form divided by a positive integer k."""
+        a, b = self.a, self.b
+        return AffineForm(Fraction(a.numerator, a.denominator * k),
+                          Fraction(b.numerator, b.denominator * k))
 
     def __call__(self, s: complex) -> complex:
         return float(self.a) * s + float(self.b)
@@ -185,8 +182,9 @@ class HeckeCharacterDescriptor(Record):
                  quad_twist: bool = False, q: int | None = None) -> None:
         if degree < 1:
             raise CharacterError("field degree must be positive")
-        if q is not None:
-            exponent = RationalComplex(exponent.re, exponent.im % Fraction(1, degree))
+        if q is not None:  # im modulo 1/degree
+            n, d = exponent.im.numerator, exponent.im.denominator
+            exponent = RationalComplex(exponent.re, Fraction(n * degree % d, d * degree))
         self.field_label, self.degree, self.exponent = field_label, degree, exponent
         self.quad_twist, self.q = quad_twist, q
 
@@ -280,10 +278,12 @@ def restrict_descriptor(eta: HeckeCharacterDescriptor) -> HeckeCharacterDescript
     """
     if eta.degree % 2 != 0:
         raise CharacterError("can only restrict along a quadratic layer")
+    re, im = eta.exponent.re, eta.exponent.im
     return HeckeCharacterDescriptor(
         field_label="F" if eta.degree == 2 else "F_alpha",
         degree=eta.degree // 2,
-        exponent=eta.exponent.scale(Fraction(2)),
+        exponent=RationalComplex(Fraction(2 * re.numerator, re.denominator),
+                                 Fraction(2 * im.numerator, im.denominator)),
         quad_twist=False,
         q=eta.q,
     )

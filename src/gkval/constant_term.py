@@ -69,7 +69,7 @@ class RankOneFactor(Record):
     @property
     def local_argument(self) -> AffineForm:
         """The pairing over the local scale of the rank-one group."""
-        return self.pairing.scale(Fraction(1, local_scale(self.root)))
+        return self.pairing.over(local_scale(self.root))
 
     def to_json(self) -> dict:
         return {
@@ -294,7 +294,8 @@ def multiplicativity_check(
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
     for v in direction if base is None else (*direction, *base):
-        Fraction(v)  # non-rational entries raise; the factor table is untouched
+        if type(v) is not int and type(v) is not Fraction:
+            Fraction(v)  # non-rational entries raise; the factor table is untouched
     if inv12:
         check_ray(system, direction, base)
         check_character(system, chi)

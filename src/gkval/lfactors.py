@@ -216,7 +216,7 @@ def r_alpha(
     if rank_one_type == SL2:
         if eta.degree != d_alpha:
             raise LFactorError("character lives over the wrong field")
-        return MeromorphicProduct(_quotient(pairing.scale(Fraction(1, d_alpha)), eta))
+        return MeromorphicProduct(_quotient(pairing.over(d_alpha), eta))
     if rank_one_type == SU21:
         if eta.degree != 2 * d_alpha:
             raise LFactorError("character lives over the wrong field")
@@ -225,16 +225,17 @@ def r_alpha(
         eta_f = HeckeCharacterDescriptor(eta_k.field_label, eta_k.degree, eta_k.exponent,
                                          True, eta_k.q)
         return MeromorphicProduct(
-            _quotient(pairing.scale(Fraction(1, 4 * d_alpha)), eta)
-            + _quotient(pairing.scale(Fraction(1, 2 * d_alpha)), eta_f))
+            _quotient(pairing.over(4 * d_alpha), eta)
+            + _quotient(pairing.over(2 * d_alpha), eta_f))
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
 
 
 def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> list:
     """The terms of L(x, eta) / (eps(x, eta) L(1 + x, eta))."""
+    n, d = x.b.numerator, x.b.denominator
     return [(LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
             (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
-            (LFactorAtom(KIND_L, PLACE_FINITE, x.shift(1), eta), -1)]
+            (LFactorAtom(KIND_L, PLACE_FINITE, AffineForm(x.a, Fraction(n + d, d)), eta), -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +253,32 @@ def poles_positive(
     product: MeromorphicProduct, include_conditional: bool = False
 ) -> tuple[PoleEntry, ...]:
     """Poles of a normalized product on the positive real s-axis, as a tuple
-    sorted by location, unconditional before conditional at one location.
-    Conditional candidates are listed only with ``include_conditional``.
+    sorted by location, unconditional before conditional at one location,
+    then by the atoms' order.  Conditional candidates are listed only with
+    ``include_conditional``.
 
     Locations are reported in the variable s of the atoms' affine forms
     (the caller fixed that variable when building the arguments).
     """
     entries = []
-    for atom, n in product:
+    for atom, n in product._terms.items():
         if atom.kind != KIND_L or n <= 0:
             continue
-        if atom.arg.a == 0:
-            continue
-        loc = (1 - atom.arg.b) / atom.arg.a
-        if loc <= 0:
+        a, b = atom.arg.a, atom.arg.b
+        # (1 - b) / a > 0 on integer ratios: denominators are positive
+        top = b.denominator - b.numerator
+        if top * a.numerator <= 0:
             continue
         if atom.character.is_trivial:
-            entries.append(PoleEntry(loc, n, False))
+            conditional = False
         elif include_conditional and atom.character.is_unitary:
-            entries.append(PoleEntry(loc, n, True))
-    entries.sort(key=lambda e: (e.location, e.conditional))
-    return tuple(entries)
+            conditional = True
+        else:
+            continue
+        loc = Fraction(top * a.denominator, b.denominator * a.numerator)
+        entries.append((loc, conditional, atom.sort_key(), n))
+    entries.sort()
+    return tuple(PoleEntry(loc, n, conditional) for loc, conditional, _, n in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,9 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     character, a complex exponent) is a pole when |1 - c q_k^(-x)| < 1e-14,
     which with a twist and a real x never holds.  Where q_k^(-x) overflows,
     x is far below 0 and the value q_k^x / (q_k^x - c) is tiny; where Re x
-    is beyond float range, the value is 1.0 above 0 and 0 below."""
+    is beyond float range, the value is 1.0 above 0 and 0 below.  Where only
+    a coefficient is beyond float range, x is computed exactly first; an
+    Im x beyond float range raises OverflowError."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
     chi = atom.character
@@ -313,9 +321,10 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
         x = atom.arg(s) + chi.exponent.numeric(chi.q)
     except OverflowError:  # a coefficient beyond float range
         re = atom.arg.a * Fraction(s.real) + atom.arg.b + chi.exponent.re
-        if abs(re) <= sys.float_info.max:
-            raise
-        return 1.0 if re > 0 else 0.0
+        if abs(re) > sys.float_info.max:
+            return 1.0 if re > 0 else 0.0
+        x = complex(float(re), float(atom.arg.a * Fraction(s.imag))
+                    + chi.exponent.numeric(chi.q).imag)
     try:
         denom = 1.0 - c * q_k ** (-x)
     except OverflowError:
@@ -332,7 +341,10 @@ def arch_value(atom: LFactorAtom, s: complex) -> complex:
     * complex place:          2 (2 pi)^(-x) Gamma(x)
     * real place, sign char:  pi^(-(x+1)/2) Gamma((x+1)/2)
     * real place, trivial:    pi^(-x/2) Gamma(x/2)
-    """
+
+    An atom with a coefficient beyond float range raises OverflowError,
+    also where the exact Re x is itself beyond float range (unlike
+    local_euler_value, which returns its limit there)."""
     if atom.kind == KIND_EPS:
         return 1.0
     x = atom.arg(s) + atom.character.exponent.numeric(atom.character.q)

@@ -169,3 +169,35 @@ def test_weyl_checks_compare_no_fractions_or_records(monkeypatch):
     counted(records.Record, "record")
     assert all(c["pass"] for c in checks.weyl_checks(0))
     assert calls == {"fraction": 0, "record": 0}
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__mod__", "__rmod__")
+
+
+def test_factors_and_poles_use_no_fraction_operators(monkeypatch):
+    """constant_term at w0 and a ray pole profile with conditional poles, on
+    SU(4,5) with a function-field character and a base point, build every
+    rational of a factor and every pole location from integer ratios: no
+    Fraction operator runs (120 calls when r_alpha scaled and shifted
+    forms, the descriptors reduced and doubled exponents, and poles_positive
+    subtracted and divided)."""
+    system = restrict_roots(su_datum(4, 5))
+    n = system.rank
+    exps = tuple(RationalComplex(Fraction(i - 1, 3), Fraction(2 * i + 1, 5)) for i in range(n))
+    chi = UnramifiedCharacter(exps, FUNCTION_MODE, 9)
+    direction = tuple(Fraction(j + 1, 2) for j in range(n))
+    base = tuple(Fraction(1 - j, 3) for j in range(n))
+    w0 = system.longest_element()
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def wrapper(*args, _op=getattr(fractions.Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(fractions.Fraction, name, wrapper)
+    report = ct.constant_term(system, chi, direction, w0, base)
+    poles = pole_profile(system, chi, direction, base, w=w0, variable="ray",
+                         include_conditional=True)
+    monkeypatch.undo()
+    assert len(report.factors) == len(system.positive_roots) and poles
+    assert calls == []

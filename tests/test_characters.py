@@ -127,8 +127,8 @@ def test_twist_compatibility():
         base = compose_with_coroot(system, chi, alpha)
         shifted = compose_with_coroot(system, chi_twisted, alpha)
         form = pair(system, ray, alpha)
-        delta = s0.scale(form.a).scale(Fraction(1, local_scale(alpha)))
-        assert shifted.exponent == rc(base.exponent.re + delta.re, base.exponent.im + delta.im)
+        k = form.a / local_scale(alpha)
+        assert shifted.exponent == rc(base.exponent.re + s0.re * k, base.exponent.im + s0.im * k)
 
 
 def test_restrict_descriptor_doubles_exponent():

@@ -27,6 +27,7 @@ from gkval.lfactors import (
     PLACE_COMPLEX,
     PLACE_FINITE,
     PLACE_REAL,
+    PoleEntry,
     checked_gamma,
 )
 
@@ -206,9 +207,32 @@ def test_euler_value_far_below_zero_is_tiny(s, quad):
 @pytest.mark.parametrize("s", [0, Fraction(0), 0j], ids=["int", "Fraction", "complex"])
 def test_euler_value_beyond_float_range(s, quad):
     """At x = s +- 10^400 and q = 2, x itself is beyond float range; the value
-    1 / (1 - c 2^(-x)) is 1.0 above 0 and within 1e-300 of 0 below."""
+    1 / (1 - c 2^(-x)) is 1.0 above 0 and within 1e-300 of 0 below.  With
+    a = 10^400 and x = 1 at s = 0, or x = 2 at s = 1 where a and b cancel,
+    only a coefficient is: the value is 1 / (1 - c 2^(-x)) at that x."""
     assert local_euler_value(atom(b=10**400, quad=quad), 2, s) == 1.0
     assert abs(local_euler_value(atom(b=-10**400, quad=quad), 2, s)) < 1e-300
+    c = -1 if quad else 1
+    for x, value in ((1, local_euler_value(atom(a=10**400, b=1, quad=quad), 2, s)),
+                     (2, local_euler_value(atom(a=10**400, b=2 - 10**400, quad=quad), 2,
+                                           s + 1))):
+        assert value == pytest.approx(1 / (1 - c * 2.0 ** -x), rel=1e-15)
+
+
+def test_poles_tied_on_location_follow_the_atom_order():
+    """Poles that tie on (location, conditional) are listed in the atoms' sort
+    order, not in the order the product was built in: L over E before L over
+    F, and among conditional poles the smaller imaginary exponent first."""
+    def unitary(im):
+        eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(im)))
+        return LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(2, -1), eta)
+
+    p = MeromorphicProduct([(unitary("1/2"), 3), (atom(), 1), (unitary("1/3"), 4),
+                            (atom(degree=2, label="E"), 2)])
+    one = Fraction(1)
+    assert poles_positive(p, include_conditional=True) == (
+        PoleEntry(one, 2, False), PoleEntry(one, 1, False),
+        PoleEntry(one, 4, True), PoleEntry(one, 3, True))
 
 
 def test_evaluate_finite_sl2_closed_form():

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkval import (
+    FUNCTION_MODE,
     SL2,
     SU21,
     AffineForm,
@@ -618,3 +619,65 @@ def test_constant_term_product_is_fold_of_factors(case, exponents):
     report = constant_term(system, chi, system.principal_ray(), word)
     folded = functools.reduce(mul, (f.product for f in report.factors), MeromorphicProduct())
     assert report.product == folded
+
+
+CLOSED_FORM_SYSTEMS = [fold(d) for d in (su_datum(2, 3, 2), split_datum("B", 3),
+                                         quasi_split_e6_datum(), su_datum(4, 5))]
+wide_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _closed_form(system, chi, direction, base, alpha):
+    """The pairing, the local argument and the terms of r_alpha as fields,
+    from the coroot pairing vector by Fraction arithmetic: {(kind, a, b,
+    label, degree, Re, Im, twist, q): exponent}."""
+    vec = system.coroot_pairing_vector(alpha)
+    a = sum(x * v for x, v in zip(direction, vec))
+    b = sum(x * v for x, v in zip(base, vec)) if base is not None else Fraction(0)
+    scale, d = local_scale(alpha), alpha.d_alpha
+    re = sum(z.re * v for z, v in zip(chi.exponents, vec)) / scale
+    im = sum(z.im * v for z, v in zip(chi.exponents, vec)) / scale
+    label = "F" if d == 1 else "F_alpha"
+
+    def quotient(k, label, degree, re, im, twist):
+        if chi.q is not None:
+            im %= Fraction(1, degree)
+        eta = (label, degree, re, im, twist, chi.q)
+        return {("L", a / k, b / k, *eta): 1, ("eps", a / k, b / k, *eta): -1,
+                ("L", a / k, b / k + 1, *eta): -1}
+
+    if alpha.rank_one_type == SL2:
+        terms = quotient(d, label, d, re, im, False)
+    else:
+        terms = {**quotient(4 * d, "E_alpha", 2 * d, re, im, False),
+                 **quotient(2 * d, label, d, 2 * re, 2 * im, True)}
+    return (a, b), (a / scale, b / scale), terms
+
+
+def _fields(atom):
+    eta, arg = atom.character, atom.arg
+    return (atom.kind, arg.a, arg.b, eta.field_label, eta.degree, eta.exponent.re,
+            eta.exponent.im, eta.quad_twist, eta.q)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(CLOSED_FORM_SYSTEMS), st.data())
+def test_factors_match_their_closed_form(system, data):
+    """Each factor of constant_term at w0 on SU(2,3) d'=2, B3, 2E6 and SU(4,5)
+    (SL2-type roots at d_alpha = 1, 2 and 4, SU21-type at 1 and 2) has the
+    pairing, local argument and atoms of the closed form, over a number field
+    and over function fields, with and without a base point."""
+    n = system.rank
+    q = data.draw(st.sampled_from((None, 2, 4, 8, 9)))
+    exponents = tuple(RationalComplex(*data.draw(st.tuples(wide_rationals, wide_rationals)))
+                      for _ in range(n))
+    chi = (UnramifiedCharacter(exponents) if q is None
+           else UnramifiedCharacter(exponents, FUNCTION_MODE, q))
+    direction = tuple(data.draw(st.lists(wide_rationals, min_size=n, max_size=n)))
+    base = data.draw(st.none() | st.tuples(*[wide_rationals] * n))
+    report = constant_term(system, chi, direction, system.longest_element(), base)
+    assert len(report.factors) == len(system.positive_roots)
+    for f in report.factors:
+        pairing, local, terms = _closed_form(system, chi, direction, base, f.root)
+        assert (f.pairing.a, f.pairing.b) == pairing
+        assert (f.local_argument.a, f.local_argument.b) == local
+        assert {_fields(atom): k for atom, k in f.product} == terms
