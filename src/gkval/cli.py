@@ -12,7 +12,9 @@ Subcommands:
                     invariants (randomized words seeded by GK_SEED)
 
 Exit codes: 0 success, 1 verification failure, 2 input or schema error,
-3 internal invariant breach or any other exception a command raises.
+3 any other exception a command raises, an internal invariant breach
+included, reported in one stderr line as
+``internal error: <type>: <first line of its message>``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .characters import (
     UnramifiedCharacter,
 )
 from .constant_term import (
-    ConstantTermError,
     component_pole_ratio,
     constant_term,
     pole_profile,
@@ -540,9 +541,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (RootSystemError, CharacterError, ConstantTermError) as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a fault of the program, reported in one line
         first = next(iter(str(exc).splitlines()), "")
         print(f"internal error: {type(exc).__name__}: {first}", file=sys.stderr)

@@ -138,11 +138,11 @@ def constant_term(
     system: RelativeRootSystem,
     chi: UnramifiedCharacter,
     direction: Sequence,
-    w: WeylElement | Sequence[int],
+    w: WeylElement,
     base: Sequence | None = None,
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction."""
-    w = system.normalize(w.word if isinstance(w, WeylElement) else w)
+    w = system.normalize(w.word)
     factor = _factor_table(system, chi, direction, base)
     factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
     product = MeromorphicProduct.prod(f.product for f in factors)
@@ -172,27 +172,22 @@ def pole_profile(
     chi: UnramifiedCharacter,
     direction: Sequence | None = None,
     base: Sequence | None = None,
-    w: WeylElement | Sequence[int] | None = None,
+    *,
+    w: WeylElement,
     variable: str = PAIRING_VARIABLE,
     include_conditional: bool = False,
 ) -> tuple[RootPoleEntry, ...]:
-    """Positive real poles of the per-root rank-one factors.
+    """Positive real poles of the rank-one factors of the roots in inv(w).
 
-    The roots are the inversion set of w when w is given, otherwise all
-    positive reduced roots.  With ``variable == "pairing"`` each factor is
-    read in its own pairing variable
-    t = <lambda, alpha^vee> (pole at t = d_alpha for SL2-type, 4 d_alpha
-    for SU21-type when the composed character is trivial); with
+    With ``variable == "pairing"`` each factor is read in its own pairing
+    variable t = <lambda, alpha^vee> (pole at t = d_alpha for SL2-type,
+    4 d_alpha for SU21-type when the composed character is trivial); with
     ``variable == "ray"`` the factor is a function of the ray parameter s
     through the supplied direction.
     """
     if variable not in (RAY_VARIABLE, PAIRING_VARIABLE):
         raise ConstantTermError(f"unknown pole variable {variable!r}")
-    if w is not None:
-        roots = system.inversion_set(w if isinstance(w, WeylElement)
-                                     else WeylElement(tuple(w)))
-    else:
-        roots = system.positive_roots
+    roots = system.inversion_set(w)
     if variable == RAY_VARIABLE:
         if direction is None:
             raise ConstantTermError("ray variable needs a direction")

@@ -108,15 +108,8 @@ class MeromorphicProduct:
 
     @staticmethod
     def prod(factors: Iterable["MeromorphicProduct"]) -> "MeromorphicProduct":
-        """The product of ``factors``, merged from their terms unsorted; their
-        exponents are checked already."""
-        merged: dict[LFactorAtom, int] = {}
-        for f in factors:
-            for atom, n in f._terms.items():
-                merged[atom] = merged.get(atom, 0) + n
-        out = MeromorphicProduct()
-        out._terms = {a: n for a, n in merged.items() if n != 0}
-        return out
+        """The product of ``factors``, merged from their terms unsorted."""
+        return MeromorphicProduct(pair for f in factors for pair in f._terms.items())
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
         return iter(sorted(self._terms.items(), key=lambda p: p[0].sort_key()))
@@ -297,8 +290,8 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     which with a twist and a real x never holds.  Where q_k^(-x) overflows,
     x is far below 0 and the value q_k^x / (q_k^x - c) is tiny; where Re x
     is beyond float range, the value is 1.0 above 0 and 0 below.  Where only
-    a coefficient is beyond float range, x is computed exactly first; an
-    Im x beyond float range raises OverflowError."""
+    a coefficient is beyond float range, x is computed exactly first (see
+    :func:`_argument`); an Im x beyond float range raises OverflowError."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
     chi = atom.character
@@ -317,14 +310,9 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
             raise PoleAtEvaluation(f"Euler factor pole at s={s}")
         return 1.0 / denom
     c = -1.0 if chi.quad_twist else 1.0
-    try:
-        x = atom.arg(s) + chi.exponent.numeric(chi.q)
-    except OverflowError:  # a coefficient beyond float range
-        re = atom.arg.a * Fraction(s.real) + atom.arg.b + chi.exponent.re
-        if abs(re) > sys.float_info.max:
-            return 1.0 if re > 0 else 0.0
-        x = complex(float(re), float(atom.arg.a * Fraction(s.imag))
-                    + chi.exponent.numeric(chi.q).imag)
+    x = _argument(atom, s)
+    if math.isinf(x.real):  # Re x beyond float range
+        return 1.0 if x.real > 0 else 0.0
     try:
         denom = 1.0 - c * q_k ** (-x)
     except OverflowError:
@@ -335,6 +323,22 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     return 1.0 / denom
 
 
+def _argument(atom: LFactorAtom, s: complex) -> complex:
+    """x = a*s + b + exponent at a float or complex s.  Where a coefficient is
+    beyond float range, x is computed exactly from Fraction(s.real) and
+    Fraction(s.imag) first: a Re x beyond float range comes back as an
+    infinite real part, and an Im x beyond it raises OverflowError."""
+    chi = atom.character
+    try:
+        return atom.arg(s) + chi.exponent.numeric(chi.q)
+    except OverflowError:  # a coefficient beyond float range
+        re = atom.arg.a * Fraction(s.real) + atom.arg.b + chi.exponent.re
+    if abs(re) > sys.float_info.max:
+        return complex(math.inf if re > 0 else -math.inf, 0.0)
+    return complex(float(re), float(atom.arg.a * Fraction(s.imag))
+                   + chi.exponent.numeric(chi.q).imag)
+
+
 def arch_value(atom: LFactorAtom, s: complex) -> complex:
     """Completed archimedean factor:
 
@@ -342,12 +346,15 @@ def arch_value(atom: LFactorAtom, s: complex) -> complex:
     * real place, sign char:  pi^(-(x+1)/2) Gamma((x+1)/2)
     * real place, trivial:    pi^(-x/2) Gamma(x/2)
 
-    An atom with a coefficient beyond float range raises OverflowError,
-    also where the exact Re x is itself beyond float range (unlike
-    local_euler_value, which returns its limit there)."""
+    Where only a coefficient is beyond float range, x is computed exactly
+    first, as in local_euler_value (see :func:`_argument`).  A Re x or Im x
+    beyond float range raises OverflowError: local_euler_value returns its
+    limit for such a Re x, but the Gamma factor has no finite one."""
     if atom.kind == KIND_EPS:
         return 1.0
-    x = atom.arg(s) + atom.character.exponent.numeric(atom.character.q)
+    x = _argument(atom, s)
+    if math.isinf(x.real):
+        raise OverflowError("Re x beyond float range")
     if atom.place_kind == PLACE_COMPLEX:
         return 2.0 * (2 * math.pi) ** -x * checked_gamma(x)
     if atom.place_kind == PLACE_REAL:

@@ -122,17 +122,10 @@ def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
             if i != j:
                 if a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0):
                     raise RootSystemError("malformed Cartan matrix")
-    # positive definiteness of the integer Gram matrix: fraction-free (Bareiss)
-    # elimination leaves the k-th leading principal minor as the k-th pivot
-    m, _ = _integer_gram(a)
-    prev = 1
-    for k in range(n):
-        piv = m[k][k]
-        if piv <= 0:
-            raise RootSystemError("Cartan matrix is not of finite type")
-        for i in range(k + 1, n):
-            m[i] = [(x * piv - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = piv
+    # a generalized Cartan matrix is of finite type exactly when its real
+    # roots are finite (Kac, Infinite-dimensional Lie algebras), which the
+    # bound in _generate_roots decides; _fold reuses the roots
+    _generate_roots(tuple(map(tuple, a)))
 
 
 def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -162,7 +155,8 @@ def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[x * c for c in col] for x, col in zip(d_int, zip(*a))], scale
 
 
-def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=64)
+def _generate_roots(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The positive roots, sorted, as integer vectors in the simple-root basis.
 
     Each root v carries its pairings p_k = <v, alpha_k^vee>, so s_j(v) =
@@ -173,7 +167,9 @@ def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
     A finite-type diagram on at most MAX_NODES nodes has at most
     2 MAX_NODES^2 roots (B12, C12 and E8 + F4 have exactly that many), half
-    of them positive; more means the diagram is not of finite type.
+    of them positive; any other diagram has infinitely many, so more means
+    it is not of finite type.  Validation calls this first, and the cache
+    hands the roots on to :func:`_fold`.
     """
     n = len(a)
     most = 2 * MAX_NODES ** 2
@@ -191,10 +187,9 @@ def _generate_roots(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                         seen.add(tw)
                         nxt.append((tw, [x - p * y for x, y in zip(pv, a[j])]))
         if 2 * len(seen) > most:
-            raise RootSystemError(f"more than {most} roots: the diagram is not "
-                                  "of finite type")
+            raise RootSystemError("Cartan matrix is not of finite type")
         frontier = nxt
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

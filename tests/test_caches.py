@@ -96,7 +96,10 @@ def test_returned_systems_share_nothing_mutable():
 def test_verify_all_work_counts(monkeypatch):
     """verify-all at GK_SEED=0 folds each of its 23 distinct (Cartan,
     automorphism) pairs once, in 60 restrict_roots calls (71 before the
-    worked SL(3) example was built once per process), builds the 3 rank-one
+    worked SL(3) example was built once per process), generates the roots of
+    each of its 19 distinct Cartan matrices once, for the 60 validations and
+    the 23 folds (then validation ran its own elimination, and each fold
+    generated its roots again), builds the 3 rank-one
     factors of the SL(3) report (62 when multiplicativity_check built the
     factors of every inverted root and compared atom products, 2,334
     without the factor table, 95 before the SL(3) example was built once)
@@ -106,9 +109,10 @@ def test_verify_all_work_counts(monkeypatch):
     and pole_profile normalized their words and weyl_enumerate normalized
     every word times every letter, 2,802 when multiplicativity_check also
     re-normalized its products)."""
-    builds, normalized = [], []
+    builds, normalized, validated = [], [], []
     r_alpha = ct.r_alpha
     normalize = roots.RelativeRootSystem.normalize
+    validate = roots._validate_cartan
 
     def counted(*args):
         builds.append(args)
@@ -118,15 +122,24 @@ def test_verify_all_work_counts(monkeypatch):
         normalized.append(word)
         return normalize(self, word)
 
+    def counted_validate(a):
+        validated.append(tuple(map(tuple, a)))
+        validate(a)
+
     monkeypatch.setattr(ct, "r_alpha", counted)
+    monkeypatch.setattr(roots, "_validate_cartan", counted_validate)
     monkeypatch.setattr(roots.RelativeRootSystem, "normalize", counted_normalize)
     monkeypatch.setenv("GK_SEED", "0")
     roots._fold.cache_clear()
+    roots._generate_roots.cache_clear()
     ct._sl3_longest_report.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--output-format", "json"]) == 0
     info = roots._fold.cache_info()
     assert (info.misses, info.misses + info.hits) == (23, 60)
+    info = roots._generate_roots.cache_info()
+    assert (len(validated), len(set(validated))) == (60, 19)
+    assert (info.misses, info.misses + info.hits) == (19, 83)
     assert len(builds) == 3
     assert len(normalized) == 301
 

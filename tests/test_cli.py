@@ -450,11 +450,18 @@ def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _affine_cycle(n):
+    """The Cartan matrix of affine A_{n-1}: n nodes joined in a cycle."""
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
+            for i in range(n)]
+
+
 @pytest.mark.parametrize(
     "cartan",
     [[[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
-     [[2, -1], [-4, 2]], [[2, -3], [-3, 2]]],
-    ids=["affine-A1", "affine-A2-cycle", "affine-A2-twisted", "hyperbolic"],
+     [[2, -1], [-4, 2]], [[2, -3], [-3, 2]], _affine_cycle(roots.MAX_NODES)],
+    ids=["affine-A1", "affine-A2-cycle", "affine-A2-twisted", "hyperbolic",
+         "affine-A11-cycle"],
 )
 def test_cartan_not_of_finite_type_exits_with_one_line_error(tmp_path, capsys, cartan):
     path = write_spec(tmp_path, {"diagram": {"cartan": cartan}})
@@ -462,12 +469,6 @@ def test_cartan_not_of_finite_type_exits_with_one_line_error(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Cartan matrix is not of finite type\n"
-
-
-def _affine_cycle(n):
-    """The Cartan matrix of affine A_{n-1}: n nodes joined in a cycle."""
-    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
-            for i in range(n)]
 
 
 @pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], _affine_cycle(roots.MAX_NODES)],
@@ -481,8 +482,8 @@ def test_runaway_root_generation_is_an_invariant_breach(tmp_path, capsys, monkey
     assert main(["classify", "--input", path]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("internal invariant breach: more than 288 roots: "
-                            "the diagram is not of finite type\n")
+    assert captured.err == ("internal error: RootSystemError: "
+                            "Cartan matrix is not of finite type\n")
 
 
 @pytest.mark.parametrize("module, name, argv, exc, err", [

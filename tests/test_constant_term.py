@@ -43,7 +43,7 @@ def trivial_setup(system):
 def test_identity_gives_empty_product():
     system = split_system("A", 2)
     chi, ray = trivial_setup(system)
-    report = constant_term(system, chi, ray, [])
+    report = constant_term(system, chi, ray, WeylElement(()))
     assert report.product == MeromorphicProduct()
     assert report.factors == ()
 
@@ -51,7 +51,7 @@ def test_identity_gives_empty_product():
 def test_split_a1_single_factor():
     system = split_system("A", 1)
     chi, ray = trivial_setup(system)
-    report = constant_term(system, chi, ray, [0])
+    report = constant_term(system, chi, ray, WeylElement((0,)))
     assert len(report.factors) == 1
     f = report.factors[0]
     assert (f.pairing.a, f.pairing.b) == (1, 0)
@@ -100,7 +100,7 @@ def test_report_evaluation_matches_closed_form():
 def test_pole_profile_pairing_variable():
     system = restrict_roots(su_datum(2, 3))
     chi, _ = trivial_setup(system)
-    entries = pole_profile(system, chi)
+    entries = pole_profile(system, chi, w=system.longest_element())
     for e in entries:
         assert not e.conditional and e.order == 1
         if e.root.length_class == "short":
@@ -124,7 +124,7 @@ def test_pole_profile_needs_direction_for_ray_variable():
     system = split_system("A", 2)
     chi, _ = trivial_setup(system)
     with pytest.raises(ConstantTermError):
-        pole_profile(system, chi, variable="ray")
+        pole_profile(system, chi, w=system.longest_element(), variable="ray")
 
 
 def test_component_ratio_simply_laced_all_equal():
@@ -270,9 +270,9 @@ def test_weyl_inputs_reject_bad_letters(letter):
     with pytest.raises(RootSystemError, match="out of range"):
         multiplicativity_check(system, chi, ray, bad, good)
     with pytest.raises(RootSystemError, match="out of range"):
-        pole_profile(system, chi, w=[0, letter])
+        pole_profile(system, chi, w=WeylElement((0, letter)))
     with pytest.raises(RootSystemError, match="out of range"):
-        constant_term(system, chi, ray, [letter])
+        constant_term(system, chi, ray, bad)
 
 
 def test_multiplicativity_nontrivial_character():

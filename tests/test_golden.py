@@ -14,10 +14,13 @@ power q <= 11 on one s-grid of integral and non-integral s.
 ``d=<d>:tables`` pins ``tables --res-degree d`` for d = 1, 2, 3, and
 ``default:verify-arch`` pins ``verify-arch``, both in JSON.
 
-A refactor must replay the corpus byte for byte.  Regenerate it only for
-an output change that is intended and explained::
+A refactor must replay the corpus byte for byte.  The script replays it
+on any Python the package supports, with no test runner, and exits 1 on a
+difference; ``--write`` regenerates it, only for an output change that is
+intended and explained::
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --write
 """
 
 from __future__ import annotations
@@ -161,20 +164,38 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_golden_corpus_replays(tmp_path):
+def differences(workdir: str) -> list[str]:
+    """The corpus keys whose output differs, in corpus order, then the keys
+    produced but not in the corpus and those in it but not produced."""
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    seen = []
-    for key, text in outputs(str(tmp_path)):
-        seen.append(key)
-        assert key in expected, f"{key} is not in the golden corpus"
-        assert digest(text) == expected[key], f"first differing output: {key}"
-    missing = sorted(set(expected) - set(seen))
-    assert not missing, f"corpus keys not produced: {missing[:5]}"
+    seen, bad = set(), []
+    for key, text in outputs(workdir):
+        seen.add(key)
+        if key not in expected:
+            bad.append(f"{key} (not in the corpus)")
+        elif digest(text) != expected[key]:
+            bad.append(key)
+    return bad + [f"{key} (not produced)" for key in sorted(set(expected) - seen)]
+
+
+def test_golden_corpus_replays(tmp_path):
+    bad = differences(str(tmp_path))
+    assert not bad, f"differing outputs: {bad[:5]}"
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--write"]):
+        print(f"usage: {sys.argv[0]} [--write]", file=sys.stderr)
+        sys.exit(2)
     with tempfile.TemporaryDirectory() as tmp:
-        table = {key: digest(text) for key, text in outputs(tmp)}
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
+        if sys.argv[1:] == ["--write"]:
+            table = {key: digest(text) for key, text in outputs(tmp)}
+            DIGESTS.parent.mkdir(exist_ok=True)
+            DIGESTS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+            print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
+        else:
+            bad = differences(tmp)
+            for key in bad:
+                print(f"differs: {key}", file=sys.stderr)
+            print(f"{len(bad)} differences from the corpus", file=sys.stderr)
+            sys.exit(1 if bad else 0)

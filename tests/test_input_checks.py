@@ -20,6 +20,7 @@ from gkval import (
     RationalComplex,
     RootSystemError,
     UnramifiedCharacter,
+    WeylElement,
     arch_value,
     component_pole_ratio,
     corollary_ratio_table,
@@ -54,7 +55,8 @@ REJECTED = {
     "product-float-exponent": (lambda: MeromorphicProduct([(ATOM, 1.0)]), LFactorError),
     "r-alpha-zero-degree": (lambda: r_alpha(S, 0, SL2, ETA), LFactorError),
     "r-alpha-type": (lambda: r_alpha(S, 1, "SL3", ETA), LFactorError),
-    "pole-variable": (lambda: pole_profile(b2(), UnramifiedCharacter.trivial(2), variable="x"),
+    "pole-variable": (lambda: pole_profile(b2(), UnramifiedCharacter.trivial(2),
+                                           w=WeylElement(()), variable="x"),
                       ConstantTermError),
     "pole-ratio-component": (lambda: component_pole_ratio(b2(), 5), ConstantTermError),
     "ratio-table-type": (lambda: corollary_ratio_table("X9"), ConstantTermError),

@@ -300,6 +300,21 @@ def test_gamma_past_the_largest_float_is_infinite():
     assert checked_gamma(-200.5) == 0
 
 
+@pytest.mark.parametrize("s", [1, 1.0, 1 + 0j], ids=["int", "float", "complex"])
+def test_arch_value_beyond_float_range(s):
+    """With a = 10^400 and b = 2 - 10^400, only the coefficients are beyond
+    float range: x = 2 at s = 1, where the real-place factor pi^(-x/2)
+    Gamma(x/2) is 1/pi, as for a = 1, b = 1.  A Re x beyond float range has
+    no finite value and raises."""
+    real = {"place": PLACE_REAL, "label": "R"}
+    value = arch_value(atom(a=10**400, b=2 - 10**400, **real), s)
+    assert value == arch_value(atom(a=1, b=1, **real), s)
+    assert value == pytest.approx(1 / math.pi, rel=1e-14)
+    for b in (10**400, -3 * 10**400):  # x = 2 10^400 and x = -2 10^400
+        with pytest.raises(OverflowError):
+            arch_value(atom(a=10**400, b=b, **real), s)
+
+
 def test_arch_value_signals_gamma_pole():
     r_triv = atom(place=PLACE_REAL, label="R")
     with pytest.raises(PoleAtEvaluation):

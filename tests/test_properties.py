@@ -32,6 +32,7 @@ from gkval import (
     GroupDatum,
     RelativeRoot,
     UnramifiedCharacter,
+    WeylElement,
     cartan_matrix,
     constant_term,
     family_datum,
@@ -616,7 +617,7 @@ def test_constant_term_product_is_fold_of_factors(case, exponents):
     chi = UnramifiedCharacter(
         tuple(RationalComplex(re, im) for re, im in exponents[:system.rank])
     )
-    report = constant_term(system, chi, system.principal_ray(), word)
+    report = constant_term(system, chi, system.principal_ray(), WeylElement(tuple(word)))
     folded = functools.reduce(mul, (f.product for f in report.factors), MeromorphicProduct())
     assert report.product == folded
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from gkval import (
     su_datum,
     triality_datum,
 )
-from gkval.roots import MAX_NODES, _generate_roots
+from gkval.roots import MAX_NODES, _generate_roots, _integer_gram
 from test_properties import positive_count
 
 
@@ -78,6 +79,56 @@ def test_datum_rejects_cartan_not_of_finite_type(cartan):
         GroupDatum(tuple(map(tuple, cartan)), tuple(range(n)), 1, 1)
 
 
+def _bareiss_finite_type(a):
+    """The finite-type test validation once ran: the integer Gram matrix is
+    positive definite, decided by fraction-free (Bareiss) elimination, which
+    leaves the k-th leading principal minor as the k-th pivot."""
+    m, _ = _integer_gram(a)
+    prev = 1
+    for k in range(len(a)):
+        piv = m[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            m[i] = [(x * piv - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = piv
+    return True
+
+
+def _generalized_cartan_matrices(n):
+    """Every n-node generalized Cartan matrix with off-diagonal entries in
+    {0, -1, -2, -3}: each pair of nodes is unjoined, or joined both ways."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bonds = [(0, 0)] + list(itertools.product((-1, -2, -3), repeat=2))
+    for choice in itertools.product(bonds, repeat=len(pairs)):
+        a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for (i, j), (x, y) in zip(pairs, choice):
+            a[i][j], a[j][i] = x, y
+        yield tuple(map(tuple, a))
+
+
+def _validates(a):
+    try:
+        GroupDatum(a, tuple(range(len(a))), 1, 1)
+    except RootSystemError as exc:
+        assert str(exc) == "Cartan matrix is not of finite type"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n, accepted", [(2, 6), (3, 31)])
+def test_validation_accepts_what_the_gram_test_accepts(n, accepted):
+    """Validation decides finite type by the bound on the number of roots; on
+    every small generalized Cartan matrix it agrees with positive
+    definiteness of the Gram matrix (Kac, Infinite-dimensional Lie algebras,
+    where both characterize finite type)."""
+    matrices = list(_generalized_cartan_matrices(n))
+    assert len(matrices) == 10 ** (n * (n - 1) // 2)
+    verdicts = [_validates(a) for a in matrices]
+    assert verdicts == [_bareiss_finite_type(a) for a in matrices]
+    assert sum(verdicts) == accepted
+
+
 def test_split_a2_folding_is_identity():
     system = split_system("A", 2)
     assert len(system.positive_roots) == 3
@@ -128,8 +179,8 @@ ALL_SPLIT += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 @pytest.mark.parametrize("family, rank", ALL_SPLIT, ids=[f"{f}{n}" for f, n in ALL_SPLIT])
 def test_generated_roots_are_the_positive_half_of_the_closure(family, rank):
     a = cartan_matrix(family, rank)
-    got = _generate_roots(a)
-    assert got == [r for r in _all_roots_closure(a) if all(c >= 0 for c in r)]
+    got = _generate_roots(tuple(map(tuple, a)))
+    assert list(got) == [r for r in _all_roots_closure(a) if all(c >= 0 for c in r)]
     assert len(got) == positive_count(family, rank)
 
 
