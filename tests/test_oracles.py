@@ -24,7 +24,7 @@ from gkval import (
     sl3_longest_factorization,
     su21_inert_closed_form,
 )
-from gkval.oracles import ARCH_CASES, DivergentIntegral, OracleError
+from gkval.oracles import ARCH_CASES, DivergentIntegral, OracleError, _su21_height_weights
 
 
 def test_place_validation():
@@ -105,18 +105,74 @@ def _stratum_loop(q, s, depth):
     return total
 
 
-def test_su21_shell_is_bit_identical_to_the_stratum_loop():
-    """Integral s takes CPython's integer-power path, the rest the general
-    one; both must give the reference sum to the last bit."""
-    rationals = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
-                 Fraction(2, 3), Fraction(5, 4), Fraction(12, 5)]
+def _exact_stratum_sum(q, s, depth):
+    """The same truncated sum in exact arithmetic, for s in (1/2)Z, where
+    every exponent is an integer: integer coefficients of powers of q."""
+    assert (2 * s).denominator == 1
+    two_s1 = int(2 * s) + 2
+    coeffs = {}
+    for k in range(depth + 1):
+        for m in range(depth + 1):
+            h = max(0, 2 * m, 4 * k)  # even, so h (s + 1) = (h / 2)(2s + 2)
+            e = 2 * k + m - (h // 2) * two_s1 - (2 if k else 0) - (1 if m else 0)
+            coeffs[e] = coeffs.get(e, 0) + (q * q - 1 if k else 1) * (q - 1 if m else 1)
+    low = min(coeffs)
+    return Fraction(sum(c * q ** (e - low) for e, c in coeffs.items()), q ** -low)
+
+
+def _exact_height_weights(q, depth):
+    """w[H] by a plain double loop over every stratum (k, m), exactly."""
+    w = [Fraction(0)] * (2 * depth + 1)
+    for k in range(depth + 1):
+        ck = 1 if k == 0 else 1 - Fraction(1, q * q)
+        for m in range(depth + 1):
+            cm = 1 if m == 0 else 1 - Fraction(1, q)
+            h = max(m, 2 * k)
+            w[h] += ck * cm * Fraction(q) ** (2 * k + m - 2 * h)
+    return w
+
+
+def _ulps(x, exact):
+    """|x - exact| in units in the last place of exact rounded to float."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+SHELL_QS = (2, 3, 4, 5, 7, 8, 9, 11, 16, 27)
+
+
+def test_su21_shell_is_within_4_ulp_of_the_exact_truncated_sum():
+    """At s in {1, 2, 3, 1/2} every power of q is rational, so the
+    truncated sum is known exactly."""
+    for q in SHELL_QS:
+        for depth in (1, 2, 3, 60):
+            cfg = OracleConfig(depth=depth, tolerance=1e300)
+            for s in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)):
+                got = gk_integral_su21_inert(LocalPlace(q), complex(s), cfg)
+                assert got.imag == 0, (q, depth, s)
+                assert _ulps(got.real, _exact_stratum_sum(q, s, depth)) <= 4, (q, depth, s)
+
+
+def test_su21_shell_matches_the_stratum_loop():
+    """Non-integral and complex s take the general complex power."""
+    rationals = [Fraction(2, 3), Fraction(5, 4), Fraction(12, 5)]
     samples = [complex(s) for s in rationals] + [complex(1, 2), complex(0.75, -0.5)]
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 27):
+    for q in SHELL_QS:
         for depth in (1, 2, 3, 60, 120):
             cfg = OracleConfig(depth=depth, tolerance=1e300)
             for s in samples:
                 got = gk_integral_su21_inert(LocalPlace(q), s, cfg)
-                assert repr(got) == repr(_stratum_loop(q, s, depth)), (q, depth, s)
+                want = _stratum_loop(q, s, depth)
+                assert abs(got - want) <= 1e-14 * abs(want), (q, depth, s)
+
+
+def test_su21_height_weights_match_the_exact_double_loop():
+    for q in (2, 3, 65521):
+        for depth in (1, 2, 3, 7, 60):
+            got = _su21_height_weights(q, depth)
+            want = _exact_height_weights(q, depth)
+            assert len(got) == len(want) == 2 * depth + 1
+            for h, (g, x) in enumerate(zip(got, want)):
+                assert _ulps(g, x) <= 4, (q, depth, h)
 
 
 def test_su21_matches_symbolic_local_factors():
