@@ -141,8 +141,8 @@ def constant_term(
     w: WeylElement,
     base: Sequence | None = None,
 ) -> ConstantTermReport:
-    """Symbolic constant-term scalar for lambda = base + s * direction."""
-    w = system.normalize(w.word)
+    """Symbolic constant-term scalar for lambda = base + s * direction, at w as given:
+    pass system.normalize(word) or system.longest_element() to report a normal form."""
     factor = _factor_table(system, chi, direction, base)
     factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
     product = MeromorphicProduct.prod(f.product for f in factors)

@@ -84,8 +84,13 @@ class OracleConfig(Record):
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _tail_bound(q: float, re_s: float, depth: int) -> float:
-    return q ** (-depth * re_s) / (1.0 - q ** (-re_s))
+def _check_convergence(q: int, re_s: float, cfg: OracleConfig) -> None:
+    """Raise unless the shell series in q^(-re_s) converges (re_s > 0) and its
+    tail past cfg.depth, q^(-depth re_s) / (1 - q^(-re_s)), meets cfg.tolerance."""
+    if re_s <= 0:
+        raise DivergentIntegral("shell series needs Re(s) > 0")
+    if q ** (-cfg.depth * re_s) / (1.0 - q ** (-re_s)) > cfg.tolerance:
+        raise NotConverged("increase depth or tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +108,8 @@ def gk_integral_sl2(
     Converges to (1 - q_K^(-(1+s))) / (1 - q_K^(-s)) for Re(s) > 0.
     """
     s = complex(s)
-    if s.real <= 0:
-        raise DivergentIntegral("shell series needs Re(s) > 0")
     q_k = place.residue_q
-    if _tail_bound(q_k, s.real, cfg.depth) > cfg.tolerance:
-        raise NotConverged("increase depth or tolerance")
+    _check_convergence(q_k, s.real, cfg)
     total = complex(1.0)
     unit_shell = 1.0 - 1.0 / q_k
     for k in range(1, cfg.depth + 1):
@@ -137,11 +139,8 @@ def gk_integral_su21_inert(
         [(1 - q^(-2(1+s))) / (1 - q^(-2s))] * [(1 + q^(-(1+2s))) / (1 + q^(-2s))].
     """
     s = complex(s)
-    if s.real <= 0:
-        raise DivergentIntegral("shell series needs Re(s) > 0")
     q = place.residue_q
-    if _tail_bound(q, 2.0 * s.real, cfg.depth) > cfg.tolerance:
-        raise NotConverged("increase depth or tolerance")
+    _check_convergence(q, 2.0 * s.real, cfg)
 
     qc = complex(q)
     terms = [w * qc ** (-2 * h * s) for h, w in enumerate(_su21_height_weights(q, cfg.depth))]

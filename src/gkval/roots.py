@@ -340,8 +340,6 @@ class RelativeRootSystem:
         # (key, table) of the rank-one factors last assembled on this system;
         # kept by constant_term, which replaces it when the key changes
         self.factor_cache: tuple | None = None
-        # the last normal form returned, a fixed point of normalize
-        self._last_normal = WeylElement(())
 
     # -- basic queries ----------------------------------------------------
 
@@ -395,12 +393,8 @@ class RelativeRootSystem:
         return tuple(self.positive_roots[x] for x in self.inversion_indices(images))
 
     def normalize(self, word: Sequence[int]) -> "WeylElement":
-        """Lexicographically least reduced word, by descent stripping."""
-        word, last = tuple(word), self._last_normal
-        if word == last.word:  # e.g. the w0 that longest_element just returned
-            return last
-        # w^{-1} = s_word[-1] ... s_word[0] as an index map
-        return self._strip(self.images(word[::-1], self._identity))
+        """Lexicographically least reduced word, stripped from the index map of w^{-1}."""
+        return self._strip(self.images(tuple(word)[::-1], self._identity))
 
     def longest_element(self) -> "WeylElement":
         """w0, stripped from the map x -> ~x.  Like w0, that map sends every
@@ -410,13 +404,12 @@ class RelativeRootSystem:
 
     def _strip(self, winv: list[int]) -> "WeylElement":
         """Normal form of w from the index map of w^{-1}, by stripping the least
-        left descent j, w^{-1}(gamma_j) < 0; kept as the last one returned."""
+        left descent j, w^{-1}(gamma_j) < 0."""
         result: list[int] = []
         for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
             descent = next((j for j in range(self.rank) if winv[j] < 0), None)
             if descent is None:
-                self._last_normal = WeylElement(tuple(result))
-                return self._last_normal
+                return WeylElement(tuple(result))
             result.append(descent)
             # w <- s_d w, so w^{-1} <- w^{-1} s_d
             winv = [winv[x] for x in self.reflection_tables[descent]]

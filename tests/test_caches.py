@@ -103,7 +103,8 @@ def test_verify_all_work_counts(monkeypatch):
     factors of the SL(3) report (62 when multiplicativity_check built the
     factors of every inverted root and compared atom products, 2,334
     without the factor table, 95 before the SL(3) example was built once)
-    and makes 301 normalize calls (302 when
+    and makes 300 normalize calls (301 when constant_term normalized the w0
+    its caller had just built, 302 when
     longest_element normalized its own walk, whose word is already the
     normal form, for the SL(3) report; 1,986 when multiplicativity_check
     and pole_profile normalized their words and weyl_enumerate normalized
@@ -141,7 +142,7 @@ def test_verify_all_work_counts(monkeypatch):
     assert (len(validated), len(set(validated))) == (60, 19)
     assert (info.misses, info.misses + info.hits) == (19, 83)
     assert len(builds) == 3
-    assert len(normalized) == 301
+    assert len(normalized) == 300
 
 
 def test_weyl_checks_build_no_factors_or_products(monkeypatch):

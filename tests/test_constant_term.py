@@ -60,6 +60,19 @@ def test_split_a1_single_factor():
     assert kinds == [("L", -1), ("L", 1), ("eps", -1)]
 
 
+def test_constant_term_reports_the_element_it_is_given():
+    """(0, 0, 1) spells s_1: the report keeps the word and reads inv(s_1),
+    which is the inversion set of the normal form (1,)."""
+    system = split_system("A", 2)
+    chi, ray = trivial_setup(system)
+    report = constant_term(system, chi, ray, WeylElement((0, 0, 1)))
+    normal = constant_term(system, chi, ray, system.normalize((0, 0, 1)))
+    assert report.weyl.word == (0, 0, 1) and normal.weyl.word == (1,)
+    assert len(report.factors) == 1
+    assert report.factors == normal.factors
+    assert report.product == normal.product
+
+
 def test_longest_element_one_factor_per_positive_root():
     for fam, rank in (("A", 2), ("B", 2), ("G", 2), ("B", 3)):
         system = split_system(fam, rank)
@@ -83,6 +96,8 @@ def test_sl3_numeric_refused_off_halfplane():
     out = sl3_longest_factorization(3, -1)
     assert out["value"] is None
     assert out["arguments"] == ["s", "s", "2*s"]
+    # Re s > 0, but |1 - 3^(-s)| < 1e-14: the evaluation meets a pole
+    assert sl3_longest_factorization(3, 1e-15)["value"] is None
 
 
 def test_report_evaluation_matches_closed_form():

@@ -24,6 +24,7 @@ from gkval import (
     sl3_longest_factorization,
     su21_inert_closed_form,
 )
+from gkval import oracles
 from gkval.oracles import ARCH_CASES, DivergentIntegral, OracleError, _su21_height_weights
 
 
@@ -232,6 +233,17 @@ def test_legendre_identities():
     samples = [0.3 + 0.2 * k for k in range(10)]
     assert legendre_check(samples)
     assert legendre_check([1, 0.5, 1.5])
+
+
+@pytest.mark.parametrize("bad", [2, 3])
+def test_legendre_check_fails_on_a_wrong_gamma(monkeypatch, bad):
+    """At s = 1 the identities read Gamma(2) and Gamma(3) against Gamma(1),
+    Gamma(3/2) and Gamma(2): a wrong Gamma(2) breaks the first, and a wrong
+    Gamma(3) breaks only the second."""
+    gamma = oracles.checked_gamma
+    monkeypatch.setattr(oracles, "checked_gamma",
+                        lambda x: gamma(x) * (1 + 1e-6) if x == bad else gamma(x))
+    assert not legendre_check([1])
 
 
 def test_normalizer_has_poles_signaled():
