@@ -14,7 +14,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input or schema error,
 3 any other exception a command raises, an internal invariant breach
 included, reported in one stderr line as
-``internal error: <type>: <first line of its message>``.
+``internal error: <type>: <first line of its message>``.  A reader that
+closes stdout early, as ``| head`` does, only cuts the output short: no
+stderr line, and the exit code is the command's own, 0 or 1.
 """
 
 from __future__ import annotations
@@ -242,17 +244,72 @@ def _json_pieces(o, out: list, pad: str = "\n") -> None:
         out.append(json.dumps(o))
 
 
-def _emit(payload: dict, fmt: str, text_renderer=None) -> None:
-    """Print the payload as JSON, or through text_renderer; the JSON is
-    built whole before anything is printed."""
-    if fmt == "json" or text_renderer is None:
+# One atom of MeromorphicProduct.to_json as json.dumps(..., sort_keys=True,
+# indent=2) writes it at depth 0, less the line of q; a rational's str() needs
+# no escaping.
+_ATOM = ('{\n  "a": "%s",\n  "b": "%s",\n  "character": {\n    "exponent": [\n      "%s",\n'
+         '      "%s"\n    ],%s\n    "twist": %s\n  },\n  "exponent": %d,\n  "field": {\n'
+         '    "degree": %d,\n    "label": %s,\n    "place_kind": %s\n  },\n  "kind": %s\n}')
+
+
+def _product_pieces(product, out: list, pad: str) -> None:
+    """Append the text of json.dumps(product.to_json(), sort_keys=True,
+    indent=2) at the depth of pad, one formatted string per atom."""
+    inner = pad + "  "
+    atom_text, sep = _ATOM.replace("\n", inner), "[" + inner
+    for atom, n in product:
+        eta = atom.character
+        q = "" if eta.q is None else f'{inner}    "q": {eta.q},'
+        out.append(sep + atom_text % (
+            atom.arg.a, atom.arg.b, eta.exponent.re, eta.exponent.im, q,
+            "true" if eta.quad_twist else "false", n, eta.degree,
+            _encode_str(eta.field_label), _encode_str(atom.place_kind), _encode_str(atom.kind)))
+        sep = "," + inner
+    out.append(pad + "]" if len(product) else "[]")
+
+
+def _report_pieces(report, out: list, variable: str) -> None:
+    """Append the constant-term JSON, as json.dumps(..., sort_keys=True,
+    indent=2) writes it, straight from the report's records: no dict is built."""
+    out.append('{\n  "factors": ')
+    sep = "["
+    for f in report.factors:
+        root = f.root
+        out.append(f'{sep}\n    {{\n      "d_alpha": {root.d_alpha},\n      "factor": ')
+        _product_pieces(f.product, out, "\n      ")
+        coords = ",\n        ".join(map(int.__repr__, root.coords))  # never empty
+        out.append(f',\n      "length_class": {_encode_str(root.length_class)},'
+                   f'\n      "local_argument": {_encode_str(f.local_argument.render())},'
+                   f'\n      "pairing": {_encode_str(f.pairing.render())},'
+                   f'\n      "rank_one_type": {_encode_str(root.rank_one_type)},'
+                   f'\n      "root": [\n        {coords}\n      ]\n    }}')
+        sep = ","
+    out.append("\n  ]" if report.factors else "[]")
+    out.append(f',\n  "length": {len(report.factors)},\n  "product": ')
+    _product_pieces(report.product, out, "\n  ")
+    out.append(f',\n  "variable_convention": {_encode_str(variable)},\n  "weyl_word": ')
+    _json_pieces(report.weyl.word, out, "\n  ")
+    out.append("\n}")
+
+
+def _emit(payload, fmt: str, text_lines=None, json_pieces=_json_pieces) -> None:
+    """Print the payload as the JSON json_pieces writes, or as the lines that
+    text_lines yields.  The text is built whole before anything is printed, so
+    a failed run prints nothing.  A closed stdout ends the output silently,
+    and the command returns its own exit code."""
+    if fmt == "json" or text_lines is None:
         pieces = []
-        _json_pieces(payload, pieces)
+        json_pieces(payload, pieces)
         text = "".join(pieces)
         del pieces  # before print encodes the text: a lower peak RSS
+    else:  # every command's text has at least one line
+        text = "\n".join(text_lines(payload))
+    try:
         print(text)
-    else:
-        text_renderer(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:  # as the signal module's docs advise for SIGPIPE
+        # the flush at exit then writes what is left to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +340,19 @@ def cmd_classify(args) -> int:
         "positive_root_count": len(system.positive_roots),
     }
 
-    def render(p):
-        print(f"label: {p['label']}")
-        print(f"relative rank: {p['relative_rank']}")
+    def lines(p):
+        yield f"label: {p['label']}"
+        yield f"relative rank: {p['relative_rank']}"
         for c in p["components"]:
-            print(f"component {c['nodes']}: type {c['type']}")
-        print(f"degree table: {p['degree_table']}")
+            yield f"component {c['nodes']}: type {c['type']}"
+        yield f"degree table: {p['degree_table']}"
         for r in p["simple_roots"]:
-            print(
+            yield (
                 f"  node {r['index']}: {r['length_class']}, "
                 f"d_alpha={r['d_alpha']}, {r['rank_one_type']}"
             )
 
-    _emit(payload, args.output_format, render)
+    _emit(payload, args.output_format, lines)
     return EXIT_OK
 
 
@@ -304,25 +361,21 @@ def cmd_constant_term(args) -> int:
     report = constant_term(
         ctx["system"], ctx["chi"], ctx["direction"], ctx["weyl"]
     )
-    payload = report.to_json()
-    payload["variable_convention"] = args.variable
 
-    def render(p):
-        print(f"weyl word: {p['weyl_word']} (length {p['length']})")
-        for f in p["factors"]:
-            arg = f["pairing"] if args.variable == "global" else f["local_argument"]
-            print(
-                f"  root {f['root']} [{f['length_class']}, d={f['d_alpha']}, "
-                f"{f['rank_one_type']}]: argument {arg}"
-            )
-        for atom in p["product"]:
-            field = atom["field"]["label"]
-            print(
-                f"  {atom['kind']}_{field}({atom['a']}*s + {atom['b']})"
-                f"^{atom['exponent']}  twist={atom['character']['twist']}"
-            )
+    def lines(r):
+        yield f"weyl word: {list(r.weyl.word)} (length {len(r.factors)})"
+        for f in r.factors:
+            root = f.root
+            arg = f.pairing if args.variable == "global" else f.local_argument
+            yield (f"  root {list(root.coords)} [{root.length_class}, d={root.d_alpha}, "
+                   f"{root.rank_one_type}]: argument {arg.render()}")
+        for atom, n in r.product:
+            eta = atom.character
+            yield (f"  {atom.kind}_{eta.field_label}({atom.arg.a!s}*s + {atom.arg.b!s})"
+                   f"^{n}  twist={eta.quad_twist}")
 
-    _emit(payload, args.output_format, render)
+    _emit(report, args.output_format, lines,
+          lambda r, out: _report_pieces(r, out, args.variable))
     return EXIT_OK
 
 
@@ -353,17 +406,17 @@ def cmd_poles(args) -> int:
         ],
     }
 
-    def render(p):
+    def lines(p):
         for e in p["poles"]:
             tag = " (conditional)" if e["conditional"] else ""
-            print(
+            yield (
                 f"root {e['root']} [{e['length_class']}]: pole at "
                 f"{e['location']}, order {e['order']}{tag}"
             )
         for r in p["ratios"]:
-            print(f"component {r['component']}: {r}")
+            yield f"component {r['component']}: {r}"
 
-    _emit(payload, args.output_format, render)
+    _emit(payload, args.output_format, lines)
     return EXIT_OK
 
 
@@ -380,13 +433,13 @@ def _finish_verify(checks: list[dict], fmt: str) -> int:
     payload = {"checks": checks, "total": len(checks), "failed": failed,
                "pass": not failed}
 
-    def render(p):
+    def lines(p):
         for c in p["checks"]:
             mark = "ok" if c["pass"] else "FAIL"
-            print(f"[{mark}] {c['name']} {c.get('inputs', {})}")
-        print(f"{p['total'] - p['failed']}/{p['total']} checks passed")
+            yield f"[{mark}] {c['name']} {c.get('inputs', {})}"
+        yield f"{p['total'] - p['failed']}/{p['total']} checks passed"
 
-    _emit(payload, fmt, render)
+    _emit(payload, fmt, lines)
     return EXIT_OK if not failed else EXIT_VERIFY
 
 

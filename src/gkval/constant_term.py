@@ -71,17 +71,6 @@ class RankOneFactor(Record):
         """The pairing over the local scale of the rank-one group."""
         return self.pairing.over(local_scale(self.root))
 
-    def to_json(self) -> dict:
-        return {
-            "root": list(self.root.coords),
-            "length_class": self.root.length_class,
-            "d_alpha": self.root.d_alpha,
-            "rank_one_type": self.root.rank_one_type,
-            "pairing": self.pairing.render(),
-            "local_argument": self.local_argument.render(),
-            "factor": self.product.to_json(),
-        }
-
 
 class ConstantTermReport(Record):
     __slots__ = ("weyl", "factors", "product")
@@ -89,14 +78,6 @@ class ConstantTermReport(Record):
     def __init__(self, weyl: WeylElement, factors: tuple[RankOneFactor, ...],
                  product: MeromorphicProduct) -> None:
         self.weyl, self.factors, self.product = weyl, factors, product
-
-    def to_json(self) -> dict:
-        return {
-            "weyl_word": list(self.weyl.word),
-            "length": len(self.factors),
-            "factors": [f.to_json() for f in self.factors],
-            "product": self.product.to_json(),
-        }
 
 
 def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,

@@ -50,8 +50,8 @@ def _results(system, chi, direction, base):
     cut = len(w.word) // 2
     w1, w2 = WeylElement(w.word[:cut]), WeylElement(w.word[cut:])
     return [
-        ct.constant_term(system, chi, direction, w, base).to_json(),
-        ct.constant_term(system, chi, direction, w1, base).to_json(),
+        ct.constant_term(system, chi, direction, w, base),
+        ct.constant_term(system, chi, direction, w1, base),
         [e.to_json() for e in pole_profile(system, chi, direction, base, w=w,
                                            variable="ray", include_conditional=True)],
         multiplicativity_check(system, chi, direction, w1, w2, base),

@@ -1,10 +1,15 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from gkval import (
 )
 from gkval import checks as suites
 from gkval.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, load_spec, main
+from test_golden import README_FUNCTION_SPEC, README_SPEC
 
 cli = importlib.import_module("gkval.cli")
 ct = importlib.import_module("gkval.constant_term")
@@ -112,6 +118,17 @@ def test_constant_term_split_a1(tmp_path, capsys):
     assert kinds == [("L", -1), ("L", 1), ("eps", -1)]
 
 
+def test_constant_term_of_the_identity(tmp_path, capsys):
+    """The identity inverts no root: no factor, an empty product and an
+    empty word, each written as json.dumps writes an empty list."""
+    path = write_spec(tmp_path, {"diagram": "A2", "weyl_word": []})
+    code, out = run(capsys, "constant-term", "--input", path, "--output-format", "json")
+    assert code == EXIT_OK
+    payload = {"factors": [], "length": 0, "product": [], "variable_convention": "global",
+               "weyl_word": []}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_constant_term_json_round_trip(tmp_path, capsys):
     path = write_spec(
         tmp_path,
@@ -137,6 +154,26 @@ def test_byte_stable_output(tmp_path, capsys):
     _, out2 = run(capsys, "constant-term", "--input", path,
                   "--output-format", "json")
     assert out1 == out2
+
+
+# sha256 of the text output; text prints neither the character's exponent nor
+# its q, so the two specs print the same text
+_GLOBAL_TEXT = "5cfe96acb2353c245d6df93ff9c3e7ec219ace9a360da4bdd4eb485ce2b3a8f1"
+_LOCAL_TEXT = "add4712496b38af7c18d516e2b4ebeaa283e4cf8f977abcb45c672c2d84acf25"
+
+
+@pytest.mark.parametrize("spec, variable, digest", [
+    (README_SPEC, "global", _GLOBAL_TEXT), (README_SPEC, "local", _LOCAL_TEXT),
+    (README_FUNCTION_SPEC, "global", _GLOBAL_TEXT),
+    (README_FUNCTION_SPEC, "local", _LOCAL_TEXT),
+], ids=["readme-global", "readme-local", "readme-function-global",
+        "readme-function-local"])
+def test_constant_term_text_output(tmp_path, capsys, spec, variable, digest):
+    """The golden corpus pins JSON only; this pins --output-format text."""
+    path = write_spec(tmp_path, spec)
+    code, out = run(capsys, "constant-term", "--input", path, "--variable", variable)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _emitted(payload) -> str:
@@ -179,15 +216,16 @@ def test_json_output_refuses_what_json_refuses(payload):
 def test_unserializable_payload_prints_nothing(tmp_path, capsys, monkeypatch):
     """A value json cannot serialize, at the end of the sorted output, exits
     3 with one stderr line and nothing on stdout: the text is built whole
-    before it is printed."""
-    to_json = ct.ConstantTermReport.to_json
+    before it is printed.  The Weyl word is written last, after every factor
+    and the product."""
+    build = cli.constant_term
 
-    def with_fraction(self):
-        payload = to_json(self)
-        payload["weyl_word"].append(Fraction(1, 2))
-        return payload
+    def with_fraction(*args):
+        report = build(*args)
+        word = WeylElement(report.weyl.word + (Fraction(1, 2),))
+        return ct.ConstantTermReport(word, report.factors, report.product)
 
-    monkeypatch.setattr(ct.ConstantTermReport, "to_json", with_fraction)
+    monkeypatch.setattr(cli, "constant_term", with_fraction)
     path = write_spec(tmp_path, {"diagram": "A2"})
     assert main(["constant-term", "--input", path, "--output-format", "json"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
@@ -214,6 +252,51 @@ def test_json_output_builds_no_pure_python_encoder(tmp_path, monkeypatch):
     assert built == []
     json.dumps([], indent=2)  # the counter sees the indented encoder
     assert len(built) == 1
+
+
+def test_constant_term_json_builds_no_atom_dicts(tmp_path, monkeypatch):
+    """constant-term JSON is written from the report's records: it never
+    calls MeromorphicProduct.to_json, which builds one dict per atom."""
+    called = []
+    to_json = MeromorphicProduct.to_json
+
+    def counted(self):
+        called.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(MeromorphicProduct, "to_json", counted)
+    path = write_spec(tmp_path, {**README_FUNCTION_SPEC, "weyl_word": None})
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["constant-term", "--input", path, "--output-format", "json"]) == EXIT_OK
+    assert json.loads(out.getvalue())["product"]
+    assert called == []
+    MeromorphicProduct().to_json()  # the counter sees a call
+    assert len(called) == 1
+
+
+_SRC = Path(cli.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"],
+    ["constant-term", "--input", "{spec}", "--output-format", "json"],
+], ids=["verify-all", "constant-term-E8"])
+def test_a_closed_stdout_cuts_the_output_short(tmp_path, argv):
+    """A reader that closes early, as `| head` does, ends the output with no
+    stderr line, and the exit code stays the command's own.  The read end is
+    closed before the child starts, so every write meets a closed pipe."""
+    spec = write_spec(tmp_path, {"diagram": "E8"})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gkval.cli", *(a.format(spec=spec) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
 
 
 def test_poles_local_variable(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Property-based invariants of folding, Weyl words, coroot pairings and
-the L-factor product algebra.
+the L-factor product algebra, and the CLI's JSON text of a product.
 
 The systems are the table families of ``verify-all`` and split A-G up to
 rank 6, each at res_degree 1, 2 and 3, plus cycled copies of the split
@@ -11,13 +11,14 @@ drawn words, unions and products are the same on every run.
 """
 
 import functools
+import importlib
 import json
 import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkval import (
@@ -48,6 +49,8 @@ from gkval import (
 )
 from gkval.roots import MAX_NODES
 from test_golden import COMMANDS, _datum_spec, _run
+
+cli = importlib.import_module("gkval.cli")
 
 
 def positive_count(family, n):
@@ -507,6 +510,48 @@ def test_product_json_round_trip_is_byte_stable(p):
     assert back == p
     assert [(a, hash(a)) for a, _ in back] == [(a, hash(a)) for a, _ in p]
     assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+huge_rationals = small_rationals | st.sampled_from(
+    [Fraction(10**400), Fraction(-10**400), Fraction(-3, 10**400)])
+
+
+@st.composite
+def drawn_products(draw):
+    """Products of atoms drawn field by field: L and eps, over number fields
+    and function fields, twisted or not, with rationals of up to 400 digits
+    and exponents of both signs."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        eta = HeckeCharacterDescriptor(
+            draw(st.sampled_from(("F", "F_alpha", "E_alpha", 'q"\\\u00e9'))),
+            draw(st.integers(1, 4)), RationalComplex(draw(huge_rationals), draw(huge_rationals)),
+            draw(st.booleans()), draw(st.sampled_from((None, 2, 9))))
+        atom = LFactorAtom(draw(st.sampled_from(("L", "eps"))),
+                           draw(st.sampled_from(("finite", "real", "complex"))),
+                           AffineForm(draw(huge_rationals), draw(huge_rationals)), eta)
+        pairs.append((atom, draw(st.integers(-3, 3))))
+    return MeromorphicProduct(pairs)
+
+
+@PRODUCT_PROPERTY
+@given(products() | drawn_products())
+@example(MeromorphicProduct())
+def test_cli_writes_a_product_as_json_dumps_does(p):
+    """At depths 1 to 4, the constant-term writer gives the slice of
+    json.dumps(..., sort_keys=True, indent=2) that holds p.to_json() nested
+    that deep."""
+    for depth in range(1, 5):
+        nested = p.to_json()
+        for _ in range(depth):
+            nested = [nested]
+        text = json.dumps(nested, sort_keys=True, indent=2)
+        head = "".join("[\n" + "  " * (k + 1) for k in range(depth))
+        tail = "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
+        assert text.startswith(head) and text.endswith(tail)
+        out = []
+        cli._product_pieces(p, out, "\n" + "  " * depth)
+        assert "".join(out) == text[len(head):len(text) - len(tail)], depth
 
 
 def _neighbours(atom):
