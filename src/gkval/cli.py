@@ -371,8 +371,10 @@ def cmd_constant_term(args) -> int:
                    f"{root.rank_one_type}]: argument {arg.render()}")
         for atom, n in r.product:
             eta = atom.character
-            yield (f"  {atom.kind}_{eta.field_label}({atom.arg.a!s}*s + {atom.arg.b!s})"
-                   f"^{n}  twist={eta.quad_twist}")
+            q = "" if eta.q is None else f"  q={eta.q}"
+            yield (f"  {atom.kind}_{eta.field_label}({atom.arg.render()})^{n}"
+                   f"  degree={eta.degree}  exponent=({eta.exponent.re}, {eta.exponent.im})"
+                   f"  twist={eta.quad_twist}{q}")
 
     _emit(report, args.output_format, lines,
           lambda r, out: _report_pieces(r, out, args.variable))

@@ -3,9 +3,10 @@
 The global intertwining operator attached to a Weyl element w acts on
 the spherical vector by the scalar
 
-    r(w, lambda) = prod over alpha in inv(w) of r_alpha(<lambda, alpha^vee>),
+    r(w, lambda) = prod over alpha in inv(w) of r_alpha(<lambda, alpha^vee> / scale),
 
-one rank-one factor per reduced positive relative root inverted by w.
+one rank-one factor per reduced positive relative root inverted by w, each
+read in its local argument, the pairing over the root's local_scale.
 ``constant_term`` assembles that product symbolically and records the
 per-root data.  ``multiplicativity_check`` verifies the cocycle identity
 r(w1 w2) = r(w1, w2 lambda) r(w2, lambda) whenever lengths add by deciding
@@ -58,18 +59,15 @@ RAY_VARIABLE = "ray"
 
 class RankOneFactor(Record):
     """The factor r_alpha of one root; ``pairing`` is <lambda, alpha^vee> in
-    the ray parameter."""
+    the ray parameter, and ``local_argument`` the pairing over the local
+    scale of the rank-one group, the argument ``product`` was built from."""
 
-    __slots__ = ("root", "pairing", "product")
+    __slots__ = ("root", "pairing", "local_argument", "product")
 
-    def __init__(self, root: RelativeRoot, pairing: AffineForm,
+    def __init__(self, root: RelativeRoot, pairing: AffineForm, local_argument: AffineForm,
                  product: MeromorphicProduct) -> None:
-        self.root, self.pairing, self.product = root, pairing, product
-
-    @property
-    def local_argument(self) -> AffineForm:
-        """The pairing over the local scale of the rank-one group."""
-        return self.pairing.over(local_scale(self.root))
+        self.root, self.pairing, self.local_argument, self.product = (
+            root, pairing, local_argument, product)
 
 
 class ConstantTermReport(Record):
@@ -82,12 +80,9 @@ class ConstantTermReport(Record):
 
 def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
                      alpha: RelativeRoot, pairing: AffineForm) -> RankOneFactor:
+    x = pairing.over(local_scale(alpha))
     eta = compose_with_coroot(system, chi, alpha)
-    return RankOneFactor(
-        root=alpha,
-        pairing=pairing,
-        product=r_alpha(pairing, alpha.d_alpha, alpha.rank_one_type, eta),
-    )
+    return RankOneFactor(alpha, pairing, x, r_alpha(x, alpha.rank_one_type, eta))
 
 
 def _factor_table(system: RelativeRootSystem, chi: UnramifiedCharacter,

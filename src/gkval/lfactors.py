@@ -184,42 +184,39 @@ class MeromorphicProduct:
 
 
 def r_alpha(
-    pairing: AffineForm,
-    d_alpha: int,
+    x: AffineForm,
     rank_one_type: str,
     eta: HeckeCharacterDescriptor,
 ) -> MeromorphicProduct:
-    """The rank-one quotient of completed L- and eps-factors.
+    """The rank-one quotient of completed L- and eps-factors in the local
+    argument x, the pairing over roots.local_scale of the root.
 
-    SL2-type (SL2 over a degree-d_alpha field K):
+    SL2-type (SL2 over the field K of the root, of the degree of eta):
 
-        L_K(x, eta) / (eps_K(x, eta) L_K(1 + x, eta)),   x = pairing / d_alpha.
+        L_K(x, eta) / (eps_K(x, eta) L_K(1 + x, eta)).
 
     SU21-type (special unitary group in three variables, E/K the
-    quadratic layer inside the degree-2*d_alpha field E):
+    quadratic layer under the field E of eta, whose degree is even):
 
         L_E(x, eta) / (eps_E L_E(1 + x, eta))
-          * L_K(y, eta' tw) / (eps_K L_K(1 + y, eta' tw)),
+          * L_K(2x, eta' tw) / (eps_K L_K(1 + 2x, eta' tw)),
 
-    with x = pairing / (4 d_alpha), y = pairing / (2 d_alpha), eta' the
-    restriction of eta to K and tw the quadratic class character of E/K.
+    with eta' the restriction of eta to K and tw the quadratic class
+    character of E/K.  The 2 is x_{beta + sigma beta} = 2 x_beta, not a scale.
     """
-    if d_alpha < 1:
-        raise LFactorError("d_alpha must be positive")
     if rank_one_type == SL2:
-        if eta.degree != d_alpha:
-            raise LFactorError("character lives over the wrong field")
-        return MeromorphicProduct(_quotient(pairing.over(d_alpha), eta))
+        return MeromorphicProduct(_quotient(x, eta))
     if rank_one_type == SU21:
-        if eta.degree != 2 * d_alpha:
+        if eta.degree % 2:
             raise LFactorError("character lives over the wrong field")
         # the restriction to K, twisted by the class character of E/K
         eta_k = restrict_descriptor(eta)
         eta_f = HeckeCharacterDescriptor(eta_k.field_label, eta_k.degree, eta_k.exponent,
                                          True, eta_k.q)
-        return MeromorphicProduct(
-            _quotient(pairing.over(4 * d_alpha), eta)
-            + _quotient(pairing.over(2 * d_alpha), eta_f))
+        a, b = x.a, x.b
+        twice = AffineForm(Fraction(2 * a.numerator, a.denominator),
+                           Fraction(2 * b.numerator, b.denominator))
+        return MeromorphicProduct(_quotient(x, eta) + _quotient(twice, eta_f))
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
 
 

@@ -156,16 +156,15 @@ def test_byte_stable_output(tmp_path, capsys):
     assert out1 == out2
 
 
-# sha256 of the text output; text prints neither the character's exponent nor
-# its q, so the two specs print the same text
-_GLOBAL_TEXT = "5cfe96acb2353c245d6df93ff9c3e7ec219ace9a360da4bdd4eb485ce2b3a8f1"
-_LOCAL_TEXT = "add4712496b38af7c18d516e2b4ebeaa283e4cf8f977abcb45c672c2d84acf25"
-
-
+# sha256 of the text output, which prints each atom's argument, field degree,
+# character exponent, twist and, in function-field mode, q
 @pytest.mark.parametrize("spec, variable, digest", [
-    (README_SPEC, "global", _GLOBAL_TEXT), (README_SPEC, "local", _LOCAL_TEXT),
-    (README_FUNCTION_SPEC, "global", _GLOBAL_TEXT),
-    (README_FUNCTION_SPEC, "local", _LOCAL_TEXT),
+    (README_SPEC, "global", "9010c662d2f8582c4659e33d783bbbe1719a44f66bc320fe642011c629c828e3"),
+    (README_SPEC, "local", "15a740023e8f1d967ca8f03e9745e28f74a7546288e1974c3549a9993ec680a8"),
+    (README_FUNCTION_SPEC, "global",
+     "1d57372ed6652f3814b90081c9779b2842f00cd6586fddd2084d8be397afda0f"),
+    (README_FUNCTION_SPEC, "local",
+     "0b53941b3fd3dd3a358f1bbe1acdb0202abb9ce6c3434ccc5aa081aa44ccee71"),
 ], ids=["readme-global", "readme-local", "readme-function-global",
         "readme-function-local"])
 def test_constant_term_text_output(tmp_path, capsys, spec, variable, digest):
@@ -174,6 +173,26 @@ def test_constant_term_text_output(tmp_path, capsys, spec, variable, digest):
     code, out = run(capsys, "constant-term", "--input", path, "--variable", variable)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SU(2,2) over a degree-2 field: its F_alpha atoms of degrees 2 and 4 agree in
+# every other printed field
+_SU22_D2_SPEC = {"diagram": "A3", "automorphism": [2, 1, 0], "automorphism_order": 2,
+                 "res_degree": 2}
+
+
+def test_constant_term_text_tells_atoms_apart(tmp_path, capsys):
+    """Text prints one distinct line per atom of the product, and a spec that
+    differs from another only in its character prints another text."""
+    texts = []
+    for spec in (README_SPEC, README_FUNCTION_SPEC, _SU22_D2_SPEC):
+        path = write_spec(tmp_path, spec)
+        _, out = run(capsys, "constant-term", "--input", path)
+        _, blob = run(capsys, "constant-term", "--input", path, "--output-format", "json")
+        atom_lines = [line for line in out.splitlines()[1:] if not line.startswith("  root ")]
+        assert len(set(atom_lines)) == len(atom_lines) == len(json.loads(blob)["product"])
+        texts.append(out)
+    assert texts[0] != texts[1]
 
 
 def _emitted(payload) -> str:

@@ -60,6 +60,21 @@ def test_split_a1_single_factor():
     assert kinds == [("L", -1), ("L", 1), ("eps", -1)]
 
 
+def test_sl2_factor_reads_its_atoms_in_the_pairing_over_d_alpha():
+    """Split A1 over a degree-2 field has d_alpha = 2: the factor's local
+    argument is its pairing over 2, and its atoms are read in it."""
+    system = restrict_roots(split_datum("A", 1, res_degree=2))
+    chi = UnramifiedCharacter.trivial(1)
+    report = constant_term(system, chi, (Fraction(3),), WeylElement((0,)), (Fraction(1, 3),))
+    (f,) = report.factors
+    assert (f.root.d_alpha, f.root.rank_one_type) == (2, "SL2")
+    assert (f.pairing.a, f.pairing.b) == (12, Fraction(4, 3))
+    assert (f.local_argument.a, f.local_argument.b) == (6, Fraction(2, 3))
+    assert {(a.kind, a.arg.a, a.arg.b, a.character.degree, n) for a, n in f.product} == {
+        ("L", 6, Fraction(2, 3), 2, 1), ("eps", 6, Fraction(2, 3), 2, -1),
+        ("L", 6, Fraction(5, 3), 2, -1)}
+
+
 def test_constant_term_reports_the_element_it_is_given():
     """(0, 0, 1) spells s_1: the report keeps the word and reads inv(s_1),
     which is the inversion set of the normal form (1,)."""

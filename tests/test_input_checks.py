@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gkval import (
-    SL2,
+    SU21,
     AffineForm,
     CharacterError,
     ConstantTermError,
@@ -53,8 +53,8 @@ REJECTED = {
                           CharacterError),
     "atom-kind": (lambda: LFactorAtom("zeta", PLACE_FINITE, S, ETA), LFactorError),
     "product-float-exponent": (lambda: MeromorphicProduct([(ATOM, 1.0)]), LFactorError),
-    "r-alpha-zero-degree": (lambda: r_alpha(S, 0, SL2, ETA), LFactorError),
-    "r-alpha-type": (lambda: r_alpha(S, 1, "SL3", ETA), LFactorError),
+    "r-alpha-odd-degree": (lambda: r_alpha(S, SU21, ETA), LFactorError),
+    "r-alpha-type": (lambda: r_alpha(S, "SL3", ETA), LFactorError),
     "pole-variable": (lambda: pole_profile(b2(), UnramifiedCharacter.trivial(2),
                                            w=WeylElement(()), variable="x"),
                       ConstantTermError),

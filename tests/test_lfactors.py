@@ -73,7 +73,7 @@ def test_normalize_idempotent_and_multiplicative():
 
 
 def test_r_alpha_sl2_shape():
-    p = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
+    p = r_alpha(AffineForm.of(1), SL2, trivial_eta())
     pairs = {(a.kind, a.arg.a, a.arg.b): n for a, n in p}
     assert pairs == {
         (KIND_L, 1, 0): 1,
@@ -82,17 +82,9 @@ def test_r_alpha_sl2_shape():
     }
 
 
-def test_r_alpha_sl2_rescales_argument():
-    # pairing 2s with d_alpha = 2 gives arguments in s directly
-    p = r_alpha(AffineForm.of(2), 2, SL2, trivial_eta(2, "F_alpha"))
-    for a, _ in p:
-        assert a.character.degree == 2
-        assert a.arg.a == 1
-
-
 def test_r_alpha_su21_shape():
     eta = trivial_eta(2, "E_alpha")
-    p = r_alpha(AffineForm.of(4), 1, SU21, eta)
+    p = r_alpha(AffineForm.of(1), SU21, eta)
     by_field = {}
     for a, n in p:
         by_field.setdefault(a.character.field_label, []).append((a.kind, a.arg.a, a.arg.b, n))
@@ -113,7 +105,7 @@ def test_r_alpha_su21_shape():
 def test_r_alpha_denominator_arguments_shifted_by_one():
     for typ, deg in ((SL2, 1), (SU21, 2)):
         eta = trivial_eta(deg, "E_alpha" if typ == SU21 else "F")
-        p = r_alpha(AffineForm.of(4), 1, typ, eta)
+        p = r_alpha(AffineForm.of(4), typ, eta)
         nums = sorted(
             (a.character.field_label, a.arg.a, a.arg.b) for a, n in p
             if n > 0 and a.kind == KIND_L
@@ -127,36 +119,34 @@ def test_r_alpha_denominator_arguments_shifted_by_one():
 
 def test_r_alpha_rejects_wrong_field_degree():
     with pytest.raises(LFactorError):
-        r_alpha(AffineForm.of(1), 2, SL2, trivial_eta(1))
-    with pytest.raises(LFactorError):
-        r_alpha(AffineForm.of(1), 1, SU21, trivial_eta(1))
+        r_alpha(AffineForm.of(1), SU21, trivial_eta(1))
 
 
 def test_poles_sl2_trivial():
-    prof = poles_positive(r_alpha(AffineForm.of(1), 1, SL2, trivial_eta()))
+    prof = poles_positive(r_alpha(AffineForm.of(1), SL2, trivial_eta()))
     assert [(e.location, e.order) for e in prof] == [(1, 1)]
 
 
 def test_poles_scale_linearly_with_argument():
     for d in (1, 2, 3):
         eta = trivial_eta(d, "F_alpha" if d > 1 else "F")
-        prof = poles_positive(r_alpha(AffineForm.of(1), d, SL2, eta))
+        prof = poles_positive(r_alpha(AffineForm.of(1).over(d), SL2, eta))
         assert [e.location for e in prof] == [Fraction(d)]
 
 
 def test_poles_quad_twist_has_no_unconditional_pole():
     eta = trivial_eta(1, "F", quad=True)
-    prof = poles_positive(r_alpha(AffineForm.of(1), 1, SL2, eta))
+    prof = poles_positive(r_alpha(AffineForm.of(1), SL2, eta))
     assert prof == ()
     prof2 = poles_positive(
-        r_alpha(AffineForm.of(1), 1, SL2, eta), include_conditional=True
+        r_alpha(AffineForm.of(1), SL2, eta), include_conditional=True
     )
     assert len(prof2) == 1 and prof2[0].conditional
 
 
 def test_poles_nontrivial_unitary_conditional_only():
     eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 2)))
-    product = r_alpha(AffineForm.of(1), 1, SL2, eta)
+    product = r_alpha(AffineForm.of(1), SL2, eta)
     assert poles_positive(product) == ()
     assert all(e.conditional for e in poles_positive(product, include_conditional=True))
 
@@ -236,7 +226,7 @@ def test_poles_tied_on_location_follow_the_atom_order():
 
 
 def test_evaluate_finite_sl2_closed_form():
-    p = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
+    p = r_alpha(AffineForm.of(1), SL2, trivial_eta())
     for q in (2, 3, 5):
         for s in (1.0, 2.0, 2.5):
             want = (1 - q ** (-1 - s)) / (1 - q ** (-s))
@@ -323,7 +313,7 @@ def test_arch_value_signals_gamma_pole():
 
 def test_json_round_trip():
     eta = trivial_eta(2, "E_alpha")
-    p = r_alpha(AffineForm.of(4, Fraction(1, 3)), 1, SU21, eta)
+    p = r_alpha(AffineForm.of(1, Fraction(1, 12)), SU21, eta)
     blob = json.dumps(p.to_json(), sort_keys=True)
     back = MeromorphicProduct.from_json(json.loads(blob))
     assert back == p
@@ -332,13 +322,13 @@ def test_json_round_trip():
 
 def test_json_round_trip_keeps_function_field_size():
     eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 3)), q=4)
-    p = r_alpha(AffineForm.of(1), 1, SL2, eta)
+    p = r_alpha(AffineForm.of(1), SL2, eta)
     data = json.loads(json.dumps(p.to_json()))
     assert [atom["character"]["q"] for atom in data] == [4, 4, 4]
     back = MeromorphicProduct.from_json(data)
     assert back == p
     assert evaluate_finite(back, 4, 2.0) == pytest.approx(evaluate_finite(p, 4, 2.0))
-    number = r_alpha(AffineForm.of(1), 1, SL2, trivial_eta())
+    number = r_alpha(AffineForm.of(1), SL2, trivial_eta())
     assert all("q" not in atom["character"] for atom in number.to_json())
 
 

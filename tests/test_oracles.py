@@ -178,7 +178,7 @@ def test_su21_height_weights_match_the_exact_double_loop():
 
 def test_su21_matches_symbolic_local_factors():
     eta = HeckeCharacterDescriptor("E_alpha", 2, RationalComplex())
-    prod = r_alpha(AffineForm.of(4), 1, SU21, eta)
+    prod = r_alpha(AffineForm.of(1), SU21, eta)
     for q in (3, 5):
         for s in (1.0, 2.0):
             symbolic = evaluate_finite(prod, q, s)

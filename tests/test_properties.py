@@ -483,8 +483,8 @@ def rank_one_factors(draw):
     q = draw(st.sampled_from((None, 2, 3, 4, 5, 8, 9)))  # None: a number field
     exponent = RationalComplex(draw(small_rationals), draw(small_rationals))
     eta = HeckeCharacterDescriptor(label, degree, exponent, draw(st.booleans()), q)
-    pairing = AffineForm(draw(small_rationals), draw(small_rationals))
-    return r_alpha(pairing, d, rank_one_type, eta)
+    x = AffineForm(draw(small_rationals), draw(small_rationals))
+    return r_alpha(x, rank_one_type, eta)
 
 
 @st.composite
