@@ -1,4 +1,4 @@
-"""Golden corpus: sha256 digests of the CLI's JSON output.
+"""Golden corpus: sha256 digests of the CLI's JSON and text output.
 
 Each key of ``tests/golden/digests.json`` is ``case:command``.  The cases
 are the 45 folded table cases of ``verify-all``, the split diagrams A-D up
@@ -13,6 +13,12 @@ components, principal ray and coroot pairings.  One more key,
 power q <= 11 on one s-grid of integral and non-integral s.
 ``d=<d>:tables`` pins ``tables --res-degree d`` for d = 1, 2, 3, and
 ``default:verify-arch`` pins ``verify-arch``, both in JSON.
+
+Keys ending in ``-text`` pin ``--output-format text``: on the two README
+cases, ``classify``, ``constant-term`` (``-local-text`` with ``--variable
+local``) and ``poles`` (``poles-global-text`` with ``--variable global``),
+and ``seed0:verify-all-text``, ``q=2:verify-local-text`` and
+``default:verify-arch-text``.
 
 A refactor must replay the corpus byte for byte.  The script replays it
 on any Python the package supports, with no test runner, and exits 1 on a
@@ -47,9 +53,18 @@ COMMANDS = {
     "poles-global": ["poles", "--variable", "global"],
 }
 
+# the text output of the README specs, pinned with --output-format text
+TEXT_COMMANDS = {
+    "classify-text": ["classify"],
+    "constant-term-text": ["constant-term"],
+    "constant-term-local-text": ["constant-term", "--variable", "local"],
+    "poles-text": ["poles"],
+    "poles-global-text": ["poles", "--variable", "global"],
+}
+TEXT_CASES = ("readme", "readme-function")
+
 LOCAL_QS = (2, 3, 4, 5, 7, 8, 9, 11)
-LOCAL_ARGV = ["verify-local", "--depth", "120", "--s-grid", "1,2,3,1/2,2/3,5/4,12/5",
-              "--output-format", "json"]
+LOCAL_ARGV = ["verify-local", "--depth", "120", "--s-grid", "1,2,3,1/2,2/3,5/4,12/5"]
 
 README_SPEC = {
     "diagram": "A4",
@@ -143,21 +158,30 @@ def outputs(workdir: str):
             yield f"{name}:{command}", _run(
                 argv + ["--input", path, "--output-format", "json"])
         yield f"{name}:system", _system_repr(path)
+        if name in TEXT_CASES:
+            for command, argv in TEXT_COMMANDS.items():
+                yield f"{name}:{command}", _run(
+                    argv + ["--input", path, "--output-format", "text"])
     saved = os.environ.get("GK_SEED")
     os.environ["GK_SEED"] = "0"
     try:
         yield "seed0:verify-all", _run(["verify-all", "--output-format", "json"])
+        yield "seed0:verify-all-text", _run(["verify-all", "--output-format", "text"])
     finally:
         if saved is None:
             del os.environ["GK_SEED"]
         else:
             os.environ["GK_SEED"] = saved
     for q in LOCAL_QS:
-        yield f"q={q}:verify-local", _run(LOCAL_ARGV + ["--q", str(q)])
+        yield f"q={q}:verify-local", _run(
+            LOCAL_ARGV + ["--q", str(q), "--output-format", "json"])
+    yield "q=2:verify-local-text", _run(
+        LOCAL_ARGV + ["--q", "2", "--output-format", "text"])
     for dprime in (1, 2, 3):
         yield f"d={dprime}:tables", _run(
             ["tables", "--res-degree", str(dprime), "--output-format", "json"])
     yield "default:verify-arch", _run(["verify-arch", "--output-format", "json"])
+    yield "default:verify-arch-text", _run(["verify-arch", "--output-format", "text"])
 
 
 def digest(text: str) -> str:
