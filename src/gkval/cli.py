@@ -297,7 +297,7 @@ def _emit(payload, fmt: str, text_lines=None, json_pieces=_json_pieces) -> None:
     text_lines yields.  The text is built whole before anything is printed, so
     a failed run prints nothing.  A closed stdout ends the output silently,
     and the command returns its own exit code."""
-    if fmt == "json" or text_lines is None:
+    if fmt == "json":
         pieces = []
         json_pieces(payload, pieces)
         text = "".join(pieces)
@@ -426,7 +426,13 @@ def cmd_tables(args) -> int:
     dprime = args.res_degree
     tables = {family: proposition_table(family, n, dprime)
               for family, n in FAMILIES.items()}
-    _emit({"d_prime": dprime, "tables": tables}, args.output_format)
+
+    def lines(p):
+        yield f"d_prime: {p['d_prime']}"
+        for family, row in p["tables"].items():
+            yield f"{family}: {row}"
+
+    _emit({"d_prime": dprime, "tables": tables}, args.output_format, lines)
     return EXIT_OK
 
 

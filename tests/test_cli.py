@@ -344,6 +344,16 @@ def test_tables_command(capsys):
     assert payload["tables"]["split"] == {"all": 2}
 
 
+def test_tables_text_output(capsys):
+    """--output-format text prints a d_prime line, then one row per family."""
+    code, out = run(capsys, "tables", "--res-degree", "2")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "d_prime: 2"
+    assert "3D4: {'long': 6, 'short': 2}" in lines
+    assert len(lines) == 1 + len(roots.FAMILIES)
+
+
 def test_tables_has_no_rank_option():
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--rank", "4"])

@@ -17,8 +17,8 @@ power q <= 11 on one s-grid of integral and non-integral s.
 Keys ending in ``-text`` pin ``--output-format text``: on the two README
 cases, ``classify``, ``constant-term`` (``-local-text`` with ``--variable
 local``) and ``poles`` (``poles-global-text`` with ``--variable global``),
-and ``seed0:verify-all-text``, ``q=2:verify-local-text`` and
-``default:verify-arch-text``.
+and ``seed0:verify-all-text``, ``q=2:verify-local-text``,
+``d=2:tables-text`` and ``default:verify-arch-text``.
 
 A refactor must replay the corpus byte for byte.  The script replays it
 on any Python the package supports, with no test runner, and exits 1 on a
@@ -180,6 +180,7 @@ def outputs(workdir: str):
     for dprime in (1, 2, 3):
         yield f"d={dprime}:tables", _run(
             ["tables", "--res-degree", str(dprime), "--output-format", "json"])
+    yield "d=2:tables-text", _run(["tables", "--res-degree", "2", "--output-format", "text"])
     yield "default:verify-arch", _run(["verify-arch", "--output-format", "json"])
     yield "default:verify-arch-text", _run(["verify-arch", "--output-format", "text"])
 
