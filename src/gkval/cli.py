@@ -209,41 +209,6 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
 # output helpers
 
 
-def _json_pieces(o, out: list, pad: str = "\n") -> None:
-    """Append the text of json.dumps(o, sort_keys=True, indent=2) to out.
-    json encodes in pure Python whenever indent is set; this walk writes the
-    same bytes with json's C string encoder.  Dict keys must be strings.
-    Floats, None and other leaves go through json.dumps, which spells NaN
-    and Infinity and raises TypeError on a value it cannot serialize."""
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, (dict, list, tuple)) and o:
-        inner = pad + "  "
-        sep = inner
-        if isinstance(o, dict):
-            out.append("{")
-            for k in sorted(o):
-                out.append(sep + _encode_str(k) + ": ")
-                _json_pieces(o[k], out, inner)
-                sep = "," + inner
-            out.append(pad + "}")
-        else:
-            out.append("[")
-            for v in o:
-                out.append(sep)
-                _json_pieces(v, out, inner)
-                sep = "," + inner
-            out.append(pad + "]")
-    else:  # also an empty container
-        out.append(json.dumps(o))
-
-
 # One atom of MeromorphicProduct.to_json as json.dumps(..., sort_keys=True,
 # indent=2) writes it at depth 0, less the line of q; a rational's str() needs
 # no escaping.
@@ -268,10 +233,10 @@ def _product_pieces(product, out: list, pad: str) -> None:
     out.append(pad + "]" if len(product) else "[]")
 
 
-def _report_pieces(report, out: list, variable: str) -> None:
-    """Append the constant-term JSON, as json.dumps(..., sort_keys=True,
-    indent=2) writes it, straight from the report's records: no dict is built."""
-    out.append('{\n  "factors": ')
+def _report_json(report, variable: str) -> str:
+    """The constant-term JSON, as json.dumps(..., sort_keys=True, indent=2)
+    writes it, straight from the report's records: no dict is built."""
+    out = ['{\n  "factors": ']
     sep = "["
     for f in report.factors:
         root = f.root
@@ -287,21 +252,25 @@ def _report_pieces(report, out: list, variable: str) -> None:
     out.append("\n  ]" if report.factors else "[]")
     out.append(f',\n  "length": {len(report.factors)},\n  "product": ')
     _product_pieces(report.product, out, "\n  ")
+    # json.dumps refuses an entry that json cannot serialize, as json would
+    word = ",\n    ".join(map(json.dumps, report.weyl.word))
     out.append(f',\n  "variable_convention": {_encode_str(variable)},\n  "weyl_word": ')
-    _json_pieces(report.weyl.word, out, "\n  ")
-    out.append("\n}")
+    out.append(f"[\n    {word}\n  ]\n}}" if word else "[]\n}")
+    return "".join(out)  # the pieces are freed before print encodes the text
 
 
-def _emit(payload, fmt: str, text_lines=None, json_pieces=_json_pieces) -> None:
-    """Print the payload as the JSON json_pieces writes, or as the lines that
-    text_lines yields.  The text is built whole before anything is printed, so
-    a failed run prints nothing.  A closed stdout ends the output silently,
-    and the command returns its own exit code."""
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _emit(payload, fmt: str, text_lines=None, to_json=_json) -> None:
+    """Print the payload as the JSON to_json writes, json.dumps(payload,
+    sort_keys=True, indent=2) unless a command writes its own, or as the
+    lines that text_lines yields.  The text is built whole before anything is
+    printed, so a failed run prints nothing.  A closed stdout ends the output
+    silently, and the command returns its own exit code."""
     if fmt == "json":
-        pieces = []
-        json_pieces(payload, pieces)
-        text = "".join(pieces)
-        del pieces  # before print encodes the text: a lower peak RSS
+        text = to_json(payload)
     else:  # every command's text has at least one line
         text = "\n".join(text_lines(payload))
     try:
@@ -376,8 +345,7 @@ def cmd_constant_term(args) -> int:
                    f"  degree={eta.degree}  exponent=({eta.exponent.re}, {eta.exponent.im})"
                    f"  twist={eta.quad_twist}{q}")
 
-    _emit(report, args.output_format, lines,
-          lambda r, out: _report_pieces(r, out, args.variable))
+    _emit(report, args.output_format, lines, lambda r: _report_json(r, args.variable))
     return EXIT_OK
 
 
