@@ -15,8 +15,9 @@ power q <= 11 on one s-grid of integral and non-integral s.
 ``default:verify-arch`` pins ``verify-arch``, both in JSON.
 
 Keys ending in ``-text`` pin ``--output-format text``: on the two README
-cases, ``classify``, ``constant-term`` (``-local-text`` with ``--variable
-local``) and ``poles`` (``poles-global-text`` with ``--variable global``),
+cases and on ``3D4/n=4/d=1``, ``classify``, ``constant-term``
+(``-local-text`` with ``--variable local``) and ``poles``
+(``poles-global-text`` with ``--variable global``),
 and ``seed0:verify-all-text``, ``q=2:verify-local-text``,
 ``d=2:tables-text`` and ``default:verify-arch-text``.
 
@@ -61,7 +62,9 @@ TEXT_COMMANDS = {
     "poles-text": ["poles"],
     "poles-global-text": ["poles", "--variable", "global"],
 }
-TEXT_CASES = ("readme", "readme-function")
+# the triality case, where poles-text (the ray variable) and poles-global-text
+# differ; on the README cases they agree
+TEXT_CASES = ("readme", "readme-function", "3D4/n=4/d=1")
 
 LOCAL_QS = (2, 3, 4, 5, 7, 8, 9, 11)
 LOCAL_ARGV = ["verify-local", "--depth", "120", "--s-grid", "1,2,3,1/2,2/3,5/4,12/5"]
