@@ -85,6 +85,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _unread(obj: dict, where: str) -> None:
+    """Keys are popped as they are read: one left over is not read, and a
+    misspelt key would otherwise leave its value at the default."""
+    for key in obj:
+        raise SchemaError(f"unknown key {key!r} in {where}")
+
+
 def _int_list(value, what: str) -> list[int]:
     return [_int(x, f"{what} entry") for x in _list(value, what)]
 
@@ -120,10 +127,9 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
             raise SchemaError(f"bad diagram string {spec!r}")
         return tuple(tuple(r) for r in cartan_matrix(family, int(rank)))
     if isinstance(spec, dict) and "cartan" in spec:
-        return tuple(
-            tuple(_int_list(row, "cartan row"))
-            for row in _list(spec["cartan"], "cartan")
-        )
+        rows = _list(spec.pop("cartan"), "cartan")
+        _unread(spec, "diagram")
+        return tuple(tuple(_int_list(row, "cartan row")) for row in rows)
     raise SchemaError("diagram must be a type string or {'cartan': [[...]]}")
 
 
@@ -158,27 +164,28 @@ def load_spec(path: str) -> dict:
 
 
 def _parse_datum(raw: dict) -> GroupDatum:
-    cartan = _parse_diagram(raw["diagram"])
+    cartan = _parse_diagram(raw.pop("diagram"))
     n = len(cartan)
-    perm = tuple(_int_list(raw.get("automorphism", list(range(n))), "automorphism"))
-    order = _int(raw.get("automorphism_order", 1), "automorphism_order")
-    dprime = _int(raw.get("res_degree", 1), "res_degree")
-    label = raw.get("label", "")
+    perm = tuple(_int_list(raw.pop("automorphism", list(range(n))), "automorphism"))
+    order = _int(raw.pop("automorphism_order", 1), "automorphism_order")
+    dprime = _int(raw.pop("res_degree", 1), "res_degree")
+    label = raw.pop("label", "")
     if not isinstance(label, str):
         raise SchemaError(f"label must be a string, got {type(label).__name__}")
     return GroupDatum(cartan, perm, order, dprime, label)
 
 
 def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
-    mode_raw = raw.get("mode", "number")
+    mode_raw = raw.pop("mode", "number")
     if mode_raw == "number":
         mode, q = NUMBER_MODE, None
     elif isinstance(mode_raw, dict) and "function" in mode_raw:
-        mode, q = FUNCTION_MODE, _int(mode_raw["function"], "function-field q")
+        mode, q = FUNCTION_MODE, _int(mode_raw.pop("function"), "function-field q")
+        _unread(mode_raw, "mode")
     else:
         raise SchemaError(f"bad mode {mode_raw!r}")
 
-    exps = raw.get("chi_exponent")
+    exps = raw.pop("chi_exponent", None)
     if exps is None:
         exponents = (RationalComplex(),) * system.rank
     else:
@@ -187,7 +194,7 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
         exponents = tuple(_parse_rational_pair(e) for e in exps)
     chi = UnramifiedCharacter(exponents, mode, q)
 
-    direction_raw = raw.get("lambda_direction")
+    direction_raw = raw.pop("lambda_direction", None)
     if direction_raw is None:
         direction = system.principal_ray()
     else:
@@ -195,12 +202,13 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
             raise SchemaError("lambda_direction has wrong rank")
         direction = tuple(_rational(e, "lambda_direction entry") for e in direction_raw)
 
-    word_raw = raw.get("weyl_word")
+    word_raw = raw.pop("weyl_word", None)
     if word_raw is None:
         w = system.longest_element()
     else:
         w = system.normalize(_int_list(word_raw, "weyl_word"))
 
+    _unread(raw, "spec file")
     return {"datum": datum, "system": system, "chi": chi,
             "direction": direction, "weyl": w}
 

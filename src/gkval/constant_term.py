@@ -85,29 +85,24 @@ def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
     return RankOneFactor(alpha, pairing, x, r_alpha(x, alpha.rank_one_type, eta))
 
 
-def _factor_table(system: RelativeRootSystem, chi: UnramifiedCharacter,
-                  direction: Sequence, base: Sequence | None):
-    """Root -> its rank-one factor for lambda = base + s * direction.
+# the key (system, chi, direction, base, inv(w)) of the last factors built, and
+# those factors; RelativeRootSystem has no __eq__, so a system compares by identity
+_last_factors: tuple = (None, ())
 
-    A factor does not depend on w, so it is built when first asked for and
-    kept in a table on the system.  The system keeps only the table of its
-    most recent (chi, direction, base), which bounds memory on sweeps that
-    draw a fresh character per operation.
-    """
-    key = (chi, tuple(direction), None if base is None else tuple(base))
-    if system.factor_cache is None or system.factor_cache[0] != key:
-        system.factor_cache = (key, {}, ScaledVector.of(direction),
-                               None if base is None else ScaledVector.of(base))
-    _, table, scaled_direction, scaled_base = system.factor_cache
 
-    def factor(alpha: RelativeRoot) -> RankOneFactor:
-        found = table.get(alpha.index)
-        if found is None:
-            pairing = pair(system, scaled_direction, alpha, scaled_base)
-            found = table[alpha.index] = _rank_one_factor(system, chi, alpha, pairing)
-        return found
-
-    return factor
+def _ray_factors(system: RelativeRootSystem, chi: UnramifiedCharacter, direction: Sequence,
+                 base: Sequence | None, roots: tuple) -> tuple[RankOneFactor, ...]:
+    """The rank-one factors of ``roots`` for lambda = base + s * direction.  Only the
+    last call's are kept: a ray pole_profile right after constant_term reads them."""
+    global _last_factors
+    key = (system, chi, tuple(direction), None if base is None else tuple(base), roots)
+    if _last_factors[0] != key:
+        direction = ScaledVector.of(direction)
+        base = None if base is None else ScaledVector.of(base)
+        _last_factors = key, tuple(
+            _rank_one_factor(system, chi, alpha, pair(system, direction, alpha, base))
+            for alpha in roots)
+    return _last_factors[1]
 
 
 def constant_term(
@@ -119,8 +114,7 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction, at w as given:
     pass system.normalize(word) or system.longest_element() to report a normal form."""
-    factor = _factor_table(system, chi, direction, base)
-    factors = tuple(factor(alpha) for alpha in system.inversion_set(w))
+    factors = _ray_factors(system, chi, direction, base, system.inversion_set(w))
     product = MeromorphicProduct.prod(f.product for f in factors)
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
@@ -167,14 +161,14 @@ def pole_profile(
     if variable == RAY_VARIABLE:
         if direction is None:
             raise ConstantTermError("ray variable needs a direction")
-        factor = _factor_table(system, chi, direction, base)
+        factors = _ray_factors(system, chi, direction, base, roots)
     else:  # the pairing variable t itself: the unit form
-        factor = functools.partial(_rank_one_factor, system, chi,
-                                   pairing=AffineForm(Fraction(1), Fraction(0)))
+        unit = AffineForm(Fraction(1), Fraction(0))
+        factors = [_rank_one_factor(system, chi, alpha, unit) for alpha in roots]
     entries = []
-    for alpha in roots:
-        for e in poles_positive(factor(alpha).product, include_conditional):
-            entries.append(RootPoleEntry(alpha, e.location, e.order, e.conditional))
+    for f in factors:
+        for e in poles_positive(f.product, include_conditional):
+            entries.append(RootPoleEntry(f.root, e.location, e.order, e.conditional))
     return tuple(entries)
 
 
@@ -266,7 +260,7 @@ def multiplicativity_check(
         raise ConstantTermError("lengths do not add")
     for v in direction if base is None else (*direction, *base):
         if type(v) is not int and type(v) is not Fraction:
-            Fraction(v)  # non-rational entries raise; the factor table is untouched
+            Fraction(v)  # non-rational entries raise, as scaling the ray would
     if inv12:
         check_ray(system, direction, base)
         check_character(system, chi)

@@ -337,9 +337,6 @@ class RelativeRootSystem:
         # the identity map on root indices, laid out like a reflection table
         self._identity = tuple(range(len(roots))) + tuple(range(-len(roots), 0))
         self._pairings = tuple(tuple(d * c for c in vec) for vec in pairings)
-        # (key, table) of the rank-one factors last assembled on this system;
-        # kept by constant_term, which replaces it when the key changes
-        self.factor_cache: tuple | None = None
 
     # -- basic queries ----------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""The fold cache of ``restrict_roots`` and the per-system factor table of
-``constant_term``: results equal those on a freshly folded system, returned
-systems share nothing mutable, and ``verify-all`` does a fixed amount of
-work (one fold per diagram, one factor per distinct (system, chi, lambda,
-root)).
+"""The fold cache of ``restrict_roots`` and the rank-one factors that
+``constant_term`` remembers from its last call: results equal those on a
+freshly folded system, a ray ``pole_profile`` on the same arguments reads
+the remembered factors, returned systems share nothing mutable, and
+``verify-all`` does a fixed amount of work (one fold per diagram, three
+rank-one factors).
 """
 
 import contextlib
@@ -44,8 +45,8 @@ def _keys(system):
 
 
 def _results(system, chi, direction, base):
-    """Every reader of the factor table under one key, then a pole profile in
-    the pairing variable, which builds its factors outside the table."""
+    """Every caller of the ray factors under one key, then a pole profile in
+    the pairing variable, which builds its factors with the unit form."""
     w = system.longest_element()
     cut = len(w.word) // 2
     w1, w2 = WeylElement(w.word[:cut]), WeylElement(w.word[cut:])
@@ -59,7 +60,7 @@ def _results(system, chi, direction, base):
     ]
 
 
-def test_factor_table_matches_fresh_systems():
+def test_remembered_factors_match_fresh_systems():
     for datum in (su_datum(2, 3, 2), split_datum("B", 3), split_datum("G", 2, 3)):
         shared = restrict_roots(datum)
         keys = _keys(shared)
@@ -68,17 +69,34 @@ def test_factor_table_matches_fresh_systems():
             assert _results(shared, *key) == fresh, (datum.label, key)
 
 
-def test_cocycle_check_keeps_the_factor_table():
-    """multiplicativity_check builds no factor, so whatever its ray, the
-    table of the last constant_term stays in place."""
+def test_ray_poles_read_the_factors_of_the_last_call(monkeypatch):
+    """A ray pole_profile right after constant_term on the same arguments
+    builds no rank-one factor, also with a multiplicativity_check in between,
+    which builds none whatever its ray; a different w or lambda builds the
+    factors of its inversion set again."""
     system = restrict_roots(split_datum("B", 3))
     chi = UnramifiedCharacter.trivial(system.rank)
-    w0 = system.longest_element()
-    ct.constant_term(system, chi, system.principal_ray(), w0)
-    before = system.factor_cache
-    assert len(before[1]) == 9
+    ray, w0, w = system.principal_ray(), system.longest_element(), system.normalize((0, 1))
+    builds = []
+    r_alpha = ct.r_alpha
+
+    def counted(*args):
+        builds.append(args)
+        return r_alpha(*args)
+
+    def ray_poles(direction, w, base=None):
+        pole_profile(system, chi, direction, base, w=w, variable="ray")
+        return len(builds)
+
+    monkeypatch.setattr(ct, "r_alpha", counted)
+    ct.constant_term(system, chi, ray, w0)
+    assert len(builds) == 9
+    assert ray_poles(ray, w0) == 9
     assert multiplicativity_check(system, chi, (1, 2, 3), w0, WeylElement(()), (0, 1, 0))
-    assert system.factor_cache is before and len(before[1]) == 9
+    assert ray_poles(ray, w0) == 9
+    assert ray_poles(ray, w) == 11
+    assert ray_poles((1, 2, 3), w) == 13
+    assert ray_poles((1, 2, 3), w, (0, 1, 0)) == 15
 
 
 def test_returned_systems_share_nothing_mutable():
@@ -90,7 +108,6 @@ def test_returned_systems_share_nothing_mutable():
     ct.constant_term(first, *_keys(first)[1][:2], first.longest_element())
     second = restrict_roots(datum)
     assert second.simple_orbits == expected
-    assert second.factor_cache is None
 
 
 def test_verify_all_work_counts(monkeypatch):

@@ -530,6 +530,9 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A2", "chi_exponent": [0]}, None),
         ({"diagram": "A1", "res_degree": int("9" * 101)}, None),
         ({"diagram": "A1", "chi_exponent": ["1/" + "9" * 101]}, ["constant-term"]),
+        ({**README_SPEC, "lambda_directon": ["1", "1"]}, ["constant-term"]),
+        ({"diagram": {"cartan": [[2]], "cartan_matrix": [[2]]}}, None),
+        ({"diagram": "A1", "mode": {"function": 9, "q": 9}}, None),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -545,7 +548,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "cartan-ragged", "cartan-diagonal", "cartan-positive-entry", "cartan-one-sided-zero",
          "spec-not-object", "spec-without-diagram", "diagram-without-rank",
          "diagram-rank-first", "chi-exponent-wrong-rank", "res-degree-101-digits",
-         "chi-exponent-101-digit-denominator"],
+         "chi-exponent-101-digit-denominator", "spec-unknown-key", "diagram-unknown-key",
+         "mode-unknown-key"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""
@@ -560,6 +564,15 @@ def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv)
     assert code == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_misspelt_spec_key_is_named(tmp_path, capsys):
+    """A misspelt key is not read, so the run would use its default, here
+    w0 in place of the README's word; it exits 2 and names the key."""
+    spec = dict(README_SPEC)
+    spec["weyl_wrd"] = spec.pop("weyl_word")
+    assert main(["constant-term", "--input", write_spec(tmp_path, spec)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: unknown key 'weyl_wrd' in spec file\n"
 
 
 def _affine_cycle(n):

@@ -28,6 +28,7 @@ from gkval import (
     su_datum,
     triality_datum,
 )
+from gkval.characters import ScaledVector, pair
 
 ct = importlib.import_module("gkval.constant_term")
 
@@ -318,12 +319,18 @@ def test_multiplicativity_nontrivial_character():
 
 def _product_check(system, chi, direction, w1, w2, base=None):
     """The cocycle check as first written: both sides built as atom products
-    from the factor table, whatever the inversion sets."""
+    of rank-one factors, whatever the inversion sets."""
     inv1, inv2 = system.inversion_set(w1), system.inversion_set(w2)
     inv12 = system.inversion_set(WeylElement(tuple(w1.word) + tuple(w2.word)))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    factor = ct._factor_table(system, chi, direction, base)
+    # scaled first, so that non-rational entries raise where no factor is built
+    direction = ScaledVector.of(direction)
+    base = None if base is None else ScaledVector.of(base)
+
+    def factor(alpha):
+        return ct._rank_one_factor(system, chi, alpha, pair(system, direction, alpha, base))
+
     translated = system.images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
     split = inv2 + tuple(system.positive_roots[x] for x in translated)
     return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
@@ -426,7 +433,6 @@ def test_corrupted_tables_fail_the_check():
         rng = random.Random(datum.label)
         for j in range(system.rank):
             broken = copy.copy(system)
-            broken.factor_cache = None
             table = list(system.reflection_tables[j])
             a, b = rng.sample(range(len(system.positive_roots)), 2)
             table[a], table[b] = table[b], table[a]

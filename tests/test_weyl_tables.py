@@ -25,8 +25,12 @@ from hypothesis import strategies as st
 from gkval import (
     SU21,
     RootSystemError,
+    UnramifiedCharacter,
     WeylElement,
+    constant_term,
     family_datum,
+    multiplicativity_check,
+    pole_profile,
     restrict_roots,
     split_datum,
     su_datum,
@@ -99,7 +103,9 @@ def test_longest_element_is_its_own_normal_form():
 
 def test_weyl_queries_write_nothing_on_the_system():
     """Normal forms, inversion sets, images and the enumeration are read off
-    the fold's tables; none of them stores anything on the system."""
+    the fold's tables, and the constant term, its poles in both variables
+    and the cocycle check are built from them; none of them stores anything
+    on the system."""
     system = restrict_roots(family_datum("SU(n,n+1)", 2, 2))
     before = dict(vars(system))
     w0 = system.longest_element()
@@ -109,6 +115,11 @@ def test_weyl_queries_write_nothing_on_the_system():
     system.images(w.word, range(len(system.positive_roots)))
     system.weyl_enumerate()
     system.normalize(w0.word)
+    chi, ray = UnramifiedCharacter.trivial(system.rank), system.principal_ray()
+    constant_term(system, chi, ray, w0)
+    pole_profile(system, chi, ray, w=w0, variable="ray")
+    pole_profile(system, chi, w=w)
+    assert multiplicativity_check(system, chi, ray, w, WeylElement(()))
     after = vars(system)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
