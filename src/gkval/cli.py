@@ -116,7 +116,7 @@ def _rational(value, what: str) -> Fraction:
     return r
 
 
-def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
+def _parse_diagram(spec) -> list[list[int]]:
     if isinstance(spec, str):
         if len(spec) < 2 or not spec[0].isalpha():
             raise SchemaError(f"bad diagram string {spec!r}")
@@ -125,11 +125,11 @@ def _parse_diagram(spec) -> tuple[tuple[int, ...], ...]:
         # does not; a rank of four digits is over MAX_NODES already
         if not rank.isdecimal() or len(rank) > 3:
             raise SchemaError(f"bad diagram string {spec!r}")
-        return tuple(tuple(r) for r in cartan_matrix(family, int(rank)))
+        return cartan_matrix(family, int(rank))
     if isinstance(spec, dict) and "cartan" in spec:
         rows = _list(spec.pop("cartan"), "cartan")
         _unread(spec, "diagram")
-        return tuple(tuple(_int_list(row, "cartan row")) for row in rows)
+        return [_int_list(row, "cartan row") for row in rows]
     raise SchemaError("diagram must be a type string or {'cartan': [[...]]}")
 
 
@@ -166,7 +166,7 @@ def load_spec(path: str) -> dict:
 def _parse_datum(raw: dict) -> GroupDatum:
     cartan = _parse_diagram(raw.pop("diagram"))
     n = len(cartan)
-    perm = tuple(_int_list(raw.pop("automorphism", list(range(n))), "automorphism"))
+    perm = _int_list(raw.pop("automorphism", list(range(n))), "automorphism")
     order = _int(raw.pop("automorphism_order", 1), "automorphism_order")
     dprime = _int(raw.pop("res_degree", 1), "res_degree")
     label = raw.pop("label", "")
@@ -488,7 +488,7 @@ def _check_args(args) -> None:
     """Parse --s-grid, and build the oracle configuration and places once,
     rejecting options outside their domain.  Only the commands with oracle
     options load the oracles."""
-    if getattr(args, "res_degree", 1) < 1:
+    if _int(getattr(args, "res_degree", 1), "--res-degree") < 1:
         raise SchemaError("--res-degree must be positive")
     if not hasattr(args, "s_grid"):
         return

@@ -85,18 +85,19 @@ def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
     return RankOneFactor(alpha, pairing, x, r_alpha(x, alpha.rank_one_type, eta))
 
 
-# the key (system, chi, direction, base, inv(w)) of the last factors built, and
-# those factors; RelativeRootSystem has no __eq__, so a system compares by identity
+# the key (system, chi, direction, base, w) of the last factors built, and those
+# factors; RelativeRootSystem has no __eq__, so a system compares by identity
 _last_factors: tuple = (None, ())
 
 
 def _ray_factors(system: RelativeRootSystem, chi: UnramifiedCharacter, direction: Sequence,
-                 base: Sequence | None, roots: tuple) -> tuple[RankOneFactor, ...]:
-    """The rank-one factors of ``roots`` for lambda = base + s * direction.  Only the
+                 base: Sequence | None, w: WeylElement) -> tuple[RankOneFactor, ...]:
+    """The rank-one factors of inv(w) for lambda = base + s * direction.  Only the
     last call's are kept: a ray pole_profile right after constant_term reads them."""
     global _last_factors
-    key = (system, chi, tuple(direction), None if base is None else tuple(base), roots)
+    key = (system, chi, tuple(direction), None if base is None else tuple(base), w)
     if _last_factors[0] != key:
+        roots = system.inversion_set(w)
         direction = ScaledVector.of(direction)
         base = None if base is None else ScaledVector.of(base)
         _last_factors = key, tuple(
@@ -114,7 +115,7 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction, at w as given:
     pass system.normalize(word) or system.longest_element() to report a normal form."""
-    factors = _ray_factors(system, chi, direction, base, system.inversion_set(w))
+    factors = _ray_factors(system, chi, direction, base, w)
     product = MeromorphicProduct.prod(f.product for f in factors)
     return ConstantTermReport(weyl=w, factors=factors, product=product)
 
@@ -157,14 +158,14 @@ def pole_profile(
     """
     if variable not in (RAY_VARIABLE, PAIRING_VARIABLE):
         raise ConstantTermError(f"unknown pole variable {variable!r}")
-    roots = system.inversion_set(w)
     if variable == RAY_VARIABLE:
         if direction is None:
             raise ConstantTermError("ray variable needs a direction")
-        factors = _ray_factors(system, chi, direction, base, roots)
+        factors = _ray_factors(system, chi, direction, base, w)
     else:  # the pairing variable t itself: the unit form
         unit = AffineForm(Fraction(1), Fraction(0))
-        factors = [_rank_one_factor(system, chi, alpha, unit) for alpha in roots]
+        factors = [_rank_one_factor(system, chi, alpha, unit)
+                   for alpha in system.inversion_set(w)]
     entries = []
     for f in factors:
         for e in poles_positive(f.product, include_conditional):

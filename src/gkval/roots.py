@@ -111,7 +111,7 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
+def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
     n = len(a)
     if n == 0 or n > MAX_NODES:
         raise RootSystemError("diagram must have between 1 and 12 nodes")
@@ -125,7 +125,7 @@ def _validate_cartan(a: Sequence[Sequence[int]]) -> None:
     # a generalized Cartan matrix is of finite type exactly when its real
     # roots are finite (Kac, Infinite-dimensional Lie algebras), which the
     # bound in _generate_roots decides; _fold reuses the roots
-    _generate_roots(tuple(map(tuple, a)))
+    _generate_roots(a)
 
 
 def _integer_gram(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -201,12 +201,14 @@ class GroupDatum(Record):
 
     ``res_degree`` is the degree d' of the field over which the absolute
     datum lives, relative to the ground field (restriction of scalars).
+    The Cartan matrix and automorphism are stored as tuples: data compare by value.
     """
 
     __slots__ = ("cartan", "automorphism", "automorphism_order", "res_degree", "label")
 
-    def __init__(self, cartan: tuple[tuple[int, ...], ...], automorphism: tuple[int, ...],
+    def __init__(self, cartan: Sequence[Sequence[int]], automorphism: Sequence[int],
                  automorphism_order: int, res_degree: int, label: str = "") -> None:
+        cartan, automorphism = tuple(map(tuple, cartan)), tuple(automorphism)
         _validate_cartan(cartan)
         n = len(cartan)
         if sorted(automorphism) != list(range(n)):
@@ -237,11 +239,9 @@ def datum_from_type(
     res_degree: int = 1,
     label: str = "",
 ) -> GroupDatum:
-    a = cartan_matrix(family, rank)
-    perm = tuple(automorphism) if automorphism is not None else tuple(range(rank))
     return GroupDatum(
-        cartan=tuple(tuple(row) for row in a),
-        automorphism=perm,
+        cartan=cartan_matrix(family, rank),
+        automorphism=range(rank) if automorphism is None else automorphism,
         automorphism_order=automorphism_order,
         res_degree=res_degree,
         label=label or f"{family}{rank}",
@@ -326,7 +326,7 @@ class RelativeRootSystem:
     def __init__(self, datum: GroupDatum) -> None:
         (orbits, roots, pairings, self.reflection_tables, self.cartan, self.gram,
          self.components, self.has_divisible, self._ray) = _fold(
-             tuple(map(tuple, datum.cartan)), tuple(datum.automorphism))
+             datum.cartan, datum.automorphism)
         d = datum.res_degree
         self.datum = datum
         self.simple_orbits = [list(o) for o in orbits]
@@ -414,27 +414,25 @@ class RelativeRootSystem:
 
     def weyl_enumerate(self) -> list["WeylElement"]:
         """Every element in normal form, by length, then word: a BFS over the
-        index maps of w^{-1}, keyed by the images of the simple roots.  As in
-        :meth:`normalize`, w is written d, its least left descent, then s_d w."""
-        rank, tables = self.rank, self.reflection_tables
-        words = {self._identity[:rank]: ()}
+        index maps of w^{-1}, keyed by the images of the simple roots, each new
+        element spelled by :meth:`_strip`, as in :meth:`normalize`."""
+        rank = self.rank
+        elements = {self._identity[:rank]: WeylElement(())}
         frontier = [self._identity]
         while frontier:
             nxt = []
             for winv in frontier:
-                for t in tables:
+                for t in self.reflection_tables:
                     new = [t[x] for x in winv]  # (w s_j)^{-1} = s_j w^{-1}
                     key = tuple(new[:rank])
-                    if key in words:
+                    if key in elements:
                         continue
-                    d = next(i for i in range(rank) if new[i] < 0)
-                    # s_d w is one level shorter: (s_d w)^{-1} = w^{-1} s_d
-                    words[key] = (d,) + words[tuple(new[x] for x in tables[d][:rank])]
+                    elements[key] = self._strip(new)
                     nxt.append(new)
-                    if len(words) > MAX_WEYL_ORDER:
+                    if len(elements) > MAX_WEYL_ORDER:
                         raise RootSystemError("Weyl group too large to enumerate")
             frontier = nxt
-        return [WeylElement(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
+        return sorted(elements.values(), key=lambda w: (len(w.word), w.word))
 
 
 class WeylElement(Record):

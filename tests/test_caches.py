@@ -1,7 +1,8 @@
 """The fold cache of ``restrict_roots`` and the rank-one factors that
-``constant_term`` remembers from its last call: results equal those on a
-freshly folded system, a ray ``pole_profile`` on the same arguments reads
-the remembered factors, returned systems share nothing mutable, and
+``constant_term`` remembers from its last call, keyed by its arguments and
+w itself: results equal those on a freshly folded system, a ray
+``pole_profile`` on the same arguments reads the remembered factors without
+computing inv(w) again, returned systems share nothing mutable, and
 ``verify-all`` does a fixed amount of work (one fold per diagram, three
 rank-one factors).
 """
@@ -71,32 +72,46 @@ def test_remembered_factors_match_fresh_systems():
 
 def test_ray_poles_read_the_factors_of_the_last_call(monkeypatch):
     """A ray pole_profile right after constant_term on the same arguments
-    builds no rank-one factor, also with a multiplicativity_check in between,
-    which builds none whatever its ray; a different w or lambda builds the
-    factors of its inversion set again."""
+    builds no rank-one factor and computes no inversion set, also with a
+    multiplicativity_check in between, which builds no factor whatever its
+    ray; a different w or lambda builds the factors of its inversion set
+    again.  The memo is keyed by w, so only a miss computes inv(w), and a
+    pole_profile in the pairing variable computes it once."""
     system = restrict_roots(split_datum("B", 3))
     chi = UnramifiedCharacter.trivial(system.rank)
     ray, w0, w = system.principal_ray(), system.longest_element(), system.normalize((0, 1))
-    builds = []
+    builds, inversions = [], []
     r_alpha = ct.r_alpha
+    inversion_set = roots.RelativeRootSystem.inversion_set
 
     def counted(*args):
         builds.append(args)
         return r_alpha(*args)
+
+    def counted_inversions(self, w):
+        inversions.append(w)
+        return inversion_set(self, w)
 
     def ray_poles(direction, w, base=None):
         pole_profile(system, chi, direction, base, w=w, variable="ray")
         return len(builds)
 
     monkeypatch.setattr(ct, "r_alpha", counted)
+    monkeypatch.setattr(roots.RelativeRootSystem, "inversion_set", counted_inversions)
     ct.constant_term(system, chi, ray, w0)
-    assert len(builds) == 9
+    assert (len(builds), len(inversions)) == (9, 1)
     assert ray_poles(ray, w0) == 9
+    assert len(inversions) == 1
     assert multiplicativity_check(system, chi, (1, 2, 3), w0, WeylElement(()), (0, 1, 0))
     assert ray_poles(ray, w0) == 9
     assert ray_poles(ray, w) == 11
     assert ray_poles((1, 2, 3), w) == 13
     assert ray_poles((1, 2, 3), w, (0, 1, 0)) == 15
+    inversions.clear()
+    ct.constant_term(system, chi, (1, 2, 3), w, (0, 1, 0))
+    assert (len(builds), inversions) == (15, [])
+    pole_profile(system, chi, w=w)
+    assert (len(builds), inversions) == (17, [w])
 
 
 def test_returned_systems_share_nothing_mutable():

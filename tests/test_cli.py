@@ -533,6 +533,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({**README_SPEC, "lambda_directon": ["1", "1"]}, ["constant-term"]),
         ({"diagram": {"cartan": [[2]], "cartan_matrix": [[2]]}}, None),
         ({"diagram": "A1", "mode": {"function": 9, "q": 9}}, None),
+        (None, ["tables", "--res-degree", "9" * 101]),
+        (None, ["tables", "--res-degree", "9" * 4300]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -549,7 +551,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "spec-not-object", "spec-without-diagram", "diagram-without-rank",
          "diagram-rank-first", "chi-exponent-wrong-rank", "res-degree-101-digits",
          "chi-exponent-101-digit-denominator", "spec-unknown-key", "diagram-unknown-key",
-         "mode-unknown-key"],
+         "mode-unknown-key", "tables-res-degree-101-digits",
+         "tables-res-degree-4300-digits"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""

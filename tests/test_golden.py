@@ -62,8 +62,9 @@ TEXT_COMMANDS = {
     "poles-text": ["poles"],
     "poles-global-text": ["poles", "--variable", "global"],
 }
-# the triality case, where poles-text (the ray variable) and poles-global-text
-# differ; on the README cases they agree
+# the triality case, where poles-text (the default --variable local, the
+# pairing variable) and poles-global-text (the ray variable) differ; on the
+# README cases they agree
 TEXT_CASES = ("readme", "readme-function", "3D4/n=4/d=1")
 
 LOCAL_QS = (2, 3, 4, 5, 7, 8, 9, 11)

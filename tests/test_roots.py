@@ -64,6 +64,16 @@ def test_datum_rejects_ragged_cartan():
             GroupDatum(cartan, (0, 1), 1, 1)
 
 
+def test_datum_keeps_tuples_whatever_it_is_given():
+    """A datum built from lists equals, and hashes like, the one built from
+    tuples, so it can key a cache."""
+    lists = GroupDatum([[2, -1], [-1, 2]], [1, 0], 2, 1)
+    tuples = GroupDatum(((2, -1), (-1, 2)), (1, 0), 2, 1)
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert lists.cartan == ((2, -1), (-1, 2)) and lists.automorphism == (1, 0)
+    assert split_datum("A", 2) == GroupDatum(cartan_matrix("A", 2), range(2), 1, 1, "split-A2")
+
+
 NOT_OF_FINITE_TYPE = {
     "affine-A1": [[2, -2], [-2, 2]],
     "affine-A2-cycle": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],

@@ -7,9 +7,10 @@ program.  The tables themselves must be involutions on the root indices
 that send exactly one positive root, the simple root, negative.  The
 index action of a word and ``inversion_set`` must agree with a reflection
 action on coordinate vectors computed here from the relative Cartan matrix
-alone, ``weyl_enumerate`` with a BFS over ``normalize``, and
-``longest_element`` with the normal form of its own word and with the last
-element of ``weyl_enumerate``'s BFS, which builds it without ``normalize``.
+alone, ``weyl_enumerate`` with a BFS over ``normalize`` and spell its words
+by ``_strip``, as ``normalize`` does, and ``longest_element`` with the
+normal form of its own word and with the last element of
+``weyl_enumerate``'s BFS, which builds it without ``normalize``.
 Last, Macdonald's identity checks the fold's Hecke parameters and the W
 action together, exactly, over the whole Weyl group.
 """
@@ -246,6 +247,25 @@ def test_weyl_enumerate_matches_a_bfs_over_normalize(monkeypatch):
                 b3.weyl_enumerate()
         else:
             assert b3.weyl_enumerate() == expected
+
+
+def test_weyl_enumerate_spells_its_words_by_strip(monkeypatch):
+    """weyl_enumerate takes each element's word from _strip, the loop that
+    spells normalize's and longest_element's normal forms: a _strip that
+    spells w0 another way (its reversed word, reduced for w0 = w0^{-1}) is
+    followed there and nowhere else."""
+    system = fold(split_datum("B", 3))
+    expected, w0 = system.weyl_enumerate(), system.longest_element()
+    other = WeylElement(w0.word[::-1])
+    assert other != w0 and expected[-1] == w0
+    strip = roots.RelativeRootSystem._strip
+
+    def respelt(self, winv):
+        w = strip(self, winv)
+        return other if w == w0 else w
+
+    monkeypatch.setattr(roots.RelativeRootSystem, "_strip", respelt)
+    assert system.weyl_enumerate() == expected[:-1] + [other]
 
 
 def macdonald_sides(system, q, v):
