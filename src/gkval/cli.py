@@ -85,6 +85,19 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _decimal(text: str) -> int:
+    """An optional minus sign and ASCII digits, as GK_SEED, --q, --depth and
+    --res-degree are written; int() alone would also take underscores,
+    padding and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}")
+
+
 def _unread(obj: dict, where: str) -> None:
     """Keys are popped as they are read: one left over is not read, and a
     misspelt key would otherwise leave its value at the default."""
@@ -98,7 +111,8 @@ def _int_list(value, what: str) -> list[int]:
 
 def _rational(value, what: str) -> Fraction:
     """A JSON integer, or a string holding an integer, a fraction p/q or a
-    decimal with an optional exponent.  The exponent is bounded before
+    decimal with an optional exponent, in ASCII without underscores, which
+    Fraction takes from Python 3.11 on.  The exponent is bounded before
     Fraction expands it: for "1e99999999" it would build an integer of 10^8
     digits."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -106,6 +120,8 @@ def _rational(value, what: str) -> Fraction:
     text = str(value)
     _, e, exponent = text.lower().partition("e")
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError("underscore or non-ASCII character")
         if e and abs(int(exponent)) > MAX_DIGITS:
             raise ValueError("exponent out of range")
         r = Fraction(text)
@@ -445,16 +461,10 @@ def cmd_verify_arch(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    raw_seed = os.environ.get("GK_SEED", "0")
-    # an optional minus sign and ASCII digits; int() alone would also take
-    # underscores, padding and non-ASCII digits
-    digits = raw_seed.removeprefix("-")
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        seed = int(raw_seed)  # also refuses more digits than int() converts
-    except ValueError:
-        raise SchemaError(f"GK_SEED must be a decimal integer, got {raw_seed!r}") from None
+        seed = _decimal(os.environ.get("GK_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise SchemaError(f"GK_SEED {exc}") from None
     from .checks import arch_checks, local_checks, ratio_checks, table_checks, weyl_checks
 
     checks = (
@@ -528,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
 
     def oracle_opts(p) -> None:
-        p.add_argument("--depth", type=int)  # default: OracleConfig's
+        p.add_argument("--depth", type=_decimal)  # default: OracleConfig's
         p.add_argument("--tol", type=float)
-        p.add_argument("--q", type=int, nargs="+", default=[2, 3, 5])
+        p.add_argument("--q", type=_decimal, nargs="+", default=[2, 3, 5])
         p.add_argument("--s-grid", type=str, default="1,3/2,2,3")
 
     p = sub.add_parser("classify", help="relative root system report")
@@ -549,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="classification degree tables")
     common(p, False)
-    p.add_argument("--res-degree", type=int, default=1)
+    p.add_argument("--res-degree", type=_decimal, default=1)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify-local", help="p-adic oracles")

@@ -535,6 +535,12 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A1", "mode": {"function": 9, "q": 9}}, None),
         (None, ["tables", "--res-degree", "9" * 101]),
         (None, ["tables", "--res-degree", "9" * 4300]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "1_0"]),
+        ({"diagram": "A1", "chi_exponent": ["1_0"]}, None),
+        (None, ["verify-local", "--q", "1_1"]),
+        (None, ["verify-local", "--q", "\u0663"]),
+        (None, ["verify-local", "--depth", "1_0"]),
+        (None, ["tables", "--res-degree", "1_0"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -552,7 +558,9 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "diagram-rank-first", "chi-exponent-wrong-rank", "res-degree-101-digits",
          "chi-exponent-101-digit-denominator", "spec-unknown-key", "diagram-unknown-key",
          "mode-unknown-key", "tables-res-degree-101-digits",
-         "tables-res-degree-4300-digits"],
+         "tables-res-degree-4300-digits", "s-grid-underscore", "chi-exponent-underscore",
+         "q-underscore", "q-arabic-indic-digit", "depth-underscore",
+         "res-degree-underscore"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""

@@ -127,6 +127,13 @@ def test_poles_sl2_trivial():
     assert [(e.location, e.order) for e in prof] == [(1, 1)]
 
 
+def test_poles_need_a_positive_location():
+    """At x = s + 1 the L-factor's pole at x = 1 sits at s = 0, and x = 0 is
+    constant: neither gives a pole on the positive s-axis."""
+    for a, b in ((1, 1), (0, 0)):
+        assert poles_positive(r_alpha(AffineForm.of(a, b), SL2, trivial_eta())) == ()
+
+
 def test_poles_scale_linearly_with_argument():
     for d in (1, 2, 3):
         eta = trivial_eta(d, "F_alpha" if d > 1 else "F")
@@ -281,6 +288,14 @@ def test_gamma_moduli_on_vertical_lines(t):
 def test_gamma_raises_at_and_near_its_poles(x):
     with pytest.raises(PoleAtEvaluation):
         checked_gamma(x)
+
+
+@pytest.mark.parametrize("n, eps", [(2, 1e-9), (0, 1e-9), (1, -1e-9), (3, -1e-8)])
+def test_gamma_is_finite_just_off_its_poles(n, eps):
+    """Gamma(-n + eps) is close to (-1)^n / (n! eps) once |eps| is past the
+    pole tolerance, far below 1e-6."""
+    expected = (-1) ** n / (math.factorial(n) * eps)
+    assert checked_gamma(-n + eps) == pytest.approx(expected, rel=1e-4)
 
 
 def test_gamma_past_the_largest_float_is_infinite():

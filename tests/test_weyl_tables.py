@@ -7,10 +7,10 @@ program.  The tables themselves must be involutions on the root indices
 that send exactly one positive root, the simple root, negative.  The
 index action of a word and ``inversion_set`` must agree with a reflection
 action on coordinate vectors computed here from the relative Cartan matrix
-alone, ``weyl_enumerate`` with a BFS over ``normalize`` and spell its words
-by ``_strip``, as ``normalize`` does, and ``longest_element`` with the
-normal form of its own word and with the last element of
-``weyl_enumerate``'s BFS, which builds it without ``normalize``.
+alone, ``weyl_enumerate`` with a BFS over ``normalize`` under whichever
+rule ``_least_descent`` states, and ``longest_element`` with the normal
+form of its own word and with the last element of ``weyl_enumerate``'s
+walk, which builds it without ``normalize``.
 Last, Macdonald's identity checks the fold's Hecke parameters and the W
 action together, exactly, over the whole Weyl group.
 """
@@ -126,9 +126,9 @@ def test_weyl_queries_write_nothing_on_the_system():
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_longest_element_is_the_last_element_of_the_bfs():
+def test_longest_element_is_the_last_element_of_the_walk():
     """w0 is the one element of greatest length, so the last element that
-    weyl_enumerate's own BFS lists must be it.  Groups with more than 24
+    weyl_enumerate's own walk lists must be it.  Groups with more than 24
     positive roots, or more elements than weyl_enumerate lists, are left out
     to keep the test near 0.3 s."""
     checked = 0
@@ -249,23 +249,19 @@ def test_weyl_enumerate_matches_a_bfs_over_normalize(monkeypatch):
             assert b3.weyl_enumerate() == expected
 
 
-def test_weyl_enumerate_spells_its_words_by_strip(monkeypatch):
-    """weyl_enumerate takes each element's word from _strip, the loop that
-    spells normalize's and longest_element's normal forms: a _strip that
-    spells w0 another way (its reversed word, reduced for w0 = w0^{-1}) is
-    followed there and nowhere else."""
-    system = fold(split_datum("B", 3))
-    expected, w0 = system.weyl_enumerate(), system.longest_element()
-    other = WeylElement(w0.word[::-1])
-    assert other != w0 and expected[-1] == w0
-    strip = roots.RelativeRootSystem._strip
+def test_every_normal_form_follows_the_one_descent_rule(monkeypatch):
+    """normalize, longest_element and weyl_enumerate read one rule,
+    _least_descent: with the greatest left descent in its place, the walk
+    still lists what a BFS over normalize finds, w0 last."""
+    def greatest_descent(self, winv):
+        return next((j for j in reversed(range(self.rank)) if winv[j] < 0), None)
 
-    def respelt(self, winv):
-        w = strip(self, winv)
-        return other if w == w0 else w
-
-    monkeypatch.setattr(roots.RelativeRootSystem, "_strip", respelt)
-    assert system.weyl_enumerate() == expected[:-1] + [other]
+    monkeypatch.setattr(roots.RelativeRootSystem, "_least_descent", greatest_descent)
+    for datum in (split_datum("B", 3), split_datum("G", 2), su_datum(3, 4, 2)):
+        system = fold(datum)
+        elements = system.weyl_enumerate()
+        assert elements == enumerate_by_normalize(system, roots.MAX_WEYL_ORDER), datum.label
+        assert elements[-1] == system.longest_element(), datum.label
 
 
 def macdonald_sides(system, q, v):
