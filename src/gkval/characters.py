@@ -8,10 +8,10 @@ Exponents are exact: a complex scalar is a pair of rationals.  Two modes:
   the unramified-triviality lattice (multiples of 1 for the ground field,
   of 1/degree for a constant-field extension of that degree).
 
-``pair`` and ``compose_with_coroot`` share one pairing vector, so the
+``pair`` and ``compose_with_coroot`` read :func:`coroot_data`, which pairs
+a ray and a character with one integer pairing vector per root, so the
 unramified-twist compatibility (twisting the character by a point on a
-ray shifts the local variable) holds by construction; each is one integer
-dot product per root (see :class:`ScaledVector`).
+ray shifts the local variable) holds by construction.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class AffineForm(Record):
     def of(a, b=0) -> "AffineForm":
         return AffineForm(Fraction(a), Fraction(b))
 
-    def over(self, k: int) -> "AffineForm":
-        """This form divided by a positive integer k."""
-        a, b = self.a, self.b
-        return AffineForm(Fraction(a.numerator, a.denominator * k),
-                          Fraction(b.numerator, b.denominator * k))
-
     def __call__(self, s: complex) -> complex:
         return float(self.a) * s + float(self.b)
 
@@ -120,17 +114,14 @@ class ScaledVector:
         """``values`` scaled; a ScaledVector is returned as is."""
         if isinstance(values, ScaledVector):
             return values
-        fracs = [Fraction(v) for v in values]
-        den = math.lcm(*(f.denominator for f in fracs))
-        return ScaledVector(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+        # an int or Fraction entry is read as it is, any other through Fraction
+        ratios = [(v if type(v) is int or type(v) is Fraction else Fraction(v)).as_integer_ratio()
+                  for v in values]
+        den = math.lcm(*[d for _, d in ratios])
+        return ScaledVector(tuple(n * (den // d) for n, d in ratios), den)
 
     def __len__(self) -> int:
         return len(self.numerators)
-
-    def dot(self, vec: Sequence[int], divisor: int = 1) -> Fraction:
-        """The pairing with an integer vector, divided by ``divisor``."""
-        return Fraction(sum(map(operator.mul, self.numerators, vec)),
-                        self.denominator * divisor)
 
 
 class UnramifiedCharacter(Record):
@@ -201,6 +192,64 @@ class HeckeCharacterDescriptor(Record):
 # pairing
 
 
+def coroot_data(
+    system: RelativeRootSystem,
+    roots: Sequence[RelativeRoot],
+    chi: UnramifiedCharacter | None = None,
+    direction: Sequence | ScaledVector | None = None,
+    base: Sequence | ScaledVector | None = None,
+) -> list[tuple[AffineForm, AffineForm, HeckeCharacterDescriptor | None]]:
+    """Per root alpha of ``roots``: the pairing <lambda, alpha^vee> as an affine
+    form in s for lambda = base + s * direction (the unit form t without a
+    direction), that pairing over local_scale(alpha), and chi composed with
+    the coroot of alpha (None without chi): a descriptor over the field of
+    the rank-one group, of degree d_alpha for SL2-type and 2 d_alpha for
+    SU21-type, whose exponent is the pairing exponent over the local scale.
+
+    The ray, then chi, are checked and scaled once if ``roots`` is not
+    empty; each root then costs integer dot products with its pairing
+    vector.
+    """
+    if not roots:
+        return []
+    if direction is None:
+        unit = AffineForm(Fraction(1), Fraction(0))
+    else:
+        direction = ScaledVector.of(direction)
+        base = None if base is None else ScaledVector.of(base)
+        check_ray(system, direction, base)
+        dn, dd = direction.numerators, direction.denominator
+        bn, bd = (None, 1) if base is None else (base.numerators, base.denominator)
+    if chi is not None:
+        check_character(system, chi)
+        re, im = chi.scaled_exponents
+        re_n, re_d, im_n, im_d = re.numerators, re.denominator, im.numerators, im.denominator
+    out = []
+    for alpha in roots:
+        vec = system.coroot_pairing_vector(alpha)
+        scale = local_scale(alpha)
+        if direction is None:
+            pairing = unit
+            x = unit if scale == 1 else AffineForm(Fraction(1, scale), unit.b)
+        else:
+            a = sum(map(operator.mul, dn, vec))
+            b = 0 if bn is None else sum(map(operator.mul, bn, vec))
+            pairing = AffineForm(Fraction(a, dd), Fraction(b, bd))
+            x = pairing if scale == 1 else AffineForm(Fraction(a, dd * scale),
+                                                      Fraction(b, bd * scale))
+        eta = None
+        if chi is not None:
+            if alpha.rank_one_type == SU21:
+                label, degree = "E_alpha", 2 * alpha.d_alpha
+            else:
+                label, degree = ("F" if alpha.d_alpha == 1 else "F_alpha"), alpha.d_alpha
+            exponent = RationalComplex(Fraction(sum(map(operator.mul, re_n, vec)), re_d * scale),
+                                       Fraction(sum(map(operator.mul, im_n, vec)), im_d * scale))
+            eta = HeckeCharacterDescriptor(label, degree, exponent, False, chi.q)
+        out.append((pairing, x, eta))
+    return out
+
+
 def pair(
     system: RelativeRootSystem,
     direction: Sequence | ScaledVector,
@@ -208,16 +257,8 @@ def pair(
     base: Sequence | ScaledVector | None = None,
 ) -> AffineForm:
     """<lambda, alpha^vee> as an affine form in the ray parameter s, for the
-    ray lambda = base + s * direction.
-
-    Along the principal ray of a rank-one system this takes the value
-    d_alpha * s (SL2-type) and 4 d_alpha * s (SU21-type).
-    """
-    vec = system.coroot_pairing_vector(alpha)
-    direction = ScaledVector.of(direction)
-    base = None if base is None else ScaledVector.of(base)
-    check_ray(system, direction, base)
-    return AffineForm(direction.dot(vec), Fraction(0) if base is None else base.dot(vec))
+    ray lambda = base + s * direction (see :func:`coroot_data`)."""
+    return coroot_data(system, (alpha,), direction=direction, base=base)[0][0]
 
 
 def check_ray(system: RelativeRootSystem, direction: Sequence | ScaledVector,
@@ -241,30 +282,9 @@ def compose_with_coroot(
     chi: UnramifiedCharacter,
     alpha: RelativeRoot,
 ) -> HeckeCharacterDescriptor:
-    """chi composed with the coroot of alpha.
-
-    The resulting descriptor lives over the field of definition of the
-    rank-one group: the degree-d_alpha field for SL2-type, its quadratic
-    extension (degree 2 d_alpha) for SU21-type.  The exponent is in the
-    normalization of the descriptor's own field, i.e. the rank-one local
-    variable: pairing exponent divided by d_alpha resp. 4 d_alpha.
-    """
-    check_character(system, chi)
-    vec = system.coroot_pairing_vector(alpha)
-    scale = local_scale(alpha)
-    re, im = chi.scaled_exponents
-    exponent = RationalComplex(re.dot(vec, scale), im.dot(vec, scale))
-    if alpha.rank_one_type == SU21:
-        label, degree = "E_alpha", 2 * alpha.d_alpha
-    else:
-        label, degree = ("F" if alpha.d_alpha == 1 else "F_alpha"), alpha.d_alpha
-    return HeckeCharacterDescriptor(
-        field_label=label,
-        degree=degree,
-        exponent=exponent,
-        quad_twist=False,
-        q=chi.q,
-    )
+    """chi composed with the coroot of alpha, in the rank-one local variable
+    (see :func:`coroot_data`)."""
+    return coroot_data(system, (alpha,), chi)[0][2]
 
 
 def restrict_descriptor(eta: HeckeCharacterDescriptor) -> HeckeCharacterDescriptor:

@@ -98,6 +98,24 @@ def _decimal(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}")
 
 
+def _plain(text: str) -> str:
+    """``text`` if it is ASCII with no underscore and no whitespace, the rule
+    for every rational and float read from text; ValueError otherwise.
+    Fraction and float alone also take padding, non-ASCII digits and
+    underscores (Fraction from Python 3.11 on)."""
+    if text.isascii() and "_" not in text and text.split() == [text]:
+        return text
+    raise ValueError("underscore, whitespace or non-ASCII character")
+
+
+def _float(text: str) -> float:
+    """A float written as _plain text, as --tol is."""
+    try:
+        return float(_plain(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+
+
 def _unread(obj: dict, where: str) -> None:
     """Keys are popped as they are read: one left over is not read, and a
     misspelt key would otherwise leave its value at the default."""
@@ -111,20 +129,17 @@ def _int_list(value, what: str) -> list[int]:
 
 def _rational(value, what: str) -> Fraction:
     """A JSON integer, or a string holding an integer, a fraction p/q or a
-    decimal with an optional exponent, in ASCII without underscores, which
-    Fraction takes from Python 3.11 on.  The exponent is bounded before
-    Fraction expands it: for "1e99999999" it would build an integer of 10^8
-    digits."""
+    decimal with an optional exponent, as _plain text.  The exponent is
+    bounded before Fraction expands it: for "1e99999999" it would build an
+    integer of 10^8 digits."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what} must be an integer or a string, got {value!r}")
     text = str(value)
     _, e, exponent = text.lower().partition("e")
     try:
-        if "_" in text or not text.isascii():
-            raise ValueError("underscore or non-ASCII character")
         if e and abs(int(exponent)) > MAX_DIGITS:
             raise ValueError("exponent out of range")
-        r = Fraction(text)
+        r = Fraction(_plain(text))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"bad {what} {value!r}") from None
     if max(abs(r.numerator), r.denominator) >= 10**MAX_DIGITS:
@@ -504,7 +519,7 @@ def _check_args(args) -> None:
         return
     from .oracles import LocalPlace, OracleConfig, OracleError
 
-    args.s_grid = [_s_value(p) for p in args.s_grid.split(",") if p.strip()]
+    args.s_grid = [_s_value(p) for p in args.s_grid.split(",") if p]
     if not args.s_grid:
         raise SchemaError("--s-grid needs at least one value")
     # OracleConfig holds the defaults of the options that were not given
@@ -539,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def oracle_opts(p) -> None:
         p.add_argument("--depth", type=_decimal)  # default: OracleConfig's
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol", type=_float)
         p.add_argument("--q", type=_decimal, nargs="+", default=[2, 3, 5])
         p.add_argument("--s-grid", type=str, default="1,3/2,2,3")
 

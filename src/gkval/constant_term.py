@@ -26,8 +26,7 @@ from .characters import (
     UnramifiedCharacter,
     check_character,
     check_ray,
-    compose_with_coroot,
-    pair,
+    coroot_data,
 )
 from .lfactors import (
     MeromorphicProduct,
@@ -78,11 +77,15 @@ class ConstantTermReport(Record):
         self.weyl, self.factors, self.product = weyl, factors, product
 
 
-def _rank_one_factor(system: RelativeRootSystem, chi: UnramifiedCharacter,
-                     alpha: RelativeRoot, pairing: AffineForm) -> RankOneFactor:
-    x = pairing.over(local_scale(alpha))
-    eta = compose_with_coroot(system, chi, alpha)
-    return RankOneFactor(alpha, pairing, x, r_alpha(x, alpha.rank_one_type, eta))
+def _factors(system: RelativeRootSystem, chi: UnramifiedCharacter,
+             roots: tuple[RelativeRoot, ...], direction: ScaledVector | None = None,
+             base: ScaledVector | None = None) -> tuple[RankOneFactor, ...]:
+    """The rank-one factors of ``roots``, in the ray parameter along
+    lambda = base + s * direction, or without a direction in each root's
+    pairing variable."""
+    return tuple(RankOneFactor(alpha, pairing, x, r_alpha(x, alpha.rank_one_type, eta))
+                 for alpha, (pairing, x, eta)
+                 in zip(roots, coroot_data(system, roots, chi, direction, base)))
 
 
 # the key (system, chi, direction, base, w) of the last factors built, and those
@@ -98,11 +101,10 @@ def _ray_factors(system: RelativeRootSystem, chi: UnramifiedCharacter, direction
     key = (system, chi, tuple(direction), None if base is None else tuple(base), w)
     if _last_factors[0] != key:
         roots = system.inversion_set(w)
+        # scaled whatever inv(w) holds, so that non-rational entries always raise
         direction = ScaledVector.of(direction)
         base = None if base is None else ScaledVector.of(base)
-        _last_factors = key, tuple(
-            _rank_one_factor(system, chi, alpha, pair(system, direction, alpha, base))
-            for alpha in roots)
+        _last_factors = key, _factors(system, chi, roots, direction, base)
     return _last_factors[1]
 
 
@@ -162,10 +164,8 @@ def pole_profile(
         if direction is None:
             raise ConstantTermError("ray variable needs a direction")
         factors = _ray_factors(system, chi, direction, base, w)
-    else:  # the pairing variable t itself: the unit form
-        unit = AffineForm(Fraction(1), Fraction(0))
-        factors = [_rank_one_factor(system, chi, alpha, unit)
-                   for alpha in system.inversion_set(w)]
+    else:  # the pairing variable t itself
+        factors = _factors(system, chi, system.inversion_set(w))
     entries = []
     for f in factors:
         for e in poles_positive(f.product, include_conditional):

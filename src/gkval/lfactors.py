@@ -54,6 +54,14 @@ PLACE_REAL = "real"
 PLACE_COMPLEX = "complex"
 
 
+def _shared_key(place_kind: str, eta: HeckeCharacterDescriptor) -> tuple:
+    """The place and character part of an atom's key, which every atom of one
+    rank-one quotient shares."""
+    z = eta.exponent
+    return (place_kind, eta.field_label, eta.degree, eta.quad_twist, eta.q,
+            *z.re.as_integer_ratio(), *z.im.as_integer_ratio())
+
+
 class LFactorAtom(Record):
     """One L or eps factor (``kind`` is KIND_L or KIND_EPS); the character
     names the field it lives over.  Unlike other records, an atom compares
@@ -65,16 +73,17 @@ class LFactorAtom(Record):
                  character: HeckeCharacterDescriptor) -> None:
         if kind not in (KIND_L, KIND_EPS):
             raise LFactorError(f"unknown atom kind {kind!r}")
+        self._fill(kind, place_kind, arg, character,
+                   (kind, *arg.a.as_integer_ratio(), *arg.b.as_integer_ratio(),
+                    *_shared_key(place_kind, character)))
+
+    def _fill(self, kind: str, place_kind: str, arg: AffineForm,
+              character: HeckeCharacterDescriptor, key: tuple) -> None:
+        # every field, with each rational as its integer ratio: kind, a, b,
+        # then _shared_key.  Keys are equal exactly when the fields are, so
+        # product merges compare flat tuples and never reach Fraction.__eq__
         self.kind, self.place_kind, self.arg, self.character = kind, place_kind, arg, character
-        # every field, with each rational as its integer ratio: equal keys
-        # exactly when the fields are equal, so product merges compare flat
-        # tuples and never reach Fraction.__eq__
-        z = character.exponent
-        self._key = (
-            kind, place_kind, character.field_label, character.degree, character.quad_twist,
-            character.q, *arg.a.as_integer_ratio(), *arg.b.as_integer_ratio(),
-            *z.re.as_integer_ratio(), *z.im.as_integer_ratio())
-        self._hash = hash(self._key)
+        self._key, self._hash = key, hash(key)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -93,26 +102,53 @@ class LFactorAtom(Record):
                 eta.q is None, eta.q or 0)
 
 
+def _sort_keys(atoms: list[LFactorAtom]) -> list[tuple]:
+    """LFactorAtom.sort_key of each atom, with every rational r read as the
+    integer r * m for one common multiple m of all their denominators: the
+    same order, compared in C without Fraction.__eq__ or __lt__."""
+    keys = [atom._key for atom in atoms]  # kind, a, b, place, label, degree, twist, q, re, im
+    m = math.lcm(*[d for k in keys for d in (k[2], k[4], k[11], k[13])])
+    return [(k[0], k[6], k[7], k[5], k[8], k[10] * (m // k[11]), k[12] * (m // k[13]),
+             k[1] * (m // k[2]), k[3] * (m // k[4]), k[9] is None, k[9] or 0) for k in keys]
+
+
+def _merged(pairs: Iterable[tuple[LFactorAtom, int]]) -> dict[LFactorAtom, int]:
+    """Atom to summed exponent, zero sums dropped."""
+    merged: dict[LFactorAtom, int] = {}
+    for atom, n in pairs:
+        merged[atom] = merged.get(atom, 0) + n
+    for atom in [atom for atom, n in merged.items() if n == 0]:
+        del merged[atom]
+    return merged
+
+
 class MeromorphicProduct:
     """Product of L/eps atoms: a map from atom to nonzero integer exponent."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, pairs: Iterable[tuple[LFactorAtom, int]] = ()) -> None:
-        merged: dict[LFactorAtom, int] = {}
-        for atom, n in pairs:
-            if not isinstance(n, int):
-                raise LFactorError("exponents must be integers")
-            merged[atom] = merged.get(atom, 0) + n
-        self._terms = {a: n for a, n in merged.items() if n != 0}
+        pairs = list(pairs)
+        if not all(isinstance(n, int) for _, n in pairs):
+            raise LFactorError("exponents must be integers")
+        self._terms = _merged(pairs)
+
+    @classmethod
+    def _of(cls, terms: dict[LFactorAtom, int]) -> "MeromorphicProduct":
+        """The product whose terms are ``terms``, integer exponents already merged."""
+        product = cls.__new__(cls)
+        product._terms = terms
+        return product
 
     @staticmethod
     def prod(factors: Iterable["MeromorphicProduct"]) -> "MeromorphicProduct":
         """The product of ``factors``, merged from their terms unsorted."""
-        return MeromorphicProduct(pair for f in factors for pair in f._terms.items())
+        return MeromorphicProduct._of(_merged(p for f in factors for p in f._terms.items()))
 
     def __iter__(self) -> Iterator[tuple[LFactorAtom, int]]:
-        return iter(sorted(self._terms.items(), key=lambda p: p[0].sort_key()))
+        terms = list(self._terms.items())
+        keys = _sort_keys([atom for atom, _ in terms])
+        return iter([terms[i] for i in sorted(range(len(terms)), key=keys.__getitem__)])
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -204,8 +240,9 @@ def r_alpha(
     with eta' the restriction of eta to K and tw the quadratic class
     character of E/K.  The 2 is x_{beta + sigma beta} = 2 x_beta, not a scale.
     """
+    # the atoms of one factor are distinct, so its terms need no merging
     if rank_one_type == SL2:
-        return MeromorphicProduct(_quotient(x, eta))
+        return MeromorphicProduct._of(_quotient(x, eta))
     if rank_one_type == SU21:
         if eta.degree % 2:
             raise LFactorError("character lives over the wrong field")
@@ -216,16 +253,22 @@ def r_alpha(
         a, b = x.a, x.b
         twice = AffineForm(Fraction(2 * a.numerator, a.denominator),
                            Fraction(2 * b.numerator, b.denominator))
-        return MeromorphicProduct(_quotient(x, eta) + _quotient(twice, eta_f))
+        return MeromorphicProduct._of(_quotient(x, eta) | _quotient(twice, eta_f))
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
 
 
-def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> list:
+def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> dict[LFactorAtom, int]:
     """The terms of L(x, eta) / (eps(x, eta) L(1 + x, eta))."""
-    n, d = x.b.numerator, x.b.denominator
-    return [(LFactorAtom(KIND_L, PLACE_FINITE, x, eta), 1),
-            (LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta), -1),
-            (LFactorAtom(KIND_L, PLACE_FINITE, AffineForm(x.a, Fraction(n + d, d)), eta), -1)]
+    shared = _shared_key(PLACE_FINITE, eta)
+    an, ad = x.a.as_integer_ratio()
+    n, d = x.b.as_integer_ratio()
+    terms = {}
+    for kind, arg, b, exponent in ((KIND_L, x, n, 1), (KIND_EPS, x, n, -1),
+                                   (KIND_L, AffineForm(x.a, Fraction(n + d, d)), n + d, -1)):
+        atom = LFactorAtom.__new__(LFactorAtom)
+        atom._fill(kind, PLACE_FINITE, arg, eta, (kind, an, ad, b, d, *shared))
+        terms[atom] = exponent
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +297,10 @@ def poles_positive(
     for atom, n in product._terms.items():
         if atom.kind != KIND_L or n <= 0:
             continue
-        a, b = atom.arg.a, atom.arg.b
+        _, an, ad, bn, bd = atom._key[:5]
         # (1 - b) / a > 0 on integer ratios: denominators are positive
-        top = b.denominator - b.numerator
-        if top * a.numerator <= 0:
+        top = bd - bn
+        if top * an <= 0:
             continue
         if atom.character.is_trivial:
             conditional = False
@@ -265,9 +308,13 @@ def poles_positive(
             conditional = True
         else:
             continue
-        loc = Fraction(top * a.denominator, b.denominator * a.numerator)
-        entries.append((loc, conditional, atom.sort_key(), n))
-    entries.sort()
+        entries.append((Fraction(top * ad, bd * an), conditional, atom, n))
+    if len(entries) > 1:  # by location, then conditional, then atom order, compared in C
+        m = math.lcm(*[loc.denominator for loc, _, _, _ in entries])
+        keys = [(loc.numerator * (m // loc.denominator), conditional, atom_key)
+                for (loc, conditional, _, _), atom_key
+                in zip(entries, _sort_keys([atom for _, _, atom, _ in entries]))]
+        entries = [entries[i] for i in sorted(range(len(entries)), key=keys.__getitem__)]
     return tuple(PoleEntry(loc, n, conditional) for loc, conditional, _, n in entries)
 
 

@@ -198,11 +198,11 @@ def test_criterion_9_pole_ledger():
         eta_f = HeckeCharacterDescriptor(
             "F" if d == 1 else "F_alpha", d, RationalComplex()
         )
-        profile = poles_positive(r_alpha(AffineForm.of(1).over(d), SL2, eta_f))
+        profile = poles_positive(r_alpha(AffineForm.of(Fraction(1, d)), SL2, eta_f))
         if [(e.location, e.order) for e in profile] != [(d, 1)]:
             ok = False
         eta_e = HeckeCharacterDescriptor("E_alpha", 2 * d, RationalComplex())
-        profile = poles_positive(r_alpha(AffineForm.of(1).over(4 * d), SU21, eta_e))
+        profile = poles_positive(r_alpha(AffineForm.of(Fraction(1, 4 * d)), SU21, eta_e))
         if [(e.location, e.order) for e in profile] != [(4 * d, 1)]:
             ok = False
     report(9, "positive pole ledger", ok)

@@ -381,6 +381,17 @@ def test_verify_local_passes(capsys):
     assert payload["pass"] and payload["failed"] == 0
 
 
+def test_plain_numeric_options_are_read(capsys):
+    """--tol and --s-grid values written without padding are read: an empty
+    part of the grid, as after a trailing comma, is skipped, and a tolerance
+    below the depth's tail bound reports the shell sums as not converged."""
+    code, out = run(capsys, "verify-local", "--q", "3", "--s-grid", "2,5/2,",
+                    "--tol", "1e-9", "--output-format", "json")
+    assert code == EXIT_OK and json.loads(out)["total"] == 6
+    code, _ = run(capsys, "verify-local", "--q", "3", "--s-grid", "2", "--tol", "1e-300")
+    assert code == EXIT_VERIFY
+
+
 def test_verify_arch_passes(capsys):
     code, out = run(capsys, "verify-arch", "--output-format", "json")
     assert code == EXIT_OK
@@ -541,6 +552,15 @@ def test_explicit_cartan_input(tmp_path, capsys):
         (None, ["verify-local", "--q", "\u0663"]),
         (None, ["verify-local", "--depth", "1_0"]),
         (None, ["tables", "--res-degree", "1_0"]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "2", "--tol", "1_0e-9"]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "2", "--tol", "\u0663e-9"]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "2", "--tol", " 1e-9"]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "2", "--tol", "1e-9\n"]),
+        (None, ["verify-local", "--q", "2", "--s-grid", " 1/2 "]),
+        (None, ["verify-local", "--q", "2", "--s-grid", "1, 2"]),
+        ({"diagram": "A1", "chi_exponent": [" 1/2 "]}, ["constant-term"]),
+        ({"diagram": "A2", "lambda_direction": ["1", "1\n"]}, ["constant-term"]),
+        ({"diagram": "A2", "lambda_direction": ["1", "1 / 2"]}, ["constant-term"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -560,7 +580,9 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "mode-unknown-key", "tables-res-degree-101-digits",
          "tables-res-degree-4300-digits", "s-grid-underscore", "chi-exponent-underscore",
          "q-underscore", "q-arabic-indic-digit", "depth-underscore",
-         "res-degree-underscore"],
+         "res-degree-underscore", "tol-underscore", "tol-arabic-indic-digit", "tol-padded",
+         "tol-newline", "s-grid-padded", "s-grid-space-after-comma", "chi-exponent-padded",
+         "direction-newline", "direction-inner-space"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""

@@ -7,6 +7,7 @@ import pytest
 
 from gkval import (
     FUNCTION_MODE,
+    AffineForm,
     CharacterError,
     ConstantTermError,
     MeromorphicProduct,
@@ -20,15 +21,20 @@ from gkval import (
     pole_profile,
     quasi_split_e6_datum,
     RationalComplex,
+    RootPoleEntry,
+    SU21,
     RootSystemError,
     WeylElement,
     restrict_roots,
     sl3_longest_factorization,
+    spin_minus_datum,
     split_datum,
     su_datum,
     triality_datum,
 )
-from gkval.characters import ScaledVector, pair
+from gkval.characters import ScaledVector, compose_with_coroot, pair
+from gkval.lfactors import poles_positive, r_alpha
+from gkval.roots import local_scale
 
 ct = importlib.import_module("gkval.constant_term")
 
@@ -317,6 +323,19 @@ def test_multiplicativity_nontrivial_character():
     assert multiplicativity_check(system, chi, ray, w1, w2)
 
 
+def per_root_factor(system, chi, alpha, direction, base=None):
+    """(pairing, local argument, r_alpha) of one root, built root by root:
+    pair, then compose_with_coroot, then r_alpha in the pairing over the
+    root's local scale.  Without a direction the pairing is the unit form."""
+    if direction is None:
+        pairing = AffineForm(Fraction(1), Fraction(0))
+    else:
+        pairing = pair(system, direction, alpha, base)
+    eta = compose_with_coroot(system, chi, alpha)
+    x = AffineForm(pairing.a / local_scale(alpha), pairing.b / local_scale(alpha))
+    return pairing, x, r_alpha(x, alpha.rank_one_type, eta)
+
+
 def _product_check(system, chi, direction, w1, w2, base=None):
     """The cocycle check as first written: both sides built as atom products
     of rank-one factors, whatever the inversion sets."""
@@ -329,12 +348,109 @@ def _product_check(system, chi, direction, w1, w2, base=None):
     base = None if base is None else ScaledVector.of(base)
 
     def factor(alpha):
-        return ct._rank_one_factor(system, chi, alpha, pair(system, direction, alpha, base))
+        return per_root_factor(system, chi, alpha, direction, base)[2]
 
     translated = system.images(tuple(reversed(w2.word)), [beta.index for beta in inv1])
     split = inv2 + tuple(system.positive_roots[x] for x in translated)
-    return (MeromorphicProduct.prod(factor(alpha).product for alpha in inv12)
-            == MeromorphicProduct.prod(factor(alpha).product for alpha in split))
+    return (MeromorphicProduct.prod(factor(alpha) for alpha in inv12)
+            == MeromorphicProduct.prod(factor(alpha) for alpha in split))
+
+
+# the systems of the weyl-sweep benchmark: SU21-type roots (2E6, SU(4,5)), d' > 1
+# (2E6 and SU(4,4) at d' = 2), triality and Spin-
+SWEEP_DATA = [split_datum("F", 4), split_datum("B", 6), split_datum("D", 6),
+              split_datum("E", 6), quasi_split_e6_datum(2), triality_datum(),
+              su_datum(4, 4, 2), su_datum(4, 5), spin_minus_datum(6)]
+
+
+def _random_character(rng, n, q):
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    exponents = tuple(RationalComplex(rational(), rational()) for _ in range(n))
+    return UnramifiedCharacter(exponents, FUNCTION_MODE, q) if q else UnramifiedCharacter(exponents)
+
+
+def _check_by_fractions(system, chi, alpha, direction, base, pairing):
+    """The pairing and the composed character of alpha, against sums of
+    Fraction products over its pairing vector."""
+    vec, scale = system.coroot_pairing_vector(alpha), local_scale(alpha)
+    assert pairing.a == sum(d * c for d, c in zip(direction, vec))
+    assert pairing.b == (0 if base is None else sum(b * c for b, c in zip(base, vec)))
+    eta = compose_with_coroot(system, chi, alpha)
+    assert eta.degree == alpha.d_alpha * (2 if alpha.rank_one_type == SU21 else 1)
+    assert eta.exponent.re == sum(z.re * c for z, c in zip(chi.exponents, vec)) / scale
+    im = sum(z.im * c for z, c in zip(chi.exponents, vec)) / scale
+    assert eta.exponent.im == (im if chi.q is None else im % Fraction(1, eta.degree))
+    assert eta.q == chi.q
+
+
+@pytest.mark.parametrize("datum", SWEEP_DATA, ids=lambda d: d.label)
+def test_one_pass_factors_match_the_per_root_path(datum):
+    """constant_term builds the factors of inv(w) in one pass; each equals the
+    factor built root by root through pair, compose_with_coroot and r_alpha,
+    with number- and function-field characters, with and without a base
+    point, from the identity to w0.  The pairing variable of pole_profile
+    reads the unit form the same way."""
+    system = restrict_roots(datum)
+    rng = random.Random(datum.label)
+    n = system.rank
+    words = [(), system.longest_element().word] + [
+        tuple(rng.randrange(n) for _ in range(rng.randrange(1, 3 * n))) for _ in range(4)]
+    kinds = set()
+    for word in words:
+        w = system.normalize(word)
+        roots = system.inversion_set(w)
+        for q in (None, rng.choice((2, 4, 9, 25))):
+            chi = _random_character(rng, n, q)
+            direction = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+            for base in (None, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                     for _ in range(n))):
+                report = constant_term(system, chi, direction, w, base)
+                assert [f.root for f in report.factors] == list(roots)
+                for f in report.factors:
+                    expected = per_root_factor(system, chi, f.root, direction, base)
+                    assert (f.pairing, f.local_argument, f.product) == expected
+                    kinds.add((f.root.rank_one_type, f.root.d_alpha > 1, q is None))
+                    _check_by_fractions(system, chi, f.root, direction, base, f.pairing)
+                assert report.product == MeromorphicProduct.prod(
+                    per_root_factor(system, chi, alpha, direction, base)[2] for alpha in roots)
+            assert pole_profile(system, chi, w=w, include_conditional=True) == tuple(
+                RootPoleEntry(alpha, e.location, e.order, e.conditional) for alpha in roots
+                for e in poles_positive(per_root_factor(system, chi, alpha, None)[2], True))
+    # every root kind of the system is met, in both field modes
+    assert {(r.rank_one_type, r.d_alpha > 1) for r in system.positive_roots} == {
+        (t, big) for t, big, _ in kinds}
+    assert {number for _, _, number in kinds} == {True, False}
+
+
+def test_wrong_ranks_raise_in_order_only_where_inv_w_is_not_empty():
+    """The ray is checked before the character, the direction before the base
+    point, once per call and only when inv(w) has a root, as the per-root
+    path pair then compose_with_coroot raises on its first root."""
+    system = restrict_roots(su_datum(4, 5))
+    n = system.rank
+    good_chi, bad_chi = UnramifiedCharacter.trivial(n), UnramifiedCharacter.trivial(n + 1)
+    good, bad = system.principal_ray(), system.principal_ray()[:-1]
+    cases = [(bad_chi, bad, good, "ray direction has wrong rank"),
+             (bad_chi, good, bad, "ray base point has wrong rank"),
+             (bad_chi, bad, bad, "ray direction has wrong rank"),
+             (bad_chi, good, None, "character has wrong rank"),
+             (good_chi, bad, None, "ray direction has wrong rank")]
+    w0, e = system.longest_element(), WeylElement(())
+    for chi, direction, base, message in cases:
+        with pytest.raises(CharacterError, match=f"^{message}$"):
+            constant_term(system, chi, direction, w0, base)
+        with pytest.raises(CharacterError, match=f"^{message}$"):
+            pole_profile(system, chi, direction, base, w=w0, variable="ray")
+        with pytest.raises(CharacterError, match=f"^{message}$"):
+            per_root_factor(system, chi, system.positive_roots[0], direction, base)
+        report = constant_term(system, chi, direction, e, base)
+        assert report.factors == () and report.product == MeromorphicProduct()
+        assert pole_profile(system, chi, direction, base, w=e, variable="ray") == ()
+    with pytest.raises(CharacterError, match="^character has wrong rank$"):
+        pole_profile(system, bad_chi, w=w0)
+    assert pole_profile(system, bad_chi, w=e) == ()
 
 
 def _outcome(check, *args):

@@ -137,7 +137,7 @@ def test_poles_need_a_positive_location():
 def test_poles_scale_linearly_with_argument():
     for d in (1, 2, 3):
         eta = trivial_eta(d, "F_alpha" if d > 1 else "F")
-        prof = poles_positive(r_alpha(AffineForm.of(1).over(d), SL2, eta))
+        prof = poles_positive(r_alpha(AffineForm.of(Fraction(1, d)), SL2, eta))
         assert [e.location for e in prof] == [Fraction(d)]
 
 
@@ -219,16 +219,18 @@ def test_euler_value_beyond_float_range(s, quad):
 def test_poles_tied_on_location_follow_the_atom_order():
     """Poles that tie on (location, conditional) are listed in the atoms' sort
     order, not in the order the product was built in: L over E before L over
-    F, and among conditional poles the smaller imaginary exponent first."""
+    F, and among conditional poles the smaller imaginary exponent first.
+    Unconditional poles come first, also where the atom order puts a
+    conditional one (imaginary exponent -1/2) before them."""
     def unitary(im):
         eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(im)))
         return LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(2, -1), eta)
 
     p = MeromorphicProduct([(unitary("1/2"), 3), (atom(), 1), (unitary("1/3"), 4),
-                            (atom(degree=2, label="E"), 2)])
+                            (atom(degree=2, label="E"), 2), (unitary("-1/2"), 5)])
     one = Fraction(1)
     assert poles_positive(p, include_conditional=True) == (
-        PoleEntry(one, 2, False), PoleEntry(one, 1, False),
+        PoleEntry(one, 2, False), PoleEntry(one, 1, False), PoleEntry(one, 5, True),
         PoleEntry(one, 4, True), PoleEntry(one, 3, True))
 
 

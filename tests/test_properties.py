@@ -39,6 +39,7 @@ from gkval import (
     family_datum,
     local_scale,
     multiplicativity_check,
+    poles_positive,
     quasi_split_e6_datum,
     r_alpha,
     restrict_roots,
@@ -727,3 +728,39 @@ def test_factors_match_their_closed_form(system, data):
         assert (f.pairing.a, f.pairing.b) == pairing
         assert (f.local_argument.a, f.local_argument.b) == local
         assert {_fields(atom): k for atom, k in f.product} == terms
+
+
+@st.composite
+def crowded_products(draw):
+    """Products of drawn atoms and their neighbours, which tie with them on
+    every field but one, so that sorting reaches every field of the order."""
+    atoms = [b for a, _ in draw(products() | drawn_products()) for b in _neighbours(a)]
+    exponents = draw(st.lists(st.integers(-3, 3), min_size=len(atoms), max_size=len(atoms)))
+    return MeromorphicProduct(zip(atoms, exponents))
+
+
+@PRODUCT_PROPERTY
+@given(crowded_products())
+def test_products_and_poles_read_in_sort_key_order(p):
+    """A product lists its atoms in LFactorAtom.sort_key order, and
+    poles_positive sorts by location, unconditional first, then that order,
+    as sorting with the Fraction-valued keys does."""
+    atoms = [a for a, _ in p]
+    assert atoms == sorted(atoms, key=LFactorAtom.sort_key)
+    for include_conditional in (False, True):
+        expected = []
+        for atom, n in p:
+            a, b = atom.arg.a, atom.arg.b
+            if atom.kind != "L" or n <= 0 or a == 0 or (1 - b) / a <= 0:
+                continue
+            if atom.character.is_trivial:
+                conditional = False
+            elif include_conditional and atom.character.is_unitary:
+                conditional = True
+            else:
+                continue
+            expected.append(((1 - b) / a, conditional, atom.sort_key(), n))
+        expected.sort()
+        assert [(e.location, e.order, e.conditional)
+                for e in poles_positive(p, include_conditional)] == [
+            (loc, n, conditional) for loc, conditional, _, n in expected]
