@@ -13,7 +13,6 @@ from .characters import (
     compose_with_coroot,
     local_scale,
     pair,
-    restrict_descriptor,
 )
 from .constant_term import (
     ConstantTermError,

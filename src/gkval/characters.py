@@ -128,7 +128,7 @@ class UnramifiedCharacter(Record):
     """Exponent vector over the relative character space, one coordinate per
     relative simple root; q is set exactly in function-field mode."""
 
-    __slots__ = ("exponents", "q", "_scaled")
+    __slots__ = ("exponents", "q")
 
     def __init__(self, exponents: tuple[RationalComplex, ...], mode: str = NUMBER_MODE,
                  q: int | None = None) -> None:
@@ -142,7 +142,6 @@ class UnramifiedCharacter(Record):
                     f"function-field mode needs a prime power q at most {MAX_FIELD_SIZE}")
             exponents = tuple(RationalComplex(z.re, z.im % 1) for z in exponents)
         self.exponents, self.q = exponents, q
-        self._scaled = None
 
     @staticmethod
     def trivial(rank: int):
@@ -151,14 +150,6 @@ class UnramifiedCharacter(Record):
     @property
     def rank(self) -> int:
         return len(self.exponents)
-
-    @property
-    def scaled_exponents(self) -> tuple[ScaledVector, ScaledVector]:
-        """Real and imaginary parts of the exponents, each scaled once."""
-        if self._scaled is None:
-            self._scaled = (ScaledVector.of(z.re for z in self.exponents),
-                            ScaledVector.of(z.im for z in self.exponents))
-        return self._scaled
 
 
 class HeckeCharacterDescriptor(Record):
@@ -188,6 +179,13 @@ class HeckeCharacterDescriptor(Record):
         return self.exponent.re == 0
 
 
+def field_label(degree: int) -> str:
+    """The label of a field of the given degree under a rank-one factor: the
+    ground field F at degree 1, else F_alpha.  The even-degree field of an
+    SU21-type root is E_alpha."""
+    return "F" if degree == 1 else "F_alpha"
+
+
 # ---------------------------------------------------------------------------
 # pairing
 
@@ -206,23 +204,26 @@ def coroot_data(
     the rank-one group, of degree d_alpha for SL2-type and 2 d_alpha for
     SU21-type, whose exponent is the pairing exponent over the local scale.
 
-    The ray, then chi, are checked and scaled once if ``roots`` is not
-    empty; each root then costs integer dot products with its pairing
-    vector.
+    The ray is scaled on every call, so that non-rational entries always
+    raise; the ray, then chi, are checked if ``roots`` is not empty, and
+    chi is scaled with them.  Each root then costs integer dot products
+    with its pairing vector.
     """
+    if direction is not None:
+        direction = ScaledVector.of(direction)
+        base = None if base is None else ScaledVector.of(base)
     if not roots:
         return []
     if direction is None:
         unit = AffineForm(Fraction(1), Fraction(0))
     else:
-        direction = ScaledVector.of(direction)
-        base = None if base is None else ScaledVector.of(base)
         check_ray(system, direction, base)
         dn, dd = direction.numerators, direction.denominator
         bn, bd = (None, 1) if base is None else (base.numerators, base.denominator)
     if chi is not None:
         check_character(system, chi)
-        re, im = chi.scaled_exponents
+        re = ScaledVector.of(z.re for z in chi.exponents)
+        im = ScaledVector.of(z.im for z in chi.exponents)
         re_n, re_d, im_n, im_d = re.numerators, re.denominator, im.numerators, im.denominator
     out = []
     for alpha in roots:
@@ -242,7 +243,7 @@ def coroot_data(
             if alpha.rank_one_type == SU21:
                 label, degree = "E_alpha", 2 * alpha.d_alpha
             else:
-                label, degree = ("F" if alpha.d_alpha == 1 else "F_alpha"), alpha.d_alpha
+                label, degree = field_label(alpha.d_alpha), alpha.d_alpha
             exponent = RationalComplex(Fraction(sum(map(operator.mul, re_n, vec)), re_d * scale),
                                        Fraction(sum(map(operator.mul, im_n, vec)), im_d * scale))
             eta = HeckeCharacterDescriptor(label, degree, exponent, False, chi.q)
@@ -286,24 +287,3 @@ def compose_with_coroot(
     (see :func:`coroot_data`)."""
     return coroot_data(system, (alpha,), chi)[0][2]
 
-
-def restrict_descriptor(eta: HeckeCharacterDescriptor) -> HeckeCharacterDescriptor:
-    """Restriction of a character of a quadratic extension to the base.
-
-    The exponent doubles (the modulus of the extension restricts to the
-    square of the base modulus).  A quadratic twist that is itself the
-    base change of the extension's class character restricts trivially,
-    so the twist flag is dropped; the twist of the restricted factor is
-    supplied separately by the factor construction.
-    """
-    if eta.degree % 2 != 0:
-        raise CharacterError("can only restrict along a quadratic layer")
-    re, im = eta.exponent.re, eta.exponent.im
-    return HeckeCharacterDescriptor(
-        field_label="F" if eta.degree == 2 else "F_alpha",
-        degree=eta.degree // 2,
-        exponent=RationalComplex(Fraction(2 * re.numerator, re.denominator),
-                                 Fraction(2 * im.numerator, im.denominator)),
-        quad_twist=False,
-        q=eta.q,
-    )

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .characters import (
     AffineForm,
-    ScaledVector,
     UnramifiedCharacter,
     check_character,
     check_ray,
@@ -78,8 +77,8 @@ class ConstantTermReport(Record):
 
 
 def _factors(system: RelativeRootSystem, chi: UnramifiedCharacter,
-             roots: tuple[RelativeRoot, ...], direction: ScaledVector | None = None,
-             base: ScaledVector | None = None) -> tuple[RankOneFactor, ...]:
+             roots: tuple[RelativeRoot, ...], direction: Sequence | None = None,
+             base: Sequence | None = None) -> tuple[RankOneFactor, ...]:
     """The rank-one factors of ``roots``, in the ray parameter along
     lambda = base + s * direction, or without a direction in each root's
     pairing variable."""
@@ -100,11 +99,7 @@ def _ray_factors(system: RelativeRootSystem, chi: UnramifiedCharacter, direction
     global _last_factors
     key = (system, chi, tuple(direction), None if base is None else tuple(base), w)
     if _last_factors[0] != key:
-        roots = system.inversion_set(w)
-        # scaled whatever inv(w) holds, so that non-rational entries always raise
-        direction = ScaledVector.of(direction)
-        base = None if base is None else ScaledVector.of(base)
-        _last_factors = key, _factors(system, chi, roots, direction, base)
+        _last_factors = key, _factors(system, chi, system.inversion_set(w), direction, base)
     return _last_factors[1]
 
 

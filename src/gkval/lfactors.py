@@ -32,7 +32,7 @@ from .characters import (
     AffineForm,
     HeckeCharacterDescriptor,
     RationalComplex,
-    restrict_descriptor,
+    field_label,
 )
 from .records import Record
 from .roots import SL2, SU21
@@ -246,14 +246,19 @@ def r_alpha(
     if rank_one_type == SU21:
         if eta.degree % 2:
             raise LFactorError("character lives over the wrong field")
-        # the restriction to K, twisted by the class character of E/K
-        eta_k = restrict_descriptor(eta)
-        eta_f = HeckeCharacterDescriptor(eta_k.field_label, eta_k.degree, eta_k.exponent,
-                                         True, eta_k.q)
+        # eta' tw over K, of half the degree: the exponent doubles (the modulus
+        # of E restricts to the square of K's), a twist of eta, the base change
+        # of tw, restricts trivially, and tw sets the twist
+        degree, re, im = eta.degree // 2, eta.exponent.re, eta.exponent.im
+        eta_k = HeckeCharacterDescriptor(
+            field_label(degree), degree,
+            RationalComplex(Fraction(2 * re.numerator, re.denominator),
+                            Fraction(2 * im.numerator, im.denominator)),
+            True, eta.q)
         a, b = x.a, x.b
         twice = AffineForm(Fraction(2 * a.numerator, a.denominator),
                            Fraction(2 * b.numerator, b.denominator))
-        return MeromorphicProduct._of(_quotient(x, eta) | _quotient(twice, eta_f))
+        return MeromorphicProduct._of(_quotient(x, eta) | _quotient(twice, eta_k))
     raise LFactorError(f"unknown rank-one type {rank_one_type!r}")
 
 
@@ -329,7 +334,8 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
 
     For an int or Fraction s and an untwisted number-field character with a
     real exponent, x = a*s + b + Re(exponent) is exact, and a pole exactly
-    when x = 0.  Every other input (complex or float s, a function-field
+    when x = 0; where 0 < |x| is below float range, the value is infinite,
+    with the sign of x.  Every other input (complex or float s, a function-field
     character, a complex exponent) is a pole when |1 - c q_k^(-x)| < 1e-14,
     which with a twist and a real x never holds.  Where q_k^(-x) overflows,
     x is far below 0 and the value q_k^x / (q_k^x - c) is tiny; where Re x
@@ -343,15 +349,17 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     if (isinstance(s, (int, Fraction)) and chi.q is None and chi.exponent.im == 0
             and not chi.quad_twist):
         x = atom.arg.a * s + atom.arg.b + chi.exponent.re
+        if x == 0:
+            raise PoleAtEvaluation(f"Euler factor pole at s={s}")
         try:
-            denom = 0.0 if x == 0 else -math.expm1(-float(x) * math.log(q_k))
+            denom = -math.expm1(-float(x) * math.log(q_k))
         except OverflowError:
             if abs(x) > sys.float_info.max:  # |x| beyond float range
                 return 1.0 if x > 0 else -0.0
             y = q_k ** float(x)
             return y / (y - 1.0)
-        if denom == 0.0:
-            raise PoleAtEvaluation(f"Euler factor pole at s={s}")
+        if denom == 0.0:  # 0 < |x| below float range: about 1 / (x log q_k)
+            return math.inf if x > 0 else -math.inf
         return 1.0 / denom
     c = -1.0 if chi.quad_twist else 1.0
     x = _argument(atom, s)

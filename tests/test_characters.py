@@ -13,12 +13,11 @@ from gkval import (
     compose_with_coroot,
     local_scale,
     pair,
-    restrict_descriptor,
     restrict_roots,
     split_datum,
     su_datum,
 )
-from gkval.characters import FUNCTION_MODE, NUMBER_MODE
+from gkval.characters import FUNCTION_MODE, NUMBER_MODE, coroot_data
 
 
 def rc(re, im=0):
@@ -131,26 +130,6 @@ def test_twist_compatibility():
         assert shifted.exponent == rc(base.exponent.re + s0.re * k, base.exponent.im + s0.im * k)
 
 
-def test_restrict_descriptor_doubles_exponent():
-    eta = HeckeCharacterDescriptor("E_alpha", 2, rc(Fraction(1, 2)))
-    res = restrict_descriptor(eta)
-    assert res.degree == 1
-    assert res.exponent == rc(1)
-    assert not res.quad_twist
-
-
-def test_restrict_descriptor_drops_base_changed_twist():
-    eta = HeckeCharacterDescriptor("E_alpha", 4, rc(0), quad_twist=True)
-    res = restrict_descriptor(eta)
-    assert res.is_trivial
-
-
-def test_restrict_descriptor_rejects_odd_degree():
-    eta = HeckeCharacterDescriptor("F", 3, rc(0))
-    with pytest.raises(CharacterError):
-        restrict_descriptor(eta)
-
-
 def test_descriptor_function_field_lattice():
     # triviality lattice for a degree-2 constant-field extension is (1/2)Z
     a = HeckeCharacterDescriptor("E_alpha", 2, rc(0, Fraction(1, 4)), q=3)
@@ -166,3 +145,18 @@ def test_rank_mismatch_rejected():
         compose_with_coroot(system, chi, system.positive_roots[0])
     with pytest.raises(CharacterError):
         pair(system, (1,), system.positive_roots[0])
+
+
+def test_coroot_data_of_no_roots_reads_the_ray_but_checks_no_rank():
+    """With no root, a ray entry that is not rational still raises, as it
+    does wherever factors are built, but a ray, base point or character of
+    the wrong rank is not checked."""
+    system = restrict_roots(split_datum("A", 2))
+    wrong_chi = UnramifiedCharacter.trivial(3)
+    assert coroot_data(system, (), wrong_chi, (1,), (1, 2, 3)) == []
+    assert coroot_data(system, (), wrong_chi) == []
+    for direction, base in (((1j, 1), None), ((1, 1), (0, 1 + 0j))):
+        with pytest.raises(TypeError):
+            coroot_data(system, (), None, direction, base)
+        with pytest.raises(TypeError):
+            pair(system, direction, system.positive_roots[0], base)

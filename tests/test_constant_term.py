@@ -356,8 +356,8 @@ def _product_check(system, chi, direction, w1, w2, base=None):
             == MeromorphicProduct.prod(factor(alpha) for alpha in split))
 
 
-# the systems of the weyl-sweep benchmark: SU21-type roots (2E6, SU(4,5)), d' > 1
-# (2E6 and SU(4,4) at d' = 2), triality and Spin-
+# the systems of the weyl-sweep benchmark: SU21-type roots (4 of the 16 of SU(4,5)),
+# d' > 1 (2E6 and SU(4,4) at d' = 2), triality and Spin-
 SWEEP_DATA = [split_datum("F", 4), split_datum("B", 6), split_datum("D", 6),
               split_datum("E", 6), quasi_split_e6_datum(2), triality_datum(),
               su_datum(4, 4, 2), su_datum(4, 5), spin_minus_datum(6)]

@@ -117,6 +117,31 @@ def test_r_alpha_denominator_arguments_shifted_by_one():
         assert nums == dens
 
 
+@pytest.mark.parametrize("degree, q, exponent, restricted, label", [
+    (4, 9, (Fraction(1, 3), Fraction(1, 5)), (Fraction(2, 3), Fraction(2, 5)), "F_alpha"),
+    (4, 9, (Fraction(1, 3), Fraction(9, 10)), (Fraction(2, 3), Fraction(3, 10)), "F_alpha"),
+    (2, None, (Fraction(1, 2), Fraction(3, 7)), (Fraction(1), Fraction(6, 7)), "F"),
+    (2, 9, (Fraction(-1, 4), Fraction(1, 3)), (Fraction(-1, 2), Fraction(2, 3)), "F"),
+], ids=["degree-4", "degree-4-reduced", "degree-2", "degree-2-function"])
+def test_r_alpha_su21_restricts_eta_to_the_base(degree, q, exponent, restricted, label):
+    """The atoms of an SU21-type factor over K carry eta restricted to K and
+    twisted by the class character of E/K: half the degree, the exponent
+    doubled and, over a function field, reduced modulo 1/degree, and the
+    twist set, also where eta itself is twisted (its twist is a base change
+    from K, which restricts trivially).  The atoms over E carry eta."""
+    half = degree // 2
+    for twist in (False, True):
+        eta = HeckeCharacterDescriptor("E_alpha", degree, RationalComplex(*exponent), twist, q)
+        by_degree = {}
+        for a, _ in r_alpha(AffineForm.of(Fraction(1, 3), 1), SU21, eta):
+            by_degree.setdefault(a.character.degree, set()).add(a.character)
+        assert by_degree == {degree: {eta}, half: {HeckeCharacterDescriptor(
+            label, half, RationalComplex(*restricted), True, q)}}
+        (eta_k,) = by_degree[half]
+        assert (eta_k.field_label, eta_k.exponent.re, eta_k.exponent.im) == (
+            label, *restricted)
+
+
 def test_r_alpha_rejects_wrong_field_degree():
     with pytest.raises(LFactorError):
         r_alpha(AffineForm.of(1), SU21, trivial_eta(1))
@@ -185,6 +210,24 @@ def test_euler_pole_is_decided_exactly_at_a_rational_s(eps):
             local_euler_value(atom(), 2, s)
     with pytest.raises(PoleAtEvaluation):
         local_euler_value(atom(b=eps), 2, 0j)
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 10**400), -Fraction(1, 10**400),
+                               Fraction(1, 10**320), Fraction(1, 10**30)],
+                         ids=["1e-400", "-1e-400", "1e-320", "1e-30"])
+@pytest.mark.parametrize("s", [1, Fraction(1)], ids=["int", "Fraction"])
+def test_euler_value_next_to_the_pole_is_not_a_pole(s, b):
+    """At x = 0*s + b and a rational s the pole is decided on the exact x: the
+    value 1 / (1 - 2^-b), about 1 / (b log 2), is infinite with the sign of
+    b where that exceeds the largest float, also where b itself is below
+    float range.  b = 0 is the pole."""
+    value = local_euler_value(atom(a=0, b=b), 2, s)
+    if abs(b) < Fraction(1, 10**300):
+        assert value == (math.inf if b > 0 else -math.inf)
+    else:
+        assert value == pytest.approx(1 / (float(b) * math.log(2)), rel=1e-12)
+    with pytest.raises(PoleAtEvaluation):
+        local_euler_value(atom(a=0, b=0), 2, s)
 
 
 @pytest.mark.parametrize("quad", [False, True], ids=["untwisted", "twisted"])

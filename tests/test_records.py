@@ -17,14 +17,17 @@ from gkval import (
     SU21,
     AffineForm,
     GroupDatum,
+    HeckeCharacterDescriptor,
+    LFactorAtom,
     RationalComplex,
     RelativeRoot,
-    UnramifiedCharacter,
     WeylElement,
+    r_alpha,
     split_datum,
     su_datum,
     triality_datum,
 )
+from gkval.lfactors import KIND_EPS, PLACE_FINITE
 
 FIELDS = {
     AffineForm: ("a", "b"),
@@ -79,10 +82,14 @@ def test_equal_fields_of_another_class_are_not_equal():
 
 
 def test_private_slots_are_not_fields():
-    """A cached value takes no part in equality, hashing or repr."""
-    exponents = (RationalComplex(Fraction(1, 2), Fraction(0)),)
-    read, fresh = UnramifiedCharacter(exponents), UnramifiedCharacter(exponents)
-    assert read.scaled_exponents
-    assert read == fresh and hash(read) == hash(fresh)
-    assert repr(read) == repr(fresh) == (
-        f"UnramifiedCharacter(exponents={exponents!r}, q=None)")
+    """An atom's stored key and hash, its private slots, are not among its
+    fields and take no part in its repr; an atom that r_alpha filled from a
+    shared key equals, hashes and prints like one built field by field."""
+    eta = HeckeCharacterDescriptor("F", 1, RationalComplex(Fraction(1, 2), Fraction(0)))
+    x = AffineForm(Fraction(1, 3), Fraction(0))
+    built = [atom for atom, _ in r_alpha(x, SL2, eta) if atom.kind == KIND_EPS]
+    fresh = LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta)
+    assert LFactorAtom._fields == ("kind", "place_kind", "arg", "character")
+    assert built == [fresh] and hash(built[0]) == hash(fresh)
+    assert repr(built[0]) == repr(fresh) == (
+        f"LFactorAtom(kind='eps', place_kind='finite', arg={x!r}, character={eta!r})")
