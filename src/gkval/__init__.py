@@ -32,7 +32,6 @@ from .lfactors import (
     MeromorphicProduct,
     PoleAtEvaluation,
     PoleEntry,
-    arch_value,
     evaluate_finite,
     local_euler_value,
     poles_positive,

@@ -101,6 +101,13 @@ class AffineForm(Record):
         return f"{coef}s {sign} {abs(self.b)}"
 
 
+def rational_entries(values) -> tuple[int | Fraction, ...]:
+    """``values`` read as rationals: an int or Fraction entry as it is, any
+    other through Fraction, which raises on an entry that is not rational.
+    Every ray and exponent entry is read by this rule."""
+    return tuple([v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values])
+
+
 class ScaledVector:
     """A rational vector as integer numerators over one common denominator."""
 
@@ -114,9 +121,7 @@ class ScaledVector:
         """``values`` scaled; a ScaledVector is returned as is."""
         if isinstance(values, ScaledVector):
             return values
-        # an int or Fraction entry is read as it is, any other through Fraction
-        ratios = [(v if type(v) is int or type(v) is Fraction else Fraction(v)).as_integer_ratio()
-                  for v in values]
+        ratios = [v.as_integer_ratio() for v in rational_entries(values)]
         den = math.lcm(*[d for _, d in ratios])
         return ScaledVector(tuple(n * (den // d) for n, d in ratios), den)
 

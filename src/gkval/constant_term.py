@@ -26,6 +26,7 @@ from .characters import (
     check_character,
     check_ray,
     coroot_data,
+    rational_entries,
 )
 from .lfactors import (
     MeromorphicProduct,
@@ -97,10 +98,17 @@ def _ray_factors(system: RelativeRootSystem, chi: UnramifiedCharacter, direction
     """The rank-one factors of inv(w) for lambda = base + s * direction.  Only the
     last call's are kept: a ray pole_profile right after constant_term reads them."""
     global _last_factors
-    key = (system, chi, tuple(direction), None if base is None else tuple(base), w)
-    if _last_factors[0] != key:
-        _last_factors = key, _factors(system, chi, system.inversion_set(w), direction, base)
-    return _last_factors[1]
+    # the key holds rationals only: an entry that equals one but is not, such
+    # as 1+0j, raises here instead of matching
+    direction = rational_entries(direction)
+    base = None if base is None else rational_entries(base)
+    key = (system, chi, direction, base, w)
+    last = _last_factors  # read once: another thread may store its own
+    if last[0] == key:
+        return last[1]
+    factors = _factors(system, chi, system.inversion_set(w), direction, base)
+    _last_factors = key, factors
+    return factors
 
 
 def constant_term(
@@ -254,9 +262,8 @@ def multiplicativity_check(
     inv12 = system.inversion_indices(system.images(w1.word, images2))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    for v in direction if base is None else (*direction, *base):
-        if type(v) is not int and type(v) is not Fraction:
-            Fraction(v)  # non-rational entries raise, as scaling the ray would
+    # non-rational entries raise, as scaling the ray would
+    rational_entries(direction if base is None else (*direction, *base))
     if inv12:
         check_ray(system, direction, base)
         check_character(system, chi)

@@ -3,8 +3,8 @@
 A product is a multiset of atoms ``L_K(a*s + b, eta)^n`` and
 ``eps_K(a*s + b, eta)^n`` (merged, zero exponents dropped), whose order is
 fixed by ``LFactorAtom.sort_key`` when the product is read.  Products
-stay symbolic; evaluation specializes an atom either at a finite place (an
-Euler factor) or at an archimedean place (Gamma factors).
+stay symbolic; an atom is evaluated at finite places only, as an Euler
+factor.  The archimedean Gamma factors are the oracles' own.
 
 Positive-pole bookkeeping rests on the standard analytic facts about
 completed Hecke L-functions over a number field or a function field:
@@ -50,8 +50,6 @@ KIND_L = "L"
 KIND_EPS = "eps"
 
 PLACE_FINITE = "finite"
-PLACE_REAL = "real"
-PLACE_COMPLEX = "complex"
 
 
 def _shared_key(place_kind: str, eta: HeckeCharacterDescriptor) -> tuple:
@@ -389,58 +387,6 @@ def _argument(atom: LFactorAtom, s: complex) -> complex:
         return complex(math.inf if re > 0 else -math.inf, 0.0)
     return complex(float(re), float(atom.arg.a * Fraction(s.imag))
                    + chi.exponent.numeric(chi.q).imag)
-
-
-def arch_value(atom: LFactorAtom, s: complex) -> complex:
-    """Completed archimedean factor:
-
-    * complex place:          2 (2 pi)^(-x) Gamma(x)
-    * real place, sign char:  pi^(-(x+1)/2) Gamma((x+1)/2)
-    * real place, trivial:    pi^(-x/2) Gamma(x/2)
-
-    Where only a coefficient is beyond float range, x is computed exactly
-    first, as in local_euler_value (see :func:`_argument`).  A Re x or Im x
-    beyond float range raises OverflowError: local_euler_value returns its
-    limit for such a Re x, but the Gamma factor has no finite one."""
-    if atom.kind == KIND_EPS:
-        return 1.0
-    x = _argument(atom, s)
-    if math.isinf(x.real):
-        raise OverflowError("Re x beyond float range")
-    if atom.place_kind == PLACE_COMPLEX:
-        return 2.0 * (2 * math.pi) ** -x * checked_gamma(x)
-    if atom.place_kind == PLACE_REAL:
-        y = (x + 1) / 2 if atom.character.quad_twist else x / 2
-        return math.pi ** -y * checked_gamma(y)
-    raise LFactorError("archimedean evaluation needs a real or complex place")
-
-
-_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-            771.32342877765313, -176.61502916214059, 12.507343278686905,
-            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-
-
-def checked_gamma(x: complex) -> complex:
-    """Gamma(x) by the Lanczos approximation (g = 7, n = 9, Godfrey's
-    coefficients, as in Numerical Recipes 6.1), with the reflection formula
-    for Re x < 1/2; PoleAtEvaluation at a non-positive integer.  It agrees
-    with math.gamma to 2e-14 relative on 0 < x <= 40, and with a 30-digit
-    reference to 2e-13 on Re x in [-10, 40], |Im x| <= 20.  Past x = 171.62,
-    where |Gamma| exceeds the largest float, the value is infinite."""
-    x = complex(x)
-    if abs(x.imag) < 1e-12 and round(x.real) <= 0 and abs(x.real - round(x.real)) < 1e-12:
-        raise PoleAtEvaluation(f"Gamma pole at {x}")
-    import cmath  # loaded on first use: only archimedean checks need it
-
-    if x.real < 0.5:
-        return math.pi / cmath.sin(math.pi * x) / checked_gamma(1 - x)
-    series = _LANCZOS[0] + sum(c / (x + k) for k, c in enumerate(_LANCZOS[1:]))
-    t = x + 6.5
-    try:  # half powers, as t^(x - 1/2) overflows past x = 142
-        h = t ** ((x - 0.5) / 2)
-    except OverflowError:  # past x = 255, far beyond the last finite Gamma
-        return complex(math.inf)
-    return math.sqrt(2 * math.pi) * series * (h * cmath.exp(-t)) * h
 
 
 def evaluate_finite(product: MeromorphicProduct, q: int, s: complex) -> complex:

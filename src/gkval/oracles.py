@@ -17,21 +17,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .characters import (
-    AffineForm,
-    HeckeCharacterDescriptor,
-    MAX_FIELD_SIZE,
-    RationalComplex,
-    is_field_size,
-)
-from .lfactors import (
-    KIND_L,
-    LFactorAtom,
-    PLACE_COMPLEX,
-    PLACE_REAL,
-    arch_value,
-    checked_gamma,
-)
+from .characters import MAX_FIELD_SIZE, is_field_size
+from .lfactors import PoleAtEvaluation
 from .records import Record
 
 
@@ -186,6 +173,34 @@ def gk_integral_sl3(
 # archimedean ratios
 
 
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def checked_gamma(x: complex) -> complex:
+    """Gamma(x) by the Lanczos approximation (g = 7, n = 9, Godfrey's
+    coefficients, as in Numerical Recipes 6.1), with the reflection formula
+    for Re x < 1/2; PoleAtEvaluation at a non-positive integer.  It agrees
+    with math.gamma to 2e-14 relative on 0 < x <= 40, and with a 30-digit
+    reference to 2e-13 on Re x in [-10, 40], |Im x| <= 20.  Past x = 171.62,
+    where |Gamma| exceeds the largest float, the value is infinite."""
+    x = complex(x)
+    if abs(x.imag) < 1e-12 and round(x.real) <= 0 and abs(x.real - round(x.real)) < 1e-12:
+        raise PoleAtEvaluation(f"Gamma pole at {x}")
+    import cmath  # loaded on first use: only the archimedean checks need it
+
+    if x.real < 0.5:
+        return math.pi / cmath.sin(math.pi * x) / checked_gamma(1 - x)
+    series = _LANCZOS[0] + sum(c / (x + k) for k, c in enumerate(_LANCZOS[1:]))
+    t = x + 6.5
+    try:  # half powers, as t^(x - 1/2) overflows past x = 142
+        h = t ** ((x - 0.5) / 2)
+    except OverflowError:  # past x = 255, far beyond the last finite Gamma
+        return complex(math.inf)
+    return math.sqrt(2 * math.pi) * series * (h * cmath.exp(-t)) * h
+
+
 def arch_gk(case: str, s: complex) -> complex:
     """Real-place rank-one integral values, as explicit Gamma ratios:
 
@@ -204,9 +219,16 @@ def arch_gk(case: str, s: complex) -> complex:
     raise OracleError(f"unknown archimedean case {case!r}")
 
 
-_TRIVIAL_R = HeckeCharacterDescriptor("R", 1, RationalComplex())
-_SIGN_R = HeckeCharacterDescriptor("R", 1, RationalComplex(), quad_twist=True)
-_TRIVIAL_C = HeckeCharacterDescriptor("C", 2, RationalComplex())
+def _gamma_r(x: complex, sign: bool = False) -> complex:
+    """Completed factor of R at x: pi^(-y) Gamma(y) with y = x/2 for the
+    trivial character and y = (x+1)/2 for the sign character."""
+    y = (x + 1) / 2 if sign else x / 2
+    return math.pi ** -y * checked_gamma(y)
+
+
+def _gamma_c(x: complex) -> complex:
+    """Completed factor of C at x: 2 (2 pi)^(-x) Gamma(x)."""
+    return 2.0 * (2 * math.pi) ** -x * checked_gamma(x)
 
 
 def normalizing_factor_arch(case: str, s: complex) -> complex:
@@ -217,25 +239,14 @@ def normalizing_factor_arch(case: str, s: complex) -> complex:
     * SL2 over C:    L_C(1+s) / L_C(s)
     * SU(2,1) over R: [L_C(1+s)/L_C(s)] * [L_R(1+2s, sgn)/L_R(2s, sgn)]
     """
-
-    def lval(place_kind: str, eta, form: AffineForm) -> complex:
-        return arch_value(LFactorAtom(KIND_L, place_kind, form, eta), s)
-
-    one_s = AffineForm.of(1, 1)
-    just_s = AffineForm.of(1, 0)
+    s = complex(s)
     if case == SL2_R:
-        return (lval(PLACE_REAL, _TRIVIAL_R, one_s)
-                / lval(PLACE_REAL, _TRIVIAL_R, just_s))
+        return _gamma_r(s + 1) / _gamma_r(s)
     if case == RES_CR:
-        return (lval(PLACE_COMPLEX, _TRIVIAL_C, one_s)
-                / lval(PLACE_COMPLEX, _TRIVIAL_C, just_s))
+        return _gamma_c(s + 1) / _gamma_c(s)
     if case == SU21_R:
-        return (
-            lval(PLACE_COMPLEX, _TRIVIAL_C, one_s)
-            / lval(PLACE_COMPLEX, _TRIVIAL_C, just_s)
-            * lval(PLACE_REAL, _SIGN_R, AffineForm.of(2, 1))
-            / lval(PLACE_REAL, _SIGN_R, AffineForm.of(2, 0))
-        )
+        return (_gamma_c(s + 1) / _gamma_c(s)
+                * _gamma_r(2 * s + 1, sign=True) / _gamma_r(2 * s, sign=True))
     raise OracleError(f"unknown archimedean case {case!r}")
 
 

@@ -54,7 +54,7 @@ MUTANTS = [
     ("conditional poles without the unitary test", "src/gkval/lfactors.py",
      "elif include_conditional and atom.character.is_unitary:",
      "elif include_conditional:"),
-    ("Lanczos coefficient cut to 10 digits", "src/gkval/lfactors.py",
+    ("Lanczos coefficient cut to 10 digits", "src/gkval/oracles.py",
      "676.5203681218851", "676.5203681"),
     ("SU(2,1) shell volume 1 - q^-2 -> 1 - q^-1", "src/gkval/oracles.py",
      "b_shell, c_shell = 1.0 - q ** (-2), 1.0 - 1.0 / q",
@@ -62,12 +62,14 @@ MUTANTS = [
     ("SU21 degree-parity check removed", "src/gkval/lfactors.py",
      "        if eta.degree % 2:\n"
      "            raise LFactorError(\"character lives over the wrong field\")\n", ""),
-    ("checked_gamma pole tolerance 1e-12 -> 1e-6", "src/gkval/lfactors.py",
+    ("checked_gamma pole tolerance 1e-12 -> 1e-6", "src/gkval/oracles.py",
      "if abs(x.imag) < 1e-12 and round(x.real) <= 0 and abs(x.real - round(x.real)) < 1e-12:",
      "if abs(x.imag) < 1e-6 and round(x.real) <= 0 and abs(x.real - round(x.real)) < 1e-6:"),
     ("d' dropped from the pairings", "src/gkval/roots.py",
      "tuple(tuple(d * c for c in vec) for vec in pairings)",
      "tuple(tuple(vec) for vec in pairings)"),
+    ("sign character dropped in the real-place factor", "src/gkval/oracles.py",
+     "y = (x + 1) / 2 if sign else x / 2", "y = x / 2"),
 ]
 
 

@@ -13,6 +13,8 @@ import importlib
 import io
 from fractions import Fraction
 
+import pytest
+
 from gkval import (
     FUNCTION_MODE,
     RationalComplex,
@@ -112,6 +114,26 @@ def test_ray_poles_read_the_factors_of_the_last_call(monkeypatch):
     assert (len(builds), inversions) == (15, [])
     pole_profile(system, chi, w=w)
     assert (len(builds), inversions) == (17, [w])
+
+
+def test_remembered_factors_match_rational_entries_only():
+    """A ray entry that equals a rational but is not one, such as 1+0j,
+    raises whether or not the last call had the rational ray; a Fraction or
+    float entry of the same value reads the remembered factors."""
+    system = restrict_roots(split_datum("A", 2))
+    chi, w0 = UnramifiedCharacter.trivial(system.rank), system.longest_element()
+
+    def ray_poles(direction):
+        return pole_profile(system, chi, direction, w=w0, variable="ray")
+
+    for call in (lambda d: ct.constant_term(system, chi, d, w0).factors, ray_poles):
+        with pytest.raises(TypeError):
+            call((1 + 0j, 1))
+        factors = call((1, 1))
+        assert len(factors) == 3
+        with pytest.raises(TypeError):
+            call((1 + 0j, 1))
+        assert call((1, 1)) == call((Fraction(1), 1.0)) == factors
 
 
 def test_returned_systems_share_nothing_mutable():

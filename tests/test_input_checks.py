@@ -21,7 +21,6 @@ from gkval import (
     RootSystemError,
     UnramifiedCharacter,
     WeylElement,
-    arch_value,
     component_pole_ratio,
     corollary_ratio_table,
     family_datum,
@@ -68,7 +67,6 @@ REJECTED = {
     "family-datum": (lambda: family_datum("split"), RootSystemError),
     "mixed-length-class": (lambda: by_length_class(b2().positive_roots, lambda r: r.index,
                                                    "indices"), RootSystemError),
-    "arch-value-finite-place": (lambda: arch_value(ATOM, 1.0), LFactorError),
     "arch-case": (lambda: normalizing_factor_arch("x", 1.0), OracleError),
     "su21-shell-divergent": (lambda: gk_integral_su21_inert(LocalPlace(3), -1),
                              DivergentIntegral),

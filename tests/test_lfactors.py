@@ -14,7 +14,6 @@ from gkval import (
     RationalComplex,
     SL2,
     SU21,
-    arch_value,
     evaluate_finite,
     local_euler_value,
     poles_positive,
@@ -24,12 +23,10 @@ from gkval.lfactors import (
     KIND_EPS,
     KIND_L,
     LFactorError,
-    PLACE_COMPLEX,
     PLACE_FINITE,
-    PLACE_REAL,
     PoleEntry,
-    checked_gamma,
 )
+from gkval.oracles import checked_gamma
 
 
 def trivial_eta(degree=1, label="F", quad=False):
@@ -37,11 +34,10 @@ def trivial_eta(degree=1, label="F", quad=False):
                                     quad_twist=quad)
 
 
-def atom(kind=KIND_L, a=1, b=0, degree=1, place=PLACE_FINITE, quad=False,
-         label="F"):
+def atom(kind=KIND_L, a=1, b=0, degree=1, quad=False, label="F"):
     return LFactorAtom(
         kind=kind,
-        place_kind=place,
+        place_kind=PLACE_FINITE,
         arg=AffineForm.of(a, b),
         character=trivial_eta(degree, label, quad),
     )
@@ -285,16 +281,6 @@ def test_evaluate_finite_sl2_closed_form():
             assert evaluate_finite(p, q, s) == pytest.approx(want, abs=1e-12)
 
 
-def test_arch_values_explicit():
-    c_atom = atom(degree=2, place=PLACE_COMPLEX, label="C")
-    r_sgn = atom(place=PLACE_REAL, quad=True, label="R")
-    r_triv = atom(place=PLACE_REAL, label="R")
-    for value in (arch_value(c_atom, 1), arch_value(r_sgn, 1), arch_value(r_triv, 2)):
-        assert type(value) is complex
-        assert value == pytest.approx(1 / math.pi, rel=1e-14)
-    assert arch_value(atom(kind=KIND_EPS, place=PLACE_REAL, label="R"), 1) == 1.0
-
-
 # Gamma is a Lanczos approximation in double precision: these tests check it
 # against math.gamma on the real axis and by exact identities off it.
 
@@ -348,27 +334,6 @@ def test_gamma_past_the_largest_float_is_infinite():
     for x in (172, 180.5, 300, 1000):
         assert cmath.isinf(checked_gamma(x))
     assert checked_gamma(-200.5) == 0
-
-
-@pytest.mark.parametrize("s", [1, 1.0, 1 + 0j], ids=["int", "float", "complex"])
-def test_arch_value_beyond_float_range(s):
-    """With a = 10^400 and b = 2 - 10^400, only the coefficients are beyond
-    float range: x = 2 at s = 1, where the real-place factor pi^(-x/2)
-    Gamma(x/2) is 1/pi, as for a = 1, b = 1.  A Re x beyond float range has
-    no finite value and raises."""
-    real = {"place": PLACE_REAL, "label": "R"}
-    value = arch_value(atom(a=10**400, b=2 - 10**400, **real), s)
-    assert value == arch_value(atom(a=1, b=1, **real), s)
-    assert value == pytest.approx(1 / math.pi, rel=1e-14)
-    for b in (10**400, -3 * 10**400):  # x = 2 10^400 and x = -2 10^400
-        with pytest.raises(OverflowError):
-            arch_value(atom(a=10**400, b=b, **real), s)
-
-
-def test_arch_value_signals_gamma_pole():
-    r_triv = atom(place=PLACE_REAL, label="R")
-    with pytest.raises(PoleAtEvaluation):
-        arch_value(r_triv, 0)
 
 
 def test_json_round_trip():

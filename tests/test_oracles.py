@@ -224,6 +224,25 @@ def test_arch_constancy_all_cases():
         assert abs(const) > 0
 
 
+# L(1+x)/L(x) in closed form, with Gamma_R(x) = pi^(-x/2) Gamma(x/2),
+# Gamma_C(x) = 2 (2 pi)^(-x) Gamma(x) and L_R(x, sgn) = Gamma_R(x + 1)
+NORMALIZER_CLOSED_FORMS = {
+    "SL2_R": lambda s: math.gamma((s + 1) / 2) / (math.sqrt(math.pi) * math.gamma(s / 2)),
+    "ResC/R_SL2": lambda s: s / (2 * math.pi),
+    "SU21_R": lambda s: (s / (2 * math.pi) * math.gamma(s + 1)
+                         / (math.sqrt(math.pi) * math.gamma(s + 0.5))),
+}
+
+
+@pytest.mark.parametrize("case", ARCH_CASES)
+def test_normalizing_factor_arch_matches_math_gamma(case):
+    """At the samples of verify-arch."""
+    for s in (0.7, 1.0, 1.3, 2.1, 3.0):
+        value = normalizing_factor_arch(case, s)
+        assert type(value) is complex
+        assert value == pytest.approx(NORMALIZER_CLOSED_FORMS[case](s), rel=1e-13)
+
+
 def test_sl2_r_constant_is_one_over_pi():
     _, const = s_independence_check("SL2_R", (1.0,))
     assert const == pytest.approx(1 / math.pi, abs=1e-12)
