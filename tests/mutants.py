@@ -43,8 +43,9 @@ MUTANTS = [
     ("SU21 2x -> x", "src/gkval/lfactors.py",
      "_quotient(twice, eta_k)", "_quotient(x, eta_k)"),
     ("greatest left descent for the least", "src/gkval/roots.py",
-     "(j for j in range(self.rank) if winv[j] < 0)",
-     "(j for j in reversed(range(self.rank)) if winv[j] < 0)"),
+     "for j, x in enumerate(mu):", "for j, x in reversed(list(enumerate(mu))):"),
+    ("weight reflection with the transposed Cartan entry", "src/gkval/roots.py",
+     "for j, row in enumerate(self.cartan))", "for j, row in enumerate(zip(*self.cartan)))"),
     ("SU21 restriction in r_alpha not doubling", "src/gkval/lfactors.py",
      "RationalComplex(Fraction(2 * re.numerator, re.denominator),\n"
      "                            Fraction(2 * im.numerator, im.denominator))",

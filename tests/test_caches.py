@@ -136,6 +136,29 @@ def test_remembered_factors_match_rational_entries_only():
         assert call((1, 1)) == call((Fraction(1), 1.0)) == factors
 
 
+def test_character_exponents_are_read_as_rationals_in_either_order():
+    """An exponent that equals a rational but is not one, such as 0.5+0j in
+    re or im, raises TypeError in both modes, before and after a call with
+    the rational exponent; a float of the same value reads as that rational."""
+    system = restrict_roots(split_datum("A", 2))
+    w0 = system.longest_element()
+
+    def factors(z, *mode):
+        chi = UnramifiedCharacter((z, RationalComplex()), *mode)
+        return ct.constant_term(system, chi, (1, 1), w0).factors
+
+    for mode in ((), (FUNCTION_MODE, 5)):
+        for inexact, exact in (((0.5 + 0j,), (Fraction(1, 2),)),
+                               ((0, 0.5 + 0j), (0, Fraction(1, 2)))):
+            with pytest.raises(TypeError):
+                factors(RationalComplex(*inexact), *mode)
+            expected = factors(RationalComplex(*exact), *mode)
+            assert len(expected) == 3
+            with pytest.raises(TypeError):
+                factors(RationalComplex(*inexact), *mode)
+            assert factors(RationalComplex(*(float(x) for x in exact)), *mode) == expected
+
+
 def test_returned_systems_share_nothing_mutable():
     datum = su_datum(3, 3)
     first = restrict_roots(datum)

@@ -1,4 +1,5 @@
-"""The permutation tables through which W acts on the relative roots.
+"""The Weyl group of a relative system: normal forms and the permutation
+tables through which W acts on the relative roots.
 
 Closed forms (Humphreys, *Reflection Groups and Coxeter Groups*, 3.7 and
 3.18) give the length n h / 2 of the longest element and the order of W
@@ -7,10 +8,12 @@ program.  The tables themselves must be involutions on the root indices
 that send exactly one positive root, the simple root, negative.  The
 index action of a word and ``inversion_set`` must agree with a reflection
 action on coordinate vectors computed here from the relative Cartan matrix
-alone, ``weyl_enumerate`` with a BFS over ``normalize`` under whichever
-rule ``_least_descent`` states, and ``longest_element`` with the normal
-form of its own word and with the last element of ``weyl_enumerate``'s
-walk, which builds it without ``normalize``.
+alone.  Normal forms are built from the weight w rho, not from the tables,
+so the tables check them: ``normalize`` must keep the element, its index
+action on every root, on words with cancelling pairs.  ``weyl_enumerate``
+must agree with a BFS over ``normalize`` under whichever rule
+``_least_descent`` states, and ``longest_element`` with the normal form of
+its own word and with the last element of ``weyl_enumerate``'s walk.
 Last, Macdonald's identity checks the fold's Hecke parameters and the W
 action together, exactly, over the whole Weyl group.
 """
@@ -208,6 +211,51 @@ def test_tables_agree_with_the_vector_action(case):
     expected = [r for r in system.positive_roots
                 if all(c <= 0 for c in reflect(system.cartan, word, r.coords))]
     assert list(system.inversion_set(WeylElement(tuple(word)))) == expected
+
+
+@st.composite
+def words_with_cancelling_pairs(draw):
+    """A system of DATA (split, quasi-split with d' up to 3, BC types among
+    them) and a random word with cancelling pairs s s inserted at random
+    places, as the weyl-sweep benchmark builds its words."""
+    system = fold(draw(st.sampled_from(DATA)))
+    letters = st.integers(0, system.rank - 1)
+    word = draw(st.lists(letters, max_size=2 * len(system.positive_roots)))
+    for _ in range(draw(st.integers(0, len(word) // 2 + 1))):
+        at, letter = draw(st.integers(0, len(word))), draw(letters)
+        word[at:at] = [letter, letter]
+    return system, tuple(word)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(words_with_cancelling_pairs())
+def test_normal_form_is_the_same_element(case):
+    """normalize keeps w: its word sends every root, positive or negative,
+    where the given word does, and it is reduced."""
+    system, word = case
+    n = len(system.positive_roots)
+    w = system.normalize(word)
+    assert system.images(w.word, range(-n, n)) == system.images(word, range(-n, n))
+    assert len(w.word) == len(system.inversion_set(w))
+
+
+def weight(cartan, v):
+    """Fundamental-weight coordinates <v, gamma_i^vee> = sum_k v_k C[k][i] of a
+    vector v in root coordinates."""
+    return [sum(v[k] * cartan[k][i] for k in range(len(v))) for i in range(len(v))]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(words_and_roots())
+def test_weight_reflection_agrees_with_the_vector_action(case):
+    """_reflect, the s_j that normal forms are built with, acts on weight
+    coordinates as reflect acts on root coordinates.  The transposed Cartan
+    entry would act on coweights, whose descents, and so whose normal forms,
+    are the same: only this test tells them apart."""
+    system, word, x = case
+    v = coords(system, x)
+    mu = functools.reduce(system._reflect, reversed(word), weight(system.cartan, v))
+    assert mu == weight(system.cartan, reflect(system.cartan, word, v))
 
 
 def enumerate_by_normalize(system, limit):
