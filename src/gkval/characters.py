@@ -9,9 +9,10 @@ Exponents are exact: a complex scalar is a pair of rationals.  Two modes:
   of 1/degree for a constant-field extension of that degree).
 
 ``pair`` and ``compose_with_coroot`` read :func:`coroot_data`, which pairs
-a ray and a character with one integer pairing vector per root, so the
-unramified-twist compatibility (twisting the character by a point on a
-ray shifts the local variable) holds by construction.
+a ray and a character, each scaled to integers over one denominator, with
+one integer pairing vector per root, so the unramified-twist
+compatibility (twisting the character by a point on a ray shifts the
+local variable) holds by construction.
 """
 
 from __future__ import annotations
@@ -108,25 +109,12 @@ def rational_entries(values) -> tuple[int | Fraction, ...]:
     return tuple([v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values])
 
 
-class ScaledVector:
-    """A rational vector as integer numerators over one common denominator."""
-
-    __slots__ = ("numerators", "denominator")
-
-    def __init__(self, numerators: tuple[int, ...], denominator: int) -> None:
-        self.numerators, self.denominator = numerators, denominator
-
-    @staticmethod
-    def of(values) -> "ScaledVector":
-        """``values`` scaled; a ScaledVector is returned as is."""
-        if isinstance(values, ScaledVector):
-            return values
-        ratios = [v.as_integer_ratio() for v in rational_entries(values)]
-        den = math.lcm(*[d for _, d in ratios])
-        return ScaledVector(tuple(n * (den // d) for n, d in ratios), den)
-
-    def __len__(self) -> int:
-        return len(self.numerators)
+def _scaled(values) -> tuple[tuple[int, ...], int]:
+    """``values``, read by :func:`rational_entries`, as integer numerators
+    over one common denominator."""
+    ratios = [v.as_integer_ratio() for v in rational_entries(values)]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 class UnramifiedCharacter(Record):
@@ -201,8 +189,8 @@ def coroot_data(
     system: RelativeRootSystem,
     roots: Sequence[RelativeRoot],
     chi: UnramifiedCharacter | None = None,
-    direction: Sequence | ScaledVector | None = None,
-    base: Sequence | ScaledVector | None = None,
+    direction: Sequence | None = None,
+    base: Sequence | None = None,
 ) -> list[tuple[AffineForm, AffineForm, HeckeCharacterDescriptor | None]]:
     """Per root alpha of ``roots``: the pairing <lambda, alpha^vee> as an affine
     form in s for lambda = base + s * direction (the unit form t without a
@@ -211,27 +199,24 @@ def coroot_data(
     the rank-one group, of degree d_alpha for SL2-type and 2 d_alpha for
     SU21-type, whose exponent is the pairing exponent over the local scale.
 
-    The ray is scaled on every call, so that non-rational entries always
-    raise; the ray, then chi, are checked if ``roots`` is not empty, and
-    chi is scaled with them.  Each root then costs integer dot products
+    The ray is scaled by :func:`_scaled` on every call, so that non-rational
+    entries always raise; the ray, then chi, are checked if ``roots`` is not
+    empty, and chi is scaled with them.  Each root then costs integer dot products
     with its pairing vector.
     """
     if direction is not None:
-        direction = ScaledVector.of(direction)
-        base = None if base is None else ScaledVector.of(base)
+        dn, dd = _scaled(direction)
+        bn, bd = (None, 1) if base is None else _scaled(base)
     if not roots:
         return []
     if direction is None:
         unit = AffineForm(Fraction(1), Fraction(0))
     else:
-        check_ray(system, direction, base)
-        dn, dd = direction.numerators, direction.denominator
-        bn, bd = (None, 1) if base is None else (base.numerators, base.denominator)
+        check_ray(system, dn, bn)
     if chi is not None:
         check_character(system, chi)
-        re = ScaledVector.of(z.re for z in chi.exponents)
-        im = ScaledVector.of(z.im for z in chi.exponents)
-        re_n, re_d, im_n, im_d = re.numerators, re.denominator, im.numerators, im.denominator
+        re_n, re_d = _scaled(z.re for z in chi.exponents)
+        im_n, im_d = _scaled(z.im for z in chi.exponents)
     out = []
     for alpha in roots:
         vec = system.coroot_pairing_vector(alpha)
@@ -260,17 +245,17 @@ def coroot_data(
 
 def pair(
     system: RelativeRootSystem,
-    direction: Sequence | ScaledVector,
+    direction: Sequence,
     alpha: RelativeRoot,
-    base: Sequence | ScaledVector | None = None,
+    base: Sequence | None = None,
 ) -> AffineForm:
     """<lambda, alpha^vee> as an affine form in the ray parameter s, for the
     ray lambda = base + s * direction (see :func:`coroot_data`)."""
     return coroot_data(system, (alpha,), direction=direction, base=base)[0][0]
 
 
-def check_ray(system: RelativeRootSystem, direction: Sequence | ScaledVector,
-              base: Sequence | ScaledVector | None = None) -> None:
+def check_ray(system: RelativeRootSystem, direction: Sequence,
+              base: Sequence | None = None) -> None:
     """Raise CharacterError unless the ray direction and, when given, the
     base point have one entry per relative simple root of ``system``."""
     if len(direction) != system.rank:

@@ -116,7 +116,7 @@ def table_checks() -> list[dict]:
     for family, n, dprime in cases:
         system = restrict_roots(family_datum(family, n, dprime))
         derived = derived_table(system)
-        stated = proposition_table(family, n, dprime)
+        stated = proposition_table(family, d_prime=dprime)
         checks.append(
             {
                 "name": "degree_table",

@@ -40,6 +40,7 @@ from .constant_term import (
     constant_term,
     pole_profile,
 )
+from .lfactors import PLACE_FINITE
 from .roots import (
     FAMILIES,
     GroupDatum,
@@ -250,10 +251,11 @@ def _build_spec(raw: dict, datum: GroupDatum, system) -> dict:
 
 # One atom of MeromorphicProduct.to_json as json.dumps(..., sort_keys=True,
 # indent=2) writes it at depth 0, less the line of q; a rational's str() needs
-# no escaping.
+# no escaping, and every atom has the one place kind.
 _ATOM = ('{\n  "a": "%s",\n  "b": "%s",\n  "character": {\n    "exponent": [\n      "%s",\n'
          '      "%s"\n    ],%s\n    "twist": %s\n  },\n  "exponent": %d,\n  "field": {\n'
-         '    "degree": %d,\n    "label": %s,\n    "place_kind": %s\n  },\n  "kind": %s\n}')
+         '    "degree": %d,\n    "label": %s,\n    "place_kind": ' + _encode_str(PLACE_FINITE)
+         + '\n  },\n  "kind": %s\n}')
 
 
 def _product_pieces(product, out: list, pad: str) -> None:
@@ -267,7 +269,7 @@ def _product_pieces(product, out: list, pad: str) -> None:
         out.append(sep + atom_text % (
             atom.arg.a, atom.arg.b, eta.exponent.re, eta.exponent.im, q,
             "true" if eta.quad_twist else "false", n, eta.degree,
-            _encode_str(eta.field_label), _encode_str(atom.place_kind), _encode_str(atom.kind)))
+            _encode_str(eta.field_label), _encode_str(atom.kind)))
         sep = "," + inner
     out.append(pad + "]" if len(product) else "[]")
 
@@ -431,8 +433,7 @@ def cmd_poles(args) -> int:
 
 def cmd_tables(args) -> int:
     dprime = args.res_degree
-    tables = {family: proposition_table(family, n, dprime)
-              for family, n in FAMILIES.items()}
+    tables = {family: proposition_table(family, d_prime=dprime) for family in FAMILIES}
 
     def lines(p):
         yield f"d_prime: {p['d_prime']}"

@@ -283,7 +283,8 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
 
         prod over t in (s, s, 2s) of (1 - q^(-1-t)) / (1 - q^(-t)),
 
-    returned as None when the evaluation hits a pole or Re(s) <= 0.
+    returned as None when the evaluation hits a pole or Re(s) <= 0.  The
+    result has the rendered ``arguments`` and the ``value``.
     """
     report = _sl3_longest_report()
     value = None
@@ -292,12 +293,7 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
             value = evaluate_finite(report.product, q, s)
         except PoleAtEvaluation:
             value = None
-    return {
-        "word": list(report.weyl.word),
-        "arguments": [f.pairing.render() for f in report.factors],
-        "report": report,
-        "value": value,
-    }
+    return {"arguments": [f.pairing.render() for f in report.factors], "value": value}
 
 
 @functools.cache

@@ -4,7 +4,8 @@ A product is a multiset of atoms ``L_K(a*s + b, eta)^n`` and
 ``eps_K(a*s + b, eta)^n`` (merged, zero exponents dropped), whose order is
 fixed by ``LFactorAtom.sort_key`` when the product is read.  Products
 stay symbolic; an atom is evaluated at finite places only, as an Euler
-factor.  The archimedean Gamma factors are the oracles' own.
+factor, and JSON names that place kind ``PLACE_FINITE``.  The archimedean
+Gamma factors are the oracles' own.
 
 Positive-pole bookkeeping rests on the standard analytic facts about
 completed Hecke L-functions over a number field or a function field:
@@ -52,35 +53,34 @@ KIND_EPS = "eps"
 PLACE_FINITE = "finite"
 
 
-def _shared_key(place_kind: str, eta: HeckeCharacterDescriptor) -> tuple:
-    """The place and character part of an atom's key, which every atom of one
-    rank-one quotient shares."""
+def _shared_key(eta: HeckeCharacterDescriptor) -> tuple:
+    """The character part of an atom's key, which every atom of one rank-one
+    quotient shares."""
     z = eta.exponent
-    return (place_kind, eta.field_label, eta.degree, eta.quad_twist, eta.q,
+    return (eta.field_label, eta.degree, eta.quad_twist, eta.q,
             *z.re.as_integer_ratio(), *z.im.as_integer_ratio())
 
 
 class LFactorAtom(Record):
-    """One L or eps factor (``kind`` is KIND_L or KIND_EPS); the character
-    names the field it lives over.  Unlike other records, an atom compares
-    and hashes by one stored key."""
+    """One L or eps factor (``kind`` is KIND_L or KIND_EPS) at the finite
+    places; the character names the field it lives over.  Unlike other
+    records, an atom compares and hashes by one stored key."""
 
-    __slots__ = ("kind", "place_kind", "arg", "character", "_key", "_hash")
+    __slots__ = ("kind", "arg", "character", "_key", "_hash")
 
-    def __init__(self, kind: str, place_kind: str, arg: AffineForm,
-                 character: HeckeCharacterDescriptor) -> None:
+    def __init__(self, kind: str, arg: AffineForm, character: HeckeCharacterDescriptor) -> None:
         if kind not in (KIND_L, KIND_EPS):
             raise LFactorError(f"unknown atom kind {kind!r}")
-        self._fill(kind, place_kind, arg, character,
+        self._fill(kind, arg, character,
                    (kind, *arg.a.as_integer_ratio(), *arg.b.as_integer_ratio(),
-                    *_shared_key(place_kind, character)))
+                    *_shared_key(character)))
 
-    def _fill(self, kind: str, place_kind: str, arg: AffineForm,
-              character: HeckeCharacterDescriptor, key: tuple) -> None:
+    def _fill(self, kind: str, arg: AffineForm, character: HeckeCharacterDescriptor,
+              key: tuple) -> None:
         # every field, with each rational as its integer ratio: kind, a, b,
         # then _shared_key.  Keys are equal exactly when the fields are, so
         # product merges compare flat tuples and never reach Fraction.__eq__
-        self.kind, self.place_kind, self.arg, self.character = kind, place_kind, arg, character
+        self.kind, self.arg, self.character = kind, arg, character
         self._key, self._hash = key, hash(key)
 
     def __eq__(self, other: object) -> bool:
@@ -95,19 +95,19 @@ class LFactorAtom(Record):
         """A total order: atoms with equal keys are equal."""
         eta = self.character
         # function-field atoms (q set) sort before number-field ones
-        return (self.kind, eta.field_label, eta.degree, self.place_kind, eta.quad_twist,
-                eta.exponent.re, eta.exponent.im, self.arg.a, self.arg.b,
-                eta.q is None, eta.q or 0)
+        return (self.kind, eta.field_label, eta.degree, eta.quad_twist, eta.exponent.re,
+                eta.exponent.im, self.arg.a, self.arg.b, eta.q is None, eta.q or 0)
 
 
 def _sort_keys(atoms: list[LFactorAtom]) -> list[tuple]:
     """LFactorAtom.sort_key of each atom, with every rational r read as the
     integer r * m for one common multiple m of all their denominators: the
     same order, compared in C without Fraction.__eq__ or __lt__."""
-    keys = [atom._key for atom in atoms]  # kind, a, b, place, label, degree, twist, q, re, im
-    m = math.lcm(*[d for k in keys for d in (k[2], k[4], k[11], k[13])])
-    return [(k[0], k[6], k[7], k[5], k[8], k[10] * (m // k[11]), k[12] * (m // k[13]),
-             k[1] * (m // k[2]), k[3] * (m // k[4]), k[9] is None, k[9] or 0) for k in keys]
+    # key positions: kind 0, a and b 1-4, label 5, degree 6, twist 7, q 8, re and im 9-12
+    keys = [atom._key for atom in atoms]
+    m = math.lcm(*[d for k in keys for d in (k[2], k[4], k[10], k[12])])
+    return [(k[0], k[5], k[6], k[7], k[9] * (m // k[10]), k[11] * (m // k[12]),
+             k[1] * (m // k[2]), k[3] * (m // k[4]), k[8] is None, k[8] or 0) for k in keys]
 
 
 def _merged(pairs: Iterable[tuple[LFactorAtom, int]]) -> dict[LFactorAtom, int]:
@@ -180,7 +180,7 @@ class MeromorphicProduct:
                     "field": {
                         "label": eta.field_label,
                         "degree": eta.degree,
-                        "place_kind": atom.place_kind,
+                        "place_kind": PLACE_FINITE,
                     },
                     "a": str(atom.arg.a),
                     "b": str(atom.arg.b),
@@ -189,28 +189,6 @@ class MeromorphicProduct:
                 }
             )
         return out
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "MeromorphicProduct":
-        pairs = []
-        for entry in data:
-            atom = LFactorAtom(
-                kind=entry["kind"],
-                place_kind=entry["field"]["place_kind"],
-                arg=AffineForm(Fraction(entry["a"]), Fraction(entry["b"])),
-                character=HeckeCharacterDescriptor(
-                    field_label=entry["field"]["label"],
-                    degree=int(entry["field"]["degree"]),
-                    exponent=RationalComplex(
-                        Fraction(entry["character"]["exponent"][0]),
-                        Fraction(entry["character"]["exponent"][1]),
-                    ),
-                    quad_twist=bool(entry["character"]["twist"]),
-                    q=entry["character"].get("q"),
-                ),
-            )
-            pairs.append((atom, int(entry["exponent"])))
-        return MeromorphicProduct(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +240,14 @@ def r_alpha(
 
 def _quotient(x: AffineForm, eta: HeckeCharacterDescriptor) -> dict[LFactorAtom, int]:
     """The terms of L(x, eta) / (eps(x, eta) L(1 + x, eta))."""
-    shared = _shared_key(PLACE_FINITE, eta)
+    shared = _shared_key(eta)
     an, ad = x.a.as_integer_ratio()
     n, d = x.b.as_integer_ratio()
     terms = {}
     for kind, arg, b, exponent in ((KIND_L, x, n, 1), (KIND_EPS, x, n, -1),
                                    (KIND_L, AffineForm(x.a, Fraction(n + d, d)), n + d, -1)):
         atom = LFactorAtom.__new__(LFactorAtom)
-        atom._fill(kind, PLACE_FINITE, arg, eta, (kind, an, ad, b, d, *shared))
+        atom._fill(kind, arg, eta, (kind, an, ad, b, d, *shared))
         terms[atom] = exponent
     return terms
 

@@ -370,8 +370,8 @@ class RelativeRootSystem:
 
     def _check_letters(self, word: Sequence[int]) -> None:
         for j in word:
-            if not 0 <= j < self.rank:
-                raise RootSystemError(f"reflection index {j} out of range")
+            if type(j) is not int or not 0 <= j < self.rank:  # no bool, float or Fraction
+                raise RootSystemError(f"reflection index {j!r} out of range")
 
     def images(self, word: Sequence[int], indices) -> list[int]:
         """Root indices of w(x) for x in indices, w = s_word[0] ... s_word[-1]."""
@@ -650,38 +650,34 @@ def _component_type(cartan: Sequence[Sequence[int]], gram: Sequence[Sequence],
 # classification tables
 
 
-# family -> (least n, degrees per length class in units of d', folded datum
-# builder taking (n, d')); the split family has no single folded datum.
+# family -> (degrees per length class in units of d', folded datum builder
+# taking (n, d')); the split family has no single folded datum.  The SU rows
+# hold from n = 2, the Spin2n- row from n = 4.
 _FAMILY_TABLE = {
-    "split": (0, {"all": 1}, None),
-    "SU(n,n+1)": (2, {"long": 2, "short": 1}, lambda n, d: su_datum(n, n + 1, d)),
-    "SU(n,n)": (2, {"short": 2, "long": 1}, lambda n, d: su_datum(n, n, d)),
-    "Spin2n-": (4, {"short": 2, "long": 1}, spin_minus_datum),
-    "3D4": (0, {"long": 3, "short": 1}, lambda n, d: triality_datum(d)),
-    "2E6": (0, {"short": 2, "long": 1}, lambda n, d: quasi_split_e6_datum(d)),
+    "split": ({"all": 1}, None),
+    "SU(n,n+1)": ({"long": 2, "short": 1}, lambda n, d: su_datum(n, n + 1, d)),
+    "SU(n,n)": ({"short": 2, "long": 1}, lambda n, d: su_datum(n, n, d)),
+    "Spin2n-": ({"short": 2, "long": 1}, spin_minus_datum),
+    "3D4": ({"long": 3, "short": 1}, lambda _n, d: triality_datum(d)),
+    "2E6": ({"short": 2, "long": 1}, lambda _n, d: quasi_split_e6_datum(d)),
 }
 
-# family -> least n
-FAMILIES = {family: least for family, (least, _, _) in _FAMILY_TABLE.items()}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def proposition_table(family: str, n: int = 0, d_prime: int = 1) -> dict[str, int]:
-    """Degrees d_alpha per length class for the standard quasi-split families.
-
-    n is only checked against the family's least n; no row depends on it."""
+def proposition_table(family: str, *, d_prime: int = 1) -> dict[str, int]:
+    """Degrees d_alpha per length class for the standard quasi-split families;
+    no row depends on the rank."""
     if d_prime < 1:
         raise RootSystemError("d_prime must be positive")
     if family not in _FAMILY_TABLE:
         raise RootSystemError(f"unknown family {family!r}")
-    least, row, _ = _FAMILY_TABLE[family]
-    if n < least:
-        raise RootSystemError(f"{family} table needs n >= {least}")
-    return {length: units * d_prime for length, units in row.items()}
+    return {length: units * d_prime for length, units in _FAMILY_TABLE[family][0].items()}
 
 
 def family_datum(family: str, n: int = 0, d_prime: int = 1) -> GroupDatum:
     """The group datum whose folding realizes a table family."""
-    build = _FAMILY_TABLE.get(family, (0, {}, None))[2]
+    build = _FAMILY_TABLE.get(family, ({}, None))[1]
     if build is None:
         raise RootSystemError(f"no folded datum for family {family!r}")
     return build(n, d_prime)

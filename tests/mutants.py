@@ -71,6 +71,8 @@ MUTANTS = [
      "tuple(tuple(vec) for vec in pairings)"),
     ("sign character dropped in the real-place factor", "src/gkval/oracles.py",
      "y = (x + 1) / 2 if sign else x / 2", "y = x / 2"),
+    ("sort key reads q at its index before the place kind went", "src/gkval/lfactors.py",
+     "k[8] is None, k[8] or 0", "k[9] is None, k[9] or 0"),
 ]
 
 

@@ -114,7 +114,7 @@ def test_criterion_6_degree_tables():
         for family, ns in families:
             for n in ns:
                 system = restrict_roots(family_datum(family, n, d_prime))
-                if derived_table(system) != proposition_table(family, n, d_prime):
+                if derived_table(system) != proposition_table(family, d_prime=d_prime):
                     ok = False
     report(6, "classification degree tables", ok)
 

@@ -130,21 +130,25 @@ def test_constant_term_of_the_identity(tmp_path, capsys):
 
 
 def test_constant_term_json_round_trip(tmp_path, capsys):
-    path = write_spec(
-        tmp_path,
-        {
-            "diagram": "A4",
-            "automorphism": [3, 2, 1, 0],
-            "automorphism_order": 2,
-        },
-    )
-    code, out = run(
-        capsys, "constant-term", "--input", path, "--output-format", "json"
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    product = MeromorphicProduct.from_json(payload["product"])
-    assert product.to_json() == payload["product"]
+    """The CLI's product, and each factor's, is to_json() of the report built
+    in process, under either variable; only a function-field atom records
+    its q."""
+    trivial = {"diagram": "A4", "automorphism": [3, 2, 1, 0], "automorphism_order": 2}
+    for spec in (trivial, README_SPEC, README_FUNCTION_SPEC):
+        path = write_spec(tmp_path, spec)
+        ctx = load_spec(path)
+        report = ct.constant_term(ctx["system"], ctx["chi"], ctx["direction"], ctx["weyl"])
+        for variable in ("global", "local"):
+            code, out = run(capsys, "constant-term", "--input", path, "--output-format", "json",
+                            "--variable", variable)
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert payload["product"] == report.product.to_json()
+            assert [f["factor"] for f in payload["factors"]] == [
+                f.product.to_json() for f in report.factors]
+            atoms = payload["product"] + [a for f in payload["factors"] for a in f["factor"]]
+            assert atoms
+            assert {"q" in a["character"] for a in atoms} == {spec is README_FUNCTION_SPEC}
 
 
 def test_byte_stable_output(tmp_path, capsys):

@@ -32,7 +32,7 @@ from gkval import (
     su_datum,
     triality_datum,
 )
-from gkval.characters import ScaledVector, compose_with_coroot, pair
+from gkval.characters import compose_with_coroot, pair, rational_entries
 from gkval.lfactors import poles_positive, r_alpha
 from gkval.roots import local_scale
 
@@ -343,9 +343,8 @@ def _product_check(system, chi, direction, w1, w2, base=None):
     inv12 = system.inversion_set(WeylElement(tuple(w1.word) + tuple(w2.word)))
     if len(inv12) != len(inv1) + len(inv2):
         raise ConstantTermError("lengths do not add")
-    # scaled first, so that non-rational entries raise where no factor is built
-    direction = ScaledVector.of(direction)
-    base = None if base is None else ScaledVector.of(base)
+    # read first, so that non-rational entries raise where no factor is built
+    rational_entries(direction if base is None else (*direction, *base))
 
     def factor(alpha):
         return per_root_factor(system, chi, alpha, direction, base)[2]

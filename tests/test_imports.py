@@ -3,7 +3,8 @@ private top-level name and private method a gkval module defines is used by
 that module, every public top-level name is used somewhere, and every class
 field, annotated or a public ``__slots__`` entry, is read as an attribute
 somewhere.  No gkval module reads a private attribute of an object other
-than ``self`` or ``cls`` unless it defines that name itself.
+than ``self`` or ``cls`` unless it defines that name itself, and every
+parameter of a gkval function or lambda is read in its body.
 
 ``__init__.py`` re-exports the public API and is skipped, as are
 ``__future__`` imports.  Only the standard ``ast`` module is used.
@@ -142,10 +143,44 @@ def foreign_private_reads(source: str) -> list[str]:
             and getattr(n.value, "id", None) not in ("self", "cls")]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter (line n)`` for every parameter of a function or
+    lambda that its body never reads, in the order of the source; ``self``,
+    ``cls`` and names that start with ``_`` are exempt.  A read in a nested
+    function counts; a default value or a decorator is not the body."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *[a for a in (args.vararg, args.kwarg) if a is not None]]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [(node.lineno, node.col_offset, f"{name}.{p.arg} (line {node.lineno})")
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return [text for *_, text in sorted(out)]
+
+
 def test_checker_flags_only_unused_names():
     source = "import os\nimport os.path as osp\nfrom x import a, b as c\nprint(a, osp)\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+def test_parameter_checker_flags_only_unused_parameters():
+    source = ("def f(a, b, /, c, *d, e, _f, g=h, **k):\n"
+              "    return a + sum(d) + (lambda: c)() + (lambda x, y: x)(e, 1)\n"
+              "class K:\n    def m(self, x):\n        pass\n"
+              "    @classmethod\n    def n(cls, y=x):\n        return y\n"
+              "z = lambda u, _v: 0\n")
+    assert unused_parameters(source) == [
+        "f.b (line 1)", "f.g (line 1)", "f.k (line 1)", "<lambda>.y (line 2)",
+        "m.x (line 4)", "<lambda>.u (line 9)"]
+    assert unused_parameters("def f(self, cls, _):\n    pass\n") == []
 
 
 def test_dead_name_checker_sees_definitions_and_uses():
@@ -201,6 +236,13 @@ def test_no_dead_fields():
             for field in fields(path.read_text(encoding="utf-8"))
             if field.partition(".")[2] not in read]
     assert dead == []
+
+
+def test_no_unused_parameters():
+    """A parameter that nothing reads is a value a caller sets for no one."""
+    unused = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name in unused_parameters(path.read_text(encoding="utf-8"))]
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

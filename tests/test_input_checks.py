@@ -34,12 +34,12 @@ from gkval import (
     split_datum,
     su_datum,
 )
-from gkval.lfactors import KIND_L, PLACE_FINITE
+from gkval.lfactors import KIND_L
 from gkval.roots import by_length_class
 
 S = AffineForm(Fraction(1), Fraction(0))
 ETA = HeckeCharacterDescriptor("F", 1, RationalComplex())
-ATOM = LFactorAtom(KIND_L, PLACE_FINITE, S, ETA)
+ATOM = LFactorAtom(KIND_L, S, ETA)
 
 
 def b2():
@@ -50,7 +50,7 @@ REJECTED = {
     "character-mode": (lambda: UnramifiedCharacter((), "bogus"), CharacterError),
     "descriptor-degree": (lambda: HeckeCharacterDescriptor("F", 0, RationalComplex()),
                           CharacterError),
-    "atom-kind": (lambda: LFactorAtom("zeta", PLACE_FINITE, S, ETA), LFactorError),
+    "atom-kind": (lambda: LFactorAtom("zeta", S, ETA), LFactorError),
     "product-float-exponent": (lambda: MeromorphicProduct([(ATOM, 1.0)]), LFactorError),
     "r-alpha-odd-degree": (lambda: r_alpha(S, SU21, ETA), LFactorError),
     "r-alpha-type": (lambda: r_alpha(S, "SL3", ETA), LFactorError),
@@ -61,9 +61,10 @@ REJECTED = {
     "ratio-table-type": (lambda: corollary_ratio_table("X9"), ConstantTermError),
     "su-datum": (lambda: su_datum(1, 3), RootSystemError),
     "spin-minus-datum": (lambda: spin_minus_datum(3), RootSystemError),
-    "table-d-prime": (lambda: proposition_table("SU(n,n)", 2, 0), RootSystemError),
-    "table-family": (lambda: proposition_table("SU(n)", 2), RootSystemError),
-    "table-least-n": (lambda: proposition_table("Spin2n-", 3), RootSystemError),
+    "table-d-prime": (lambda: proposition_table("SU(n,n)", d_prime=0), RootSystemError),
+    "table-family": (lambda: proposition_table("SU(n)"), RootSystemError),
+    # d' is keyword-only: a stale call (family, n) must not read n as d'
+    "table-positional-d-prime": (lambda: proposition_table("SU(n,n)", 2), TypeError),
     "family-datum": (lambda: family_datum("split"), RootSystemError),
     "mixed-length-class": (lambda: by_length_class(b2().positive_roots, lambda r: r.index,
                                                    "indices"), RootSystemError),

