@@ -46,7 +46,6 @@ from .roots import (
     SU21,
     WeylElement,
     cartan_matrix,
-    datum_from_type,
     derived_table,
     family_datum,
     proposition_table,

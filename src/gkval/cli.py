@@ -204,6 +204,10 @@ def _parse_datum(raw: dict) -> GroupDatum:
     label = raw.pop("label", "")
     if not isinstance(label, str):
         raise SchemaError(f"label must be a string, got {type(label).__name__}")
+    try:
+        label.encode()
+    except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+        raise SchemaError("label must be valid Unicode text") from None
     return GroupDatum(cartan, perm, order, dprime, label)
 
 

@@ -70,11 +70,15 @@ class RankOneFactor(Record):
 
 
 class ConstantTermReport(Record):
-    __slots__ = ("weyl", "factors", "product")
+    __slots__ = ("weyl", "factors")
 
-    def __init__(self, weyl: WeylElement, factors: tuple[RankOneFactor, ...],
-                 product: MeromorphicProduct) -> None:
-        self.weyl, self.factors, self.product = weyl, factors, product
+    def __init__(self, weyl: WeylElement, factors: tuple[RankOneFactor, ...]) -> None:
+        self.weyl, self.factors = weyl, factors
+
+    @property
+    def product(self) -> MeromorphicProduct:
+        """The factors' products, merged on each read."""
+        return MeromorphicProduct.prod(f.product for f in self.factors)
 
 
 def _factors(system: RelativeRootSystem, chi: UnramifiedCharacter,
@@ -120,9 +124,7 @@ def constant_term(
 ) -> ConstantTermReport:
     """Symbolic constant-term scalar for lambda = base + s * direction, at w as given:
     pass system.normalize(word) or system.longest_element() to report a normal form."""
-    factors = _ray_factors(system, chi, direction, base, w)
-    product = MeromorphicProduct.prod(f.product for f in factors)
-    return ConstantTermReport(weyl=w, factors=factors, product=product)
+    return ConstantTermReport(w, _ray_factors(system, chi, direction, base, w))
 
 
 class RootPoleEntry(Record):
@@ -286,20 +288,21 @@ def sl3_longest_factorization(q: int, s: complex) -> dict:
     returned as None when the evaluation hits a pole or Re(s) <= 0.  The
     result has the rendered ``arguments`` and the ``value``.
     """
-    report = _sl3_longest_report()
+    arguments, product = _sl3_longest()
     value = None
     if complex(s).real > 0:
         try:
-            value = evaluate_finite(report.product, q, s)
+            value = evaluate_finite(product, q, s)
         except PoleAtEvaluation:
             value = None
-    return {"arguments": [f.pairing.render() for f in report.factors], "value": value}
+    return {"arguments": list(arguments), "value": value}
 
 
 @functools.cache
-def _sl3_longest_report() -> ConstantTermReport:
-    """The symbolic report of :func:`sl3_longest_factorization`, which does
-    not depend on (q, s), built once per process."""
+def _sl3_longest() -> tuple[tuple[str, ...], MeromorphicProduct]:
+    """The rendered arguments and the merged product that
+    :func:`sl3_longest_factorization` reads, built once per process."""
     system = restrict_roots(split_datum("A", 2))
     chi = UnramifiedCharacter.trivial(system.rank)
-    return constant_term(system, chi, system.principal_ray(), system.longest_element())
+    report = constant_term(system, chi, system.principal_ray(), system.longest_element())
+    return tuple(f.pairing.render() for f in report.factors), report.product

@@ -30,10 +30,12 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .characters import (
+    MAX_FIELD_SIZE,
     AffineForm,
     HeckeCharacterDescriptor,
     RationalComplex,
     field_label,
+    is_field_size,
 )
 from .records import Record
 from .roots import SL2, SU21
@@ -317,7 +319,20 @@ def local_euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
     x is far below 0 and the value q_k^x / (q_k^x - c) is tiny; where Re x
     is beyond float range, the value is 1.0 above 0 and 0 below.  Where only
     a coefficient is beyond float range, x is computed exactly first (see
-    :func:`_argument`); an Im x beyond float range raises OverflowError."""
+    :func:`_argument`); an Im x beyond float range raises OverflowError.
+    A q that is not a field size raises LFactorError."""
+    _check_field_size(q)
+    return _euler_value(atom, q, s)
+
+
+def _check_field_size(q) -> None:
+    if not is_field_size(q):
+        raise LFactorError(f"residue size must be a prime power at most {MAX_FIELD_SIZE}, "
+                           f"got {q!r}")
+
+
+def _euler_value(atom: LFactorAtom, q: int, s: complex) -> complex:
+    """:func:`local_euler_value` at a q already checked."""
     if atom.kind == KIND_EPS:
         return 1.0  # unramified epsilon factors are 1
     chi = atom.character
@@ -368,7 +383,8 @@ def _argument(atom: LFactorAtom, s: complex) -> complex:
 
 
 def evaluate_finite(product: MeromorphicProduct, q: int, s: complex) -> complex:
+    _check_field_size(q)
     val = complex(1.0)
     for atom, n in product:
-        val *= local_euler_value(atom, q, s) ** n
+        val *= _euler_value(atom, q, s) ** n
     return val

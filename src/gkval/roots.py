@@ -232,26 +232,9 @@ class GroupDatum(Record):
             automorphism_order, res_degree, label)
 
 
-def datum_from_type(
-    family: str,
-    rank: int,
-    automorphism: Sequence[int] | None = None,
-    automorphism_order: int = 1,
-    res_degree: int = 1,
-    label: str = "",
-) -> GroupDatum:
-    return GroupDatum(
-        cartan=cartan_matrix(family, rank),
-        automorphism=range(rank) if automorphism is None else automorphism,
-        automorphism_order=automorphism_order,
-        res_degree=res_degree,
-        label=label or f"{family}{rank}",
-    )
-
-
 def split_datum(family: str, rank: int, res_degree: int = 1) -> GroupDatum:
-    return datum_from_type(family, rank, res_degree=res_degree,
-                           label=f"split-{family}{rank}")
+    return GroupDatum(cartan_matrix(family, rank), range(rank), 1, res_degree,
+                      f"split-{family}{rank}")
 
 
 def su_datum(p: int, q: int, res_degree: int = 1) -> GroupDatum:
@@ -260,7 +243,7 @@ def su_datum(p: int, q: int, res_degree: int = 1) -> GroupDatum:
         raise RootSystemError("need |p - q| <= 1 and p + q >= 3")
     n = p + q - 1  # A_n folded by the flip
     perm = tuple(n - 1 - i for i in range(n))
-    return datum_from_type("A", n, perm, 2, res_degree, label=f"2A{n}")
+    return GroupDatum(cartan_matrix("A", n), perm, 2, res_degree, f"2A{n}")
 
 
 def spin_minus_datum(n: int, res_degree: int = 1) -> GroupDatum:
@@ -269,18 +252,18 @@ def spin_minus_datum(n: int, res_degree: int = 1) -> GroupDatum:
         raise RootSystemError("D_n folding implemented for n >= 4")
     perm = list(range(n))
     perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-    return datum_from_type("D", n, tuple(perm), 2, res_degree, label=f"2D{n}")
+    return GroupDatum(cartan_matrix("D", n), perm, 2, res_degree, f"2D{n}")
 
 
 def triality_datum(res_degree: int = 1) -> GroupDatum:
     """Triality form of D4."""
     # D4 nodes: 0 - 1 - {2, 3}; outer nodes 0, 2, 3 are cycled.
-    return datum_from_type("D", 4, (2, 1, 3, 0), 3, res_degree, label="3D4")
+    return GroupDatum(cartan_matrix("D", 4), (2, 1, 3, 0), 3, res_degree, "3D4")
 
 
 def quasi_split_e6_datum(res_degree: int = 1) -> GroupDatum:
     perm = (5, 1, 4, 3, 2, 0)
-    return datum_from_type("E", 6, perm, 2, res_degree, label="2E6")
+    return GroupDatum(cartan_matrix("E", 6), perm, 2, res_degree, "2E6")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,11 @@ MUTANTS = [
      "y = (x + 1) / 2 if sign else x / 2", "y = x / 2"),
     ("sort key reads q at its index before the place kind went", "src/gkval/lfactors.py",
      "k[8] is None, k[8] or 0", "k[9] is None, k[9] or 0"),
+    ("report product drops its first factor", "src/gkval/constant_term.py",
+     "prod(f.product for f in self.factors)", "prod(f.product for f in self.factors[1:])"),
+    ("evaluator field-size check removed", "src/gkval/lfactors.py",
+     "    if not is_field_size(q):\n        raise LFactorError(",
+     "    if not is_field_size(q) and False:\n        raise LFactorError("),
 ]
 
 

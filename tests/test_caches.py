@@ -210,7 +210,7 @@ def test_verify_all_work_counts(monkeypatch):
     monkeypatch.setenv("GK_SEED", "0")
     roots._fold.cache_clear()
     roots._generate_roots.cache_clear()
-    ct._sl3_longest_report.cache_clear()
+    ct._sl3_longest.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--output-format", "json"]) == 0
     info = roots._fold.cache_info()

@@ -246,7 +246,7 @@ def test_unserializable_payload_prints_nothing(tmp_path, capsys, monkeypatch):
     def with_fraction(*args):
         report = build(*args)
         word = WeylElement(report.weyl.word + (Fraction(1, 2),))
-        return ct.ConstantTermReport(word, report.factors, report.product)
+        return ct.ConstantTermReport(word, report.factors)
 
     monkeypatch.setattr(cli, "constant_term", with_fraction)
     path = write_spec(tmp_path, {"diagram": "A2"})
@@ -565,6 +565,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
         ({"diagram": "A1", "chi_exponent": [" 1/2 "]}, ["constant-term"]),
         ({"diagram": "A2", "lambda_direction": ["1", "1\n"]}, ["constant-term"]),
         ({"diagram": "A2", "lambda_direction": ["1", "1 / 2"]}, ["constant-term"]),
+        ({"diagram": "A2", "label": "\ud800"}, None),
+        ({"diagram": "A2", "label": "\ud800"}, ["classify", "--output-format", "json"]),
     ],
     ids=["cartan", "chi-zero-denominator", "automorphism-order", "res-degree",
          "direction", "direction-float", "chi-exponent-pair-float", "function-field-q", "function-field-q-not-prime-power",
@@ -586,7 +588,8 @@ def test_explicit_cartan_input(tmp_path, capsys):
          "q-underscore", "q-arabic-indic-digit", "depth-underscore",
          "res-degree-underscore", "tol-underscore", "tol-arabic-indic-digit", "tol-padded",
          "tol-newline", "s-grid-padded", "s-grid-space-after-comma", "chi-exponent-padded",
-         "direction-newline", "direction-inner-space"],
+         "direction-newline", "direction-inner-space", "label-lone-surrogate",
+         "label-lone-surrogate-json"],
 )
 def test_malformed_input_exits_with_one_line_error(tmp_path, capsys, spec, argv):
     """A spec runs under ``classify``, or under the command ``argv`` names."""

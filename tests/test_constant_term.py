@@ -10,6 +10,7 @@ from gkval import (
     AffineForm,
     CharacterError,
     ConstantTermError,
+    ConstantTermReport,
     MeromorphicProduct,
     UnramifiedCharacter,
     component_pole_ratio,
@@ -93,6 +94,42 @@ def test_constant_term_reports_the_element_it_is_given():
     assert len(report.factors) == 1
     assert report.factors == normal.factors
     assert report.product == normal.product
+
+
+def test_report_product_is_merged_on_each_read_only(monkeypatch):
+    """constant_term merges no product; each read of report.product merges
+    the factors' products once."""
+    prod = MeromorphicProduct.prod
+    merged = []
+
+    def counted(factors):
+        merged.append(prod(factors))
+        return merged[-1]
+
+    monkeypatch.setattr(MeromorphicProduct, "prod", staticmethod(counted))
+    system = split_system("B", 3)
+    chi, ray = trivial_setup(system)
+    report = constant_term(system, chi, ray, system.longest_element())
+    assert merged == []
+    want = prod(f.product for f in report.factors)
+    assert len(want) > 0
+    for reads in (1, 2):
+        assert report.product == want
+        assert len(merged) == reads
+
+
+def test_report_holds_no_product_of_its_own():
+    """A report is its element and its factors: one cannot be built, or
+    changed, to hold a product that disagrees with them."""
+    system = split_system("A", 2)
+    chi, ray = trivial_setup(system)
+    report = constant_term(system, chi, ray, system.longest_element())
+    assert ConstantTermReport._fields == ("weyl", "factors")
+    with pytest.raises(TypeError):
+        ConstantTermReport(report.weyl, report.factors, MeromorphicProduct())
+    with pytest.raises(AttributeError):
+        report.product = MeromorphicProduct()
+    assert report == ConstantTermReport(report.weyl, report.factors)
 
 
 def test_longest_element_one_factor_per_positive_root():

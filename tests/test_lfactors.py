@@ -18,6 +18,7 @@ from gkval import (
     local_euler_value,
     poles_positive,
     r_alpha,
+    sl3_longest_factorization,
 )
 from gkval.lfactors import (
     KIND_EPS,
@@ -277,6 +278,32 @@ def test_evaluate_finite_sl2_closed_form():
         for s in (1.0, 2.0, 2.5):
             want = (1 - q ** (-1 - s)) / (1 - q ** (-s))
             assert evaluate_finite(p, q, s) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2, 6, 2.5, True])
+def test_evaluation_needs_a_field_size(q):
+    """Unchecked, q = 1 would give nan, 0 and -2 a bare error or a value by the
+    type of s, and 6, 2.5 and True a value at a place that does not exist."""
+    p = r_alpha(AffineForm.of(1), SL2, trivial_eta())
+    for s in (2, Fraction(5, 2), 2.0, 2 + 1j):
+        with pytest.raises(LFactorError, match="prime power"):
+            evaluate_finite(p, q, s)
+        with pytest.raises(LFactorError, match="prime power"):
+            evaluate_finite(MeromorphicProduct(), q, s)
+        for a in (atom(), atom(kind=KIND_EPS)):
+            with pytest.raises(LFactorError, match="prime power"):
+                local_euler_value(a, q, s)
+    with pytest.raises(LFactorError, match="prime power"):
+        sl3_longest_factorization(q, 2)
+
+
+def test_evaluation_at_field_sizes():
+    p = r_alpha(AffineForm.of(1), SL2, trivial_eta())
+    for q in (2, 4, 9):
+        assert local_euler_value(atom(), q, 1) == pytest.approx(q / (q - 1))
+        assert evaluate_finite(p, q, 2) == pytest.approx((1 - q ** -3) / (1 - q ** -2))
+        want = (1 - q ** -3) ** 2 * (1 - q ** -5) / ((1 - q ** -2) ** 2 * (1 - q ** -4))
+        assert sl3_longest_factorization(q, 2)["value"] == pytest.approx(want)
 
 
 # Gamma is a Lanczos approximation in double precision: these tests check it
